@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .biquandle import AxiomFailure, Biquandle, Coloring, VerificationReport, enumerate_colorings
-from .diagram import CrossingRecord, OrientedDiagram, resolve_state
-from .rings import Ring
+from .diagram import CrossingRecord, OrientedDiagram, smoothing_states
+from .rings import Ring, ring_make
 
 
 def crossing_color_pair(crossing: CrossingRecord, colors: dict) -> Tuple[int, int]:
@@ -33,19 +33,20 @@ def crossing_color_pair(crossing: CrossingRecord, colors: dict) -> Tuple[int, in
     return colors[crossing.under_out], colors[crossing.over_in]
 
 
+def _check_shape(n: int, A, B):
+    if len(A) != n or len(B) != n or any(len(row) != n for row in (*A, *B)):
+        raise ValueError(f"A and B must be {n}x{n}")
+
+
 class Bracket:
     """A verified biquandle bracket (A, B) with cached delta and w."""
 
     def __init__(self, biquandle: Biquandle, ring: Ring, A, B, check: bool = True):
         self.biquandle = biquandle
         self.ring = ring
-        n = biquandle.n
         self.A = tuple(tuple(row) for row in A)
         self.B = tuple(tuple(row) for row in B)
-        if len(self.A) != n or len(self.B) != n or any(
-            len(row) != n for row in self.A + self.B
-        ):
-            raise ValueError(f"A and B must be {n}x{n}")
+        _check_shape(biquandle.n, self.A, self.B)
         if check:
             report = verify_bracket(biquandle, ring, A, B)
             if not report.ok:
@@ -194,37 +195,57 @@ def verify_bracket(X: Biquandle, R: Ring, A, B, literal: bool = False) -> Verifi
     return VerificationReport(failures)
 
 
-def bracket_value(beta: Bracket, f: Coloring):
-    """The skein state sum w^{n_- - n_+} * sum_s delta^{circles(s)} prod coeff."""
-    D = f.diagram
+def _bracket_values(beta: Bracket, D: OrientedDiagram, colorings: List[Coloring]) -> list:
+    """The skein state sum w^{n_- - n_+} * sum_s delta^{circles(s)} prod coeff.
+
+    One value per coloring of ``D``; each smoothing state is resolved once
+    and summed into every coloring's total.
+    """
     ring = beta.ring
-    colors = dict(f.arc_colors)
-    n = len(D.crossings)
-    total = ring.zero
-    for bits in itertools.product((0, 1), repeat=n):
-        state = resolve_state(D, bits)
-        term = ring.power(beta.delta, state.num_circles)
-        for crossing, bit in zip(D.crossings, bits):
-            term = ring.mul(term, beta.coefficient(crossing, bit, colors))
-        total = ring.add(total, term)
-    return ring.mul(ring.power(beta.w, D.n_minus - D.n_plus), total)
+    coefficients = []
+    for f in colorings:
+        colors = dict(f.arc_colors)
+        coefficients.append(
+            [tuple(beta.coefficient(c, bit, colors) for bit in (0, 1)) for c in D.crossings]
+        )
+    totals = [ring.zero] * len(colorings)
+    for state in smoothing_states(D):
+        loop = ring.power(beta.delta, state.num_circles)
+        for k, per_crossing in enumerate(coefficients):
+            term = loop
+            for pair, bit in zip(per_crossing, state.resolution):
+                term = ring.mul(term, pair[bit])
+            totals[k] = ring.add(totals[k], term)
+    norm = ring.power(beta.w, D.n_minus - D.n_plus)
+    return [ring.mul(norm, total) for total in totals]
+
+
+def bracket_value(beta: Bracket, f: Coloring):
+    """The bracket state sum of one coloring."""
+    return _bracket_values(beta, f.diagram, [f])[0]
 
 
 def bracket_invariant(beta: Bracket, D: OrientedDiagram) -> List[tuple]:
     """Multiset of bracket values, as sorted (element, multiplicity) pairs."""
     ring = beta.ring
-    values = [bracket_value(beta, f) for f in enumerate_colorings(beta.biquandle, D)]
     counts = {}
-    for v in values:
+    for v in _bracket_values(beta, D, enumerate_colorings(beta.biquandle, D)):
         counts[v] = counts.get(v, 0) + 1
     return sorted(counts.items(), key=lambda kv: ring.sort_key(kv[0]))
 
 
-def bracket_from_json(data: dict, check: bool = True) -> Bracket:
-    from .rings import ring_make
+def decode_bracket(data: dict, check: bool = True) -> Tuple[Biquandle, Ring, list, list]:
+    """The (biquandle, ring, A, B) of bracket JSON; the bracket axioms are not checked.
 
+    ``check`` verifies the biquandle.
+    """
     ring = ring_make(data["ring"])
     X = Biquandle.from_json(data["biquandle"], check=check)
     A = [[ring.element_from_json(v) for v in row] for row in data["A"]]
     B = [[ring.element_from_json(v) for v in row] for row in data["B"]]
-    return Bracket(X, ring, A, B, check=check)
+    _check_shape(X.n, A, B)
+    return X, ring, A, B
+
+
+def bracket_from_json(data: dict, check: bool = True) -> Bracket:
+    return Bracket(*decode_bracket(data, check=check), check=check)

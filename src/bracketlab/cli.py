@@ -14,10 +14,18 @@ import sys
 import click
 
 from .biquandle import Biquandle, enumerate_colorings, verify_biquandle
-from .bracket import bracket_from_json, bracket_invariant, bracket_value, verify_bracket
+from .bracket import (
+    Bracket,
+    bracket_from_json,
+    bracket_invariant,
+    bracket_value,
+    decode_bracket,
+    verify_bracket,
+)
 from .cocycle import (
     canonical_cocycle,
     cocycle_from_json,
+    scalar_group,
     verify_cocycle,
     z_invariant_multiset,
 )
@@ -88,6 +96,16 @@ def _bracket(path: str):
         raise click.exceptions.Exit(_input_error(f"bad bracket {path}: {exc}"))
 
 
+def _bracket_at(path: str, x0: int):
+    """The bracket in ``path``, with ``x0`` checked to be one of its biquandle's elements."""
+    beta = _bracket(path)
+    try:
+        scalar_group(beta, x0)
+    except ValueError as exc:
+        raise click.exceptions.Exit(_input_error(str(exc)))
+    return beta
+
+
 def _biquandle(path: str) -> Biquandle:
     data = _load_json(path)
     try:
@@ -134,18 +152,18 @@ def verify_bracket_cmd(file, literal_axioms, pretty):
     """Check the bracket axioms for the (ring, biquandle, A, B) data in FILE."""
     data = _load_json(file)
     try:
-        beta = bracket_from_json(data, check=False)
+        X, ring, A, B = decode_bracket(data, check=False)
     except (RingError, ValueError, KeyError, TypeError) as exc:
         raise click.exceptions.Exit(_input_error(f"bad bracket {file}: {exc}"))
-    report = verify_bracket(beta.biquandle, beta.ring, beta.A, beta.B, literal=literal_axioms)
+    report = verify_bracket(X, ring, A, B, literal=literal_axioms)
     out = report.to_json()
-    if report.ok:
-        out["delta"] = beta.ring.element_to_json(beta.delta)
-        out["w"] = beta.ring.element_to_json(beta.w)
-    rows = [(f["axiom"], f["witness"], f["detail"]) for f in out["failures"]]
     lines = ["ok: %s" % out["ok"]]
     if report.ok:
-        lines += [f"delta: {beta.ring.element_str(beta.delta)}", f"w: {beta.ring.element_str(beta.w)}"]
+        beta = Bracket(X, ring, A, B, check=False)
+        out["delta"] = ring.element_to_json(beta.delta)
+        out["w"] = ring.element_to_json(beta.w)
+        lines += [f"delta: {ring.element_str(beta.delta)}", f"w: {ring.element_str(beta.w)}"]
+    rows = [(f["axiom"], f["witness"], f["detail"]) for f in out["failures"]]
     if rows:
         lines += _table(("axiom", "witness", "detail"), rows)
     _emit(out, lines, pretty)
@@ -236,9 +254,7 @@ def bracket_invariant_cmd(bracket_file, diagram_file, pretty):
 @pretty_option
 def canonical_cocycle_cmd(bracket_file, x0, pretty):
     """The canonical 2-cocycle phi_beta of a bracket, with its group G."""
-    beta = _bracket(bracket_file)
-    if x0 not in beta.biquandle.elements():
-        raise click.exceptions.Exit(_input_error(f"x0 = {x0} is not a biquandle element"))
+    beta = _bracket_at(bracket_file, x0)
     G, phi = canonical_cocycle(beta, x0)
     out = {"G": G.to_json(), "order_G": len(G.elements), "cocycle": phi.to_json()}
     rows = [
@@ -260,7 +276,7 @@ def canonical_cocycle_cmd(bracket_file, x0, pretty):
 @pretty_option
 def z_invariant_cmd(bracket_file, diagram_file, x0, pretty):
     """The multiset of Z_beta cosets over all colorings of a diagram."""
-    beta = _bracket(bracket_file)
+    beta = _bracket_at(bracket_file, x0)
     D = _diagram(diagram_file)
     G, _ = canonical_cocycle(beta, x0)
     multiset = z_invariant_multiset(beta, D, x0)
@@ -290,7 +306,7 @@ def khovanov_cmd(diagram_file, pretty):
 @pretty_option
 def bh_cmd(bracket_file, diagram_file, x0, pretty):
     """Bracket cohomology tables over all colorings of a diagram."""
-    beta = _bracket(bracket_file)
+    beta = _bracket_at(bracket_file, x0)
     D = _diagram(diagram_file)
     multiset = bh_multiset(beta, D, x0)
     out = {
@@ -306,7 +322,7 @@ def bh_cmd(bracket_file, diagram_file, x0, pretty):
 
 
 def _run_checks(bracket_file, diagram_file, x0, pretty, check_fn, label):
-    beta = _bracket(bracket_file)
+    beta = _bracket_at(bracket_file, x0)
     D = _diagram(diagram_file)
     reports = [
         {"coloring": f.to_json(), **check_fn(beta, f, x0).to_json()}

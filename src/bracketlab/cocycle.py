@@ -180,6 +180,8 @@ def cocycle_invariant(c: Cocycle, D: OrientedDiagram) -> List[tuple]:
 
 def scalar_group(beta: Bracket, x0: int = 1) -> Tuple[UnitSubgroup, object]:
     """G = <q_{x,y}^{-1} q> and q = q_{x0,x0} for a bracket."""
+    if x0 not in beta.biquandle.elements():
+        raise ValueError(f"x0 = {x0} is not a biquandle element")
     ring = beta.ring
     q = beta.q(x0, x0)
     q_els = [beta.q(x, y) for x in beta.biquandle.elements() for y in beta.biquandle.elements()]

@@ -16,7 +16,7 @@ from importlib import resources
 from typing import Dict, List, Optional
 
 from .biquandle import Biquandle, counting_invariant, enumerate_colorings, verify_biquandle
-from .bracket import Bracket, bracket_invariant, verify_bracket
+from .bracket import Bracket, bracket_invariant, decode_bracket, verify_bracket
 from .cocycle import (
     canonical_cocycle,
     cocycle_from_json,
@@ -30,9 +30,7 @@ from .homology import (
     build_complex,
     check_euler_identity,
     check_theorem,
-    _table_key,
 )
-from .rings import ring_make
 
 
 @dataclass
@@ -133,11 +131,7 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Chec
             biquandles[entry.name] = Biquandle(data["under"], data["over"], check=False)
 
     for entry in manifest.brackets:
-        data = _read(entry, base)
-        ring = ring_make(data["ring"])
-        X = Biquandle.from_json(data["biquandle"])
-        A = [[ring.element_from_json(v) for v in row] for row in data["A"]]
-        B = [[ring.element_from_json(v) for v in row] for row in data["B"]]
+        X, ring, A, B = decode_bracket(_read(entry, base))
         report = verify_bracket(X, ring, A, B)
         expected = entry.expected_verification == "pass"
         results.append(
@@ -179,9 +173,8 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Chec
             results.append(CheckResult(f"bracket-invariance:{br_name}:{a}~{b}", same))
             same = z_invariant_multiset(beta, Da) == z_invariant_multiset(beta, Db)
             results.append(CheckResult(f"z-invariance:{br_name}:{a}~{b}", same))
-            ma = [(key, m) for (tbl, m) in bh_multiset(beta, Da) for key in [_table_key(tbl)]]
-            mb = [(key, m) for (tbl, m) in bh_multiset(beta, Db) for key in [_table_key(tbl)]]
-            results.append(CheckResult(f"bh-invariance:{br_name}:{a}~{b}", sorted(ma) == sorted(mb)))
+            same = bh_multiset(beta, Da) == bh_multiset(beta, Db)
+            results.append(CheckResult(f"bh-invariance:{br_name}:{a}~{b}", same))
 
     # Canonical cocycle of every bracket verifies.
     for br_name, beta in brackets.items():

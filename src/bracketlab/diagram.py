@@ -19,9 +19,10 @@ carries the A-type skein coefficient and bit 1 the B-type one.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 
 class DiagramError(ValueError):
@@ -223,99 +224,66 @@ def resolve_state(D: OrientedDiagram, bits: Sequence[int]) -> SmoothingState:
     return SmoothingState(resolution=bits, circles=circles)
 
 
+def smoothing_states(D: OrientedDiagram) -> Iterator[SmoothingState]:
+    """Every smoothing state of ``D`` in bit order, each resolved once."""
+    for bits in itertools.product((0, 1), repeat=len(D.crossings)):
+        yield resolve_state(D, bits)
+
+
 @dataclass(frozen=True)
 class CubeEdge:
-    """An edge of the smoothing cube: two states differing in one bit (0->1)."""
+    """An edge of the smoothing cube: two states differing in one bit (0->1).
+
+    Circles are named by their index in each state.  ``carried`` holds an
+    (index in ``from_state``, index in ``to_state``) pair per unchanged
+    circle; ``sources`` are the circles of ``from_state`` that change and
+    ``targets`` the circles of ``to_state`` they become: two into one for a
+    merge, one into two for a split.
+    """
 
     from_state: SmoothingState
     to_state: SmoothingState
     changed_crossing: int
-    kind: str  # "merge" or "split"
     sign: int  # (-1)^(number of 1-bits before the changed position)
+    carried: Tuple[Tuple[int, int], ...]
+    sources: Tuple[int, ...]
+    targets: Tuple[int, ...]
+
+    @property
+    def kind(self) -> str:
+        return "merge" if len(self.sources) == 2 else "split"
 
 
-def cube_edges(D: OrientedDiagram) -> List[CubeEdge]:
-    """All n * 2^(n-1) cube edges with merge/split kind and cube sign."""
-    import itertools
+@dataclass(frozen=True)
+class StateCube:
+    """All 2^n smoothing states by bit vector, in bit order, and the cube edges."""
 
-    n = len(D.crossings)
-    states = {
-        bits: resolve_state(D, bits) for bits in itertools.product((0, 1), repeat=n)
-    }
-    edges = []
-    for bits, state in states.items():
-        for pos in range(n):
-            if bits[pos] == 1:
-                continue
-            to_bits = bits[:pos] + (1,) + bits[pos + 1 :]
-            to_state = states[to_bits]
-            delta = to_state.num_circles - state.num_circles
-            if delta == -1:
-                kind = "merge"
-            elif delta == 1:
-                kind = "split"
-            else:
-                raise DiagramError(
-                    f"adjacent states {bits}->{to_bits} differ by {delta} circles"
-                )
-            sign = -1 if sum(bits[:pos]) % 2 else 1
-            edges.append(CubeEdge(state, to_state, pos, kind, sign))
-    return edges
+    states: Dict[Tuple[int, ...], SmoothingState]
+    edges: List[CubeEdge]
 
 
-def trace_circles(D: OrientedDiagram, bits: Sequence[int]) -> int:
-    """Circle count by explicitly walking edge-end pairings.
+def _cube_edge(a: SmoothingState, b: SmoothingState, pos: int) -> CubeEdge:
+    """The edge a -> b; an unchanged circle has the same edge labels in both."""
+    position = {circle: j for j, circle in enumerate(b.circles)}
+    carried = tuple((i, position[c]) for i, c in enumerate(a.circles) if c in position)
+    sources = tuple(i for i, c in enumerate(a.circles) if c not in position)
+    kept = {j for _, j in carried}
+    targets = tuple(j for j in range(b.num_circles) if j not in kept)
+    if (len(sources), len(targets)) not in ((2, 1), (1, 2)):
+        raise DiagramError(
+            f"adjacent states {a.resolution}->{b.resolution} are neither a merge nor a split"
+        )
+    sign = -1 if sum(a.resolution[:pos]) % 2 else 1
+    return CubeEdge(a, b, pos, sign, carried, sources, targets)
 
-    Independent cross-check of the union-find in :func:`resolve_state`.  The
-    walk distinguishes the two ends of each edge (its output slot and input
-    slot), so edges looping back to the same crossing are handled correctly.
-    """
-    bits = tuple(int(b) for b in bits)
-    if len(bits) != len(D.crossings):
-        raise DiagramError(f"expected {len(D.crossings)} bits, got {len(bits)}")
-    # Slots are (crossing index, role). A smoothing mates the four slots of a
-    # crossing in two pairs.
-    slot_in: Dict[int, tuple] = {}
-    slot_out: Dict[int, tuple] = {}
-    mate: Dict[tuple, tuple] = {}
-    edge_at: Dict[tuple, int] = {}
-    for idx, (crossing, bit) in enumerate(zip(D.crossings, bits)):
-        slot_in[crossing.under_in] = (idx, "under_in")
-        slot_in[crossing.over_in] = (idx, "over_in")
-        slot_out[crossing.under_out] = (idx, "under_out")
-        slot_out[crossing.over_out] = (idx, "over_out")
-        for role, edge in (
-            ("under_in", crossing.under_in),
-            ("over_in", crossing.over_in),
-            ("under_out", crossing.under_out),
-            ("over_out", crossing.over_out),
-        ):
-            edge_at[(idx, role)] = edge
-        vertical = bit == 0 if crossing.sign == 1 else bit == 1
-        if vertical:
-            pairs = [("under_in", "over_out"), ("over_in", "under_out")]
-        else:
-            pairs = [("under_in", "over_in"), ("under_out", "over_out")]
-        for a, b in pairs:
-            mate[(idx, a)] = (idx, b)
-            mate[(idx, b)] = (idx, a)
 
-    visited = set()
-    count = 0
-    for start in D.edges:
-        if start in visited:
-            continue
-        count += 1
-        # State: (edge, going_forward); forward = from output slot to input slot.
-        edge, forward = start, True
-        while True:
-            visited.add(edge)
-            slot = slot_in[edge] if forward else slot_out[edge]
-            nxt_slot = mate[slot]
-            edge = edge_at[nxt_slot]
-            # Arriving at an output slot means we stand at the new edge's tail
-            # and walk it forward; an input slot means we walk it backward.
-            forward = nxt_slot[1].endswith("_out")
-            if edge == start and forward:
-                break
-    return count + D.free_circles
+def state_cube(D: OrientedDiagram) -> StateCube:
+    """The 2^n states and n * 2^(n-1) edges of the smoothing cube."""
+    states = {state.resolution: state for state in smoothing_states(D)}
+    edges = [
+        _cube_edge(state, states[bits[:pos] + (1,) + bits[pos + 1 :]], pos)
+        for bits, state in states.items()
+        for pos, bit in enumerate(bits)
+        if bit == 0
+    ]
+    return StateCube(states, edges)

@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 from .biquandle import Coloring, enumerate_colorings
 from .bracket import Bracket, bracket_value, crossing_color_pair
 from .cocycle import scalar_group, z_invariant
-from .diagram import OrientedDiagram, cube_edges, resolve_state
+from .diagram import OrientedDiagram, smoothing_states, state_cube
 from .graded import (
     FiniteUnitsGrading,
     FormalSum,
@@ -35,17 +35,16 @@ from .graded import (
 from .rings import UnitSubgroup, subgroup_generate
 
 
-# Frobenius algebra structure constants on letters (0 = "1", 1 = "t").
-def _merge_letter(a: int, b: int):
-    """m: 1x1->1, 1xt=tx1->t, txt->0 (None = zero)."""
-    if a and b:
-        return None
-    return a | b
+def _frobenius(letters: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """Letters on an edge's target circles, from the letters on its sources.
 
-
-def _split_terms(a: int) -> List[Tuple[int, int]]:
-    """Delta: 1 -> 1xt + tx1, t -> txt."""
-    return [(0, 1), (1, 0)] if a == 0 else [(1, 1)]
+    Merge m: 1x1 -> 1, 1xt = tx1 -> t, txt -> 0; split Delta: 1 -> 1xt + tx1,
+    t -> txt.  Letter 0 is "1" and letter 1 is "t".
+    """
+    if len(letters) == 2:
+        a, b = letters
+        return [] if a and b else [(a | b,)]
+    return [(0, 1), (1, 0)] if letters[0] == 0 else [(1, 1)]
 
 
 class _BhPolicy:
@@ -122,9 +121,7 @@ class _ClassicalPolicy:
 
 def _build_cube_complex(D: OrientedDiagram, policy) -> GradedComplex:
     """Assemble the expanded integer complex for either grading policy."""
-    n = len(D.crossings)
-    states = {bits: resolve_state(D, bits) for bits in itertools.product((0, 1), repeat=n)}
-    shifts = {bits: policy.state_shift(D, bits) for bits in states}
+    cube = state_cube(D)
     global_shift = policy.global_shift(D)
     grading = policy.grading
 
@@ -133,16 +130,16 @@ def _build_cube_complex(D: OrientedDiagram, policy) -> GradedComplex:
     basis: Dict[int, List[tuple]] = {}
     index: Dict[tuple, int] = {}
     degrees: Dict[int, list] = {}
-    for bits in sorted(states):
+    for bits, state in cube.states.items():
         col = sum(bits) - D.n_minus
-        state = states[bits]
+        shift = policy.state_shift(D, bits)
         for g in policy.scalars:
             for word in itertools.product((0, 1), repeat=state.num_circles):
                 key = (bits, g, word)
                 basis.setdefault(col, []).append(key)
                 index[key] = len(basis[col]) - 1
                 degrees.setdefault(col, []).append(
-                    grading.mul(global_shift, policy.degree(shifts[bits], g, word))
+                    grading.mul(global_shift, policy.degree(shift, g, word))
                 )
 
     differentials: Dict[int, List[List[int]]] = {}
@@ -152,54 +149,24 @@ def _build_cube_complex(D: OrientedDiagram, policy) -> GradedComplex:
         if rows and cols:
             differentials[col] = [[0] * cols for _ in range(rows)]
 
-    for edge in cube_edges(D):
+    for edge in cube.edges:
         from_bits = edge.from_state.resolution
-        col = sum(from_bits) - D.n_minus
-        matrix = differentials.get(col)
+        to_bits = edge.to_state.resolution
+        matrix = differentials.get(sum(from_bits) - D.n_minus)
         if matrix is None:
             continue
         scalar_step = policy.edge_scalar(D.crossings[edge.changed_crossing])
-        from_circles = edge.from_state.circles
-        to_circles = edge.to_state.circles
-        from_sets = [frozenset(c) for c in from_circles]
-        to_sets = [frozenset(c) for c in to_circles]
-        # Unchanged circles correspond by equal edge sets.
-        to_pos = {s: i for i, s in enumerate(to_sets)}
-        if edge.kind == "merge":
-            changed_from = [i for i, s in enumerate(from_sets) if s not in to_pos]
-            i1, i2 = changed_from
-            target = to_pos[from_sets[i1] | from_sets[i2]]
-        else:
-            (i1,) = [i for i, s in enumerate(from_sets) if s not in to_pos]
-            parts = [j for j, s in enumerate(to_sets) if s < from_sets[i1]]
-            j1, j2 = parts
-
-        def carry(word, skip_from, assign):
-            out = [None] * len(to_circles)
-            for i, s in enumerate(from_sets):
-                if i in skip_from:
-                    continue
-                out[to_pos[s]] = word[i]
-            for j, letter in assign:
-                out[j] = letter
-            return tuple(out)
-
+        out = [0] * edge.to_state.num_circles
         for g in policy.scalars:
             g2 = policy.scalar_mul(g, scalar_step)
-            for word in itertools.product((0, 1), repeat=len(from_circles)):
+            for word in itertools.product((0, 1), repeat=edge.from_state.num_circles):
                 src = index[(from_bits, g, word)]
-                if edge.kind == "merge":
-                    letter = _merge_letter(word[i1], word[i2])
-                    if letter is None:
-                        continue
-                    tgt_word = carry(word, {i1, i2}, [(target, letter)])
-                    tgt = index[(edge.to_state.resolution, g2, tgt_word)]
-                    matrix[tgt][src] += edge.sign
-                else:
-                    for l1, l2 in _split_terms(word[i1]):
-                        tgt_word = carry(word, {i1}, [(j1, l1), (j2, l2)])
-                        tgt = index[(edge.to_state.resolution, g2, tgt_word)]
-                        matrix[tgt][src] += edge.sign
+                for i, j in edge.carried:
+                    out[j] = word[i]
+                for letters in _frobenius(tuple(word[i] for i in edge.sources)):
+                    for j, letter in zip(edge.targets, letters):
+                        out[j] = letter
+                    matrix[index[(to_bits, g2, tuple(out))]][src] += edge.sign
 
     return GradedComplex(grading=grading, degrees=degrees, differentials=differentials)
 
@@ -217,24 +184,11 @@ def bh_invariant(beta: Bracket, f: Coloring, x0: int = 1) -> HomologyTable:
 
 def bh_multiset(beta: Bracket, D: OrientedDiagram, x0: int = 1) -> List[tuple]:
     """Multiset of homology tables over all colorings, as sorted pairs."""
-    counts: Dict[tuple, list] = {}
+    counts: Dict[HomologyTable, int] = {}
     for f in enumerate_colorings(beta.biquandle, D):
         table = bh_invariant(beta, f, x0)
-        key = _table_key(table)
-        entry = counts.setdefault(key, [table, 0])
-        entry[1] += 1
-    return [(counts[k][0], counts[k][1]) for k in sorted(counts)]
-
-
-def _table_key(table: HomologyTable) -> tuple:
-    return tuple(
-        (i, _degree_key(table.grading, d), rank, tors) for (i, d), rank, tors in table.entries
-    )
-
-
-def _degree_key(grading, d):
-    key = grading.sort_key(d)
-    return (key,) if isinstance(key, int) else tuple(key)
+        counts[table] = counts.get(table, 0) + 1
+    return sorted(counts.items(), key=lambda kv: kv[0].entries)
 
 
 def khovanov_classical(D: OrientedDiagram) -> HomologyTable:
@@ -250,11 +204,9 @@ def kauffman_state_sum(D: OrientedDiagram) -> FormalSum:
     """
     grading = InfiniteCyclicGrading()
     total: Dict[int, int] = {}
-    n = len(D.crossings)
     shift = D.n_plus - 2 * D.n_minus
-    for bits in itertools.product((0, 1), repeat=n):
-        state = resolve_state(D, bits)
-        w = sum(bits)
+    for state in smoothing_states(D):
+        w = state.weight
         sign = -1 if (w + D.n_minus) % 2 else 1
         # (q + q^{-1})^c expanded by binomial enumeration.
         for letters in itertools.product((1, -1), repeat=state.num_circles):
@@ -298,7 +250,7 @@ def check_theorem(beta: Bracket, f: Coloring, x0: int = 1) -> CheckReport:
         FiniteUnitsGrading(ring),
         {key: (rank, merge_invariant_factors(tlists)) for key, (rank, tlists) in predicted.items()},
     )
-    ok = _table_key(predicted_table) == _table_key(direct)
+    ok = predicted_table == direct
     return CheckReport(
         ok=ok,
         details={

@@ -39,6 +39,18 @@ class TestVerifyCommands:
         )
         assert result.exit_code in (0, 1)
 
+    def test_verify_bracket_non_unit_corner(self, runner, tmp_path):
+        for table in ("A", "B"):
+            data = json.loads(open(corpus_file("bracket_z9.json")).read())
+            data[table][0][0] = 3  # not a unit of Z/9
+            path = tmp_path / f"{table}.json"
+            path.write_text(json.dumps(data))
+            result = runner.invoke(main, ["verify-bracket", str(path)])
+            assert result.exit_code == 1, result.output
+            out = json.loads(result.output)
+            assert out["failures"][0]["axiom"] == "unit"
+            assert "delta" not in out
+
     def test_verify_cocycle(self, runner):
         ok = runner.invoke(main, ["verify-cocycle", corpus_file("cocycle_ab.json")])
         bad = runner.invoke(main, ["verify-cocycle", corpus_file("cocycle_ab_broken.json")])
@@ -94,10 +106,16 @@ class TestInvariantCommands:
         assert out["order_G"] == 3 and out["G"] == [1, 4, 7]
 
     def test_canonical_cocycle_bad_x0(self, runner):
-        result = runner.invoke(
-            main, ["canonical-cocycle", corpus_file("bracket_z9.json"), "--x0", "5"]
-        )
-        assert result.exit_code == 2
+        commands = ["canonical-cocycle", "z-invariant", "bh", "check-theorem", "check-euler"]
+        for command in commands:
+            files = [corpus_file("bracket_z9.json")]
+            if command != "canonical-cocycle":
+                files.append(corpus_file("hopf.json"))
+            for x0 in (0, -1, 3):
+                result = runner.invoke(main, [command, *files, f"--x0={x0}"])
+                assert result.exit_code == 2, (command, x0)
+                assert isinstance(result.exception, SystemExit), (command, x0)
+                assert "is not a biquandle element" in result.output, (command, x0)
 
     def test_z_invariant(self, runner):
         result = runner.invoke(

@@ -1,15 +1,70 @@
 import itertools
+from typing import Dict
 
 import pytest
 
+from bracketlab import diagram
+from bracketlab.bracket import bracket_invariant
 from bracketlab.diagram import (
     CrossingRecord,
     DiagramError,
     OrientedDiagram,
-    cube_edges,
     parse_diagram,
     resolve_state,
+    state_cube,
 )
+from bracketlab.homology import khovanov_classical
+from conftest import DIAGRAM_NAMES
+
+
+def trace_circles(D: OrientedDiagram, bits) -> int:
+    """Circle count by explicitly walking edge-end pairings.
+
+    Independent cross-check of the union-find in ``resolve_state``.  The
+    walk distinguishes the two ends of each edge (its output slot and input
+    slot), so edges looping back to the same crossing are handled correctly.
+    """
+    # Slots are (crossing index, role). A smoothing mates the four slots of a
+    # crossing in two pairs.
+    slot_in: Dict[int, tuple] = {}
+    slot_out: Dict[int, tuple] = {}
+    mate: Dict[tuple, tuple] = {}
+    edge_at: Dict[tuple, int] = {}
+    for idx, (crossing, bit) in enumerate(zip(D.crossings, bits)):
+        slot_in[crossing.under_in] = (idx, "under_in")
+        slot_in[crossing.over_in] = (idx, "over_in")
+        slot_out[crossing.under_out] = (idx, "under_out")
+        slot_out[crossing.over_out] = (idx, "over_out")
+        for role in ("under_in", "over_in", "under_out", "over_out"):
+            edge_at[(idx, role)] = getattr(crossing, role)
+        vertical = bit == 0 if crossing.sign == 1 else bit == 1
+        if vertical:
+            pairs = [("under_in", "over_out"), ("over_in", "under_out")]
+        else:
+            pairs = [("under_in", "over_in"), ("under_out", "over_out")]
+        for a, b in pairs:
+            mate[(idx, a)] = (idx, b)
+            mate[(idx, b)] = (idx, a)
+
+    visited = set()
+    count = 0
+    for start in D.edges:
+        if start in visited:
+            continue
+        count += 1
+        # State: (edge, going_forward); forward = from output slot to input slot.
+        edge, forward = start, True
+        while True:
+            visited.add(edge)
+            slot = slot_in[edge] if forward else slot_out[edge]
+            nxt_slot = mate[slot]
+            edge = edge_at[nxt_slot]
+            # Arriving at an output slot means we stand at the new edge's tail
+            # and walk it forward; an input slot means we walk it backward.
+            forward = nxt_slot[1].endswith("_out")
+            if edge == start and forward:
+                break
+    return count + D.free_circles
 
 
 class TestParsing:
@@ -68,12 +123,12 @@ class TestSmoothings:
 
     def test_cube_edge_count(self, diagrams):
         t = diagrams["trefoil"]
-        edges = cube_edges(t)
+        edges = state_cube(t).edges
         assert len(edges) == 3 * 2 ** 2  # n * 2^(n-1)
 
     def test_cube_edges_change_circles_by_one(self, diagrams):
         for name in ("trefoil", "figure_eight", "hopf_r2", "trefoil_r2"):
-            for edge in cube_edges(diagrams[name]):
+            for edge in state_cube(diagrams[name]).edges:
                 delta = edge.to_state.num_circles - edge.from_state.num_circles
                 assert abs(delta) == 1
                 assert edge.kind == ("split" if delta == 1 else "merge")
@@ -84,7 +139,7 @@ class TestSmoothings:
             n = len(D.crossings)
             sign = {
                 (e.from_state.resolution, e.to_state.resolution): e.sign
-                for e in cube_edges(D)
+                for e in state_cube(D).edges
             }
             for bits in itertools.product((0, 1), repeat=n):
                 zeros = [i for i, b in enumerate(bits) if b == 0]
@@ -97,3 +152,61 @@ class TestSmoothings:
                     path_a = sign[(bits, mid_i)] * sign[(mid_i, top)]
                     path_b = sign[(bits, mid_j)] * sign[(mid_j, top)]
                     assert path_a == -path_b
+
+    def test_circle_counts_match_trace_oracle(self, diagrams):
+        for name in DIAGRAM_NAMES:
+            D = diagrams[name]
+            for bits in itertools.product((0, 1), repeat=len(D.crossings)):
+                assert resolve_state(D, bits).num_circles == trace_circles(D, bits), (name, bits)
+
+    def test_cube_states_in_bit_order(self, diagrams):
+        D = diagrams["figure_eight"]
+        states = state_cube(D).states
+        assert list(states) == list(itertools.product((0, 1), repeat=len(D.crossings)))
+        assert all(state.resolution == bits for bits, state in states.items())
+
+    def test_edge_correspondence_matches_circle_edge_sets(self, diagrams):
+        for name in DIAGRAM_NAMES:
+            for edge in state_cube(diagrams[name]).edges:
+                src = [set(c) for c in edge.from_state.circles]
+                dst = [set(c) for c in edge.to_state.circles]
+                for i, j in edge.carried:
+                    assert src[i] == dst[j]
+                froms = sorted([i for i, _ in edge.carried] + list(edge.sources))
+                tos = sorted([j for _, j in edge.carried] + list(edge.targets))
+                assert froms == list(range(len(src))) and tos == list(range(len(dst)))
+                if edge.kind == "merge":
+                    (s1, s2), (t,) = edge.sources, edge.targets
+                    assert dst[t] == src[s1] | src[s2]
+                else:
+                    (s,), (t1, t2) = edge.sources, edge.targets
+                    assert src[s] == dst[t1] | dst[t2] and not dst[t1] & dst[t2]
+
+
+class TestEachStateResolvedOnce:
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counter = []
+        original = diagram.resolve_state
+
+        def counting(D, bits):
+            counter.append(tuple(bits))
+            return original(D, bits)
+
+        monkeypatch.setattr(diagram, "resolve_state", counting)
+        return counter
+
+    def test_khovanov(self, diagrams, calls):
+        for name in DIAGRAM_NAMES:
+            D = diagrams[name]
+            calls.clear()
+            khovanov_classical(D)
+            assert len(calls) == 2 ** len(D.crossings), name
+
+    def test_bracket_invariant(self, brackets, diagrams, calls):
+        for bname in ("bracket_z9", "bracket_gf8"):
+            for name in DIAGRAM_NAMES:
+                D = diagrams[name]
+                calls.clear()
+                bracket_invariant(brackets[bname], D)
+                assert len(calls) == 2 ** len(D.crossings), (bname, name)
