@@ -23,6 +23,7 @@ CASES += [
     for bracket in ("bracket_z9", "bracket_gf8")
     for diagram in ("trefoil", "hopf")
 ]
+CASES += [("bh", "bracket_z9", "trefoil_r2"), ("check-all", None, None)]
 
 
 def _case_name(case) -> str:
