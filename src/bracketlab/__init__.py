@@ -43,7 +43,7 @@ from .graded import (
     GradedComplex,
     HomologyTable,
     cohomology,
-    smith_normal_form,
+    invariant_factors,
 )
 from .homology import (
     CheckReport,

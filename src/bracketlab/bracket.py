@@ -54,6 +54,9 @@ class Bracket:
         a11, b11 = self.A[0][0], self.B[0][0]
         b11_inv = ring.try_invert(b11)
         a11_inv = ring.try_invert(a11)
+        for name, v, inv in (("A", a11, a11_inv), ("B", b11, b11_inv)):
+            if inv is None:
+                raise ValueError(f"{name}[0][0] = {ring.element_str(v)} is not a unit")
         self.delta = ring.sub(ring.neg(ring.mul(a11, b11_inv)), ring.mul(a11_inv, b11))
         self.w = ring.neg(ring.mul(ring.mul(a11, a11), b11_inv))
 

@@ -47,12 +47,19 @@ class CrossingRecord:
         }
 
 
+def _is_int(v) -> bool:
+    """An integer in JSON's sense: ``True`` and ``2.0`` do not count."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class OrientedDiagram:
     """A closed oriented link diagram."""
 
     def __init__(self, crossings: Sequence[CrossingRecord], free_circles: int = 0):
+        if not _is_int(free_circles) or free_circles < 0:
+            raise DiagramError(f"free_circles must be a non-negative integer, got {free_circles!r}")
         self.crossings = tuple(crossings)
-        self.free_circles = int(free_circles)
+        self.free_circles = free_circles
         self._validate()
         edges = sorted({lbl for c in self.crossings for lbl in self._edge_labels(c)})
         top = max(edges) if edges else 0
@@ -69,7 +76,7 @@ class OrientedDiagram:
         incoming: Dict[int, int] = {}
         outgoing: Dict[int, int] = {}
         for idx, c in enumerate(self.crossings):
-            if c.sign not in (1, -1):
+            if not _is_int(c.sign) or c.sign not in (1, -1):
                 raise DiagramError(f"crossing {idx}: bad sign {c.sign!r}")
             for label, bucket in (
                 (c.under_in, incoming),
@@ -77,7 +84,7 @@ class OrientedDiagram:
                 (c.under_out, outgoing),
                 (c.over_out, outgoing),
             ):
-                if not isinstance(label, int) or label < 1:
+                if not _is_int(label) or label < 1:
                     raise DiagramError(f"crossing {idx}: bad edge label {label!r}")
                 if label in bucket:
                     raise DiagramError(f"edge {label} used twice as {'input' if bucket is incoming else 'output'}")
@@ -85,8 +92,6 @@ class OrientedDiagram:
         if set(incoming) != set(outgoing):
             dangling = set(incoming) ^ set(outgoing)
             raise DiagramError(f"dangling edge labels: {sorted(dangling)}")
-        if self.free_circles < 0:
-            raise DiagramError("free_circles must be >= 0")
 
     @property
     def writhe(self) -> int:
@@ -153,6 +158,8 @@ def parse_diagram(data) -> OrientedDiagram:
     """Parse diagram JSON (text or already-decoded dict)."""
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise DiagramError("a diagram must be a JSON object")
     crossings = []
     for c in data.get("crossings", []):
         try:

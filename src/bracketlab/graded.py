@@ -2,13 +2,14 @@
 
 Complexes live over a grading group that is either the unit group of a
 finite ring (degrees are ring units) or the infinite cyclic group (degrees
-are integer exponents).  Differentials are integer matrices on expanded
-Z-bases; cohomology is computed degreewise by Smith normal form over Z with
-arbitrary-precision integers.
+are integer exponents).  Differentials are sparse integer matrices on
+expanded Z-bases; cohomology is computed degreewise from invariant factors
+found by sparse elimination over Z with arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -16,106 +17,70 @@ from .rings import Ring
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Invariant factors of sparse integer matrices
 
 
-def smith_normal_form(m: List[List[int]]) -> Tuple[list, list, list]:
-    """Return (U, S, V) with U*m*V = S diagonal, d1 | d2 | ..., U,V unimodular.
+def invariant_factors(rows: List[Dict[int, int]]) -> Tuple[int, List[int]]:
+    """Rank and torsion invariant factors of an integer matrix given by sparse rows.
 
-    Pivots on the minimal nonzero absolute value to limit coefficient growth;
-    all arithmetic is exact Python integers.
+    Each row maps column positions to entries.  Unimodular row and column
+    operations bring the matrix to a diagonal.  Pivots are entries of least
+    absolute value, those with the shortest row and column first (limiting
+    fill-in); one scan orders every unit pivot available, and a larger
+    least entry is pivoted on alone, since it may leave smaller remainders.
+    Only the diagonal is needed: its entries above 1 give the torsion, which
+    ``merge_invariant_factors`` turns into the chain d1 | d2 | ...
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    S = [list(row) for row in m]
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    live: Dict[int, Dict[int, int]] = {}
+    rows_of: Dict[int, set] = {}  # column -> rows with a nonzero entry there
+    for r, row in enumerate(rows):
+        entries = {c: v for c, v in row.items() if v}
+        if entries:
+            live[r] = entries
+            for c in entries:
+                rows_of.setdefault(c, set()).add(r)
 
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
+    def put(r: int, c: int, v: int):
+        if v:
+            live[r][c] = v
+            rows_of[c].add(r)
+        else:
+            live[r].pop(c, None)
+            rows_of[c].discard(r)
 
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+    diagonal = []
 
-    def add_row(src, dst, c):  # row dst += c * row src
-        S[dst] = [a + c * b for a, b in zip(S[dst], S[src])]
-        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
+    def eliminate(r: int, c: int):
+        pivot_row = live[r]
+        p = pivot_row[c]
+        # Row operations: reduce column c outside the pivot row.
+        for r2 in sorted(rows_of[c] - {r}):
+            k = live[r2][c] // p
+            for j, v in pivot_row.items():
+                put(r2, j, live[r2].get(j, 0) - k * v)
+            if not live[r2]:
+                del live[r2]
+        if rows_of[c] != {r}:
+            return  # a remainder smaller than |p| is left in column c
+        # Column operations: with column c clear elsewhere, they only touch
+        # the pivot row, reducing its other entries modulo p.
+        for j in [j for j in pivot_row if j != c]:
+            put(r, j, pivot_row[j] % p)
+        if len(pivot_row) == 1:
+            diagonal.append(abs(p))
+            del live[r], rows_of[c]
 
-    def add_col(src, dst, c):
-        for row in S:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        S[i] = [-a for a in S[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        # Find the minimal-absolute-value nonzero pivot in the trailing block.
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(S[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            # Clear column t.
-            dirty = False
-            for i in range(t + 1, rows):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    add_row(t, i, -q)
-                    if S[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    add_col(t, j, -q)
-                    if S[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # Enforce divisibility of the remaining block by the pivot.
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if S[i][j] % S[t][t]:
-                        offender = (i, j)
-                        break
-                if offender:
-                    break
-            if offender is None:
-                break
-            add_row(offender[0], t, 1)
-        if S[t][t] < 0:
-            negate_row(t)
-        t += 1
-    return U, S, V
-
-
-def snf_diagonal(m: List[List[int]]) -> List[int]:
-    """The nonzero invariant factors of an integer matrix."""
-    if not m or not m[0]:
-        return []
-    _, S, _ = smith_normal_form(m)
-    return [S[i][i] for i in range(min(len(S), len(S[0]))) if S[i][i]]
-
-
-def integer_rank(m: List[List[int]]) -> int:
-    return len(snf_diagonal(m))
+    while live:
+        order = sorted(
+            (abs(v), len(row) + len(rows_of[c]), r, c)
+            for r, row in live.items()
+            for c, v in row.items()
+        )
+        least = order[0][0]
+        for size, _, r, c in order if least == 1 else order[:1]:
+            if size == least and abs(live.get(r, {}).get(c, 0)) == least:
+                eliminate(r, c)
+    return len(diagonal), merge_invariant_factors([diagonal])
 
 
 def merge_invariant_factors(lists: List[List[int]]) -> List[int]:
@@ -261,44 +226,40 @@ class GradedComplex:
     """A cochain complex of graded free Z-modules on expanded bases.
 
     ``degrees[i]`` lists the degree of each basis element of C^i (already
-    including any global grading shift); ``differentials[i]`` is the integer
-    matrix of d^i: C^i -> C^{i+1} with rows indexed by C^{i+1}.
+    including any global grading shift).  ``differentials[i]`` is d^i: C^i ->
+    C^{i+1} as sparse rows, one ``{column: nonzero entry}`` dict per basis
+    element of C^{i+1}; a missing index means d^i = 0.
     Indices are the shifted (cohomological) indices.
     """
 
     grading: GradingGroup
     degrees: Dict[int, list]
-    differentials: Dict[int, List[List[int]]]
+    differentials: Dict[int, List[Dict[int, int]]]
 
     def indices(self) -> List[int]:
         return sorted(self.degrees)
 
-    def differential(self, i: int) -> List[List[int]]:
-        if i in self.differentials:
-            return self.differentials[i]
-        rows = len(self.degrees.get(i + 1, []))
-        cols = len(self.degrees.get(i, []))
-        return [[0] * cols for _ in range(rows)]
-
     def validate(self):
-        """Check d(i+1) o d(i) = 0 and degree preservation; raise on failure."""
-        for i in self.indices():
-            d = self.differential(i)
+        """Check degree preservation and d(i+1) o d(i) = 0; raise on failure."""
+        for i, d in self.differentials.items():
             src = self.degrees[i]
             tgt = self.degrees.get(i + 1, [])
+            if len(d) != len(tgt):
+                raise ValueError(f"differential d^{i} has {len(d)} rows for {len(tgt)} basis elements")
             for r, row in enumerate(d):
-                for c, v in enumerate(row):
+                for c, v in row.items():
                     if v and tgt[r] != src[c]:
                         raise ValueError(
                             f"differential d^{i} not degree-preserving at entry ({r},{c})"
                         )
-            d2 = self.differential(i + 1)
-            if d and d2:
-                for r in range(len(d2)):
-                    for c in range(len(d[0]) if d else 0):
-                        acc = sum(d2[r][k] * d[k][c] for k in range(len(d)))
-                        if acc:
-                            raise ValueError(f"d o d != 0 at index {i}, entry ({r},{c})")
+            for r, row in enumerate(self.differentials.get(i + 1, [])):
+                acc: Dict[int, int] = {}
+                for k, a in row.items():
+                    for c, b in d[k].items():
+                        acc[c] = acc.get(c, 0) + a * b
+                nonzero = [c for c, v in acc.items() if v]
+                if nonzero:
+                    raise ValueError(f"d o d != 0 at index {i}, entry ({r},{min(nonzero)})")
 
     def gdim(self, i: int) -> FormalSum:
         s = FormalSum(self.grading)
@@ -354,40 +315,30 @@ class HomologyTable:
         }
 
 
-def cohomology(c: GradedComplex, validate: bool = True) -> HomologyTable:
+def cohomology(c: GradedComplex) -> HomologyTable:
     """Cohomology of a degree-preserving complex, blockwise by degree.
 
-    For each (index i, degree h): the degree-h block of d^i gives the kernel
-    dimension, the degree-h block of d^{i-1} the image rank and torsion.
-    Torsion equals the nontrivial invariant factors of the incoming block
-    because integer kernels are pure sublattices (direct summands).
+    The complex is validated first.  Since every d^i preserves degree, its
+    degree-h block is the row selection of the degree-h basis elements of
+    C^{i+1}; its invariant factors give the image rank and torsion at
+    (i+1, h) and the kernel corank at (i, h).  Torsion equals the
+    nontrivial invariant factors of the incoming block because integer
+    kernels are pure sublattices (direct summands).
     """
-    if validate:
-        c.validate()
+    c.validate()
+    image: Dict[tuple, Tuple[int, List[int]]] = {}
+    for i, d in c.differentials.items():
+        blocks: Dict[object, list] = {}
+        for h, row in zip(c.degrees[i + 1], d):
+            blocks.setdefault(h, []).append(row)
+        for h, block in blocks.items():
+            image[(i + 1, h)] = invariant_factors(block)
     entries = {}
     for i in c.indices():
-        degs = c.degrees[i]
-        classes = {}
-        for pos, d in enumerate(degs):
-            classes.setdefault(d, []).append(pos)
-        for h, positions in classes.items():
-            out_block = _block(c.differential(i), None, positions)
-            in_matrix = c.differentials.get(i - 1)
-            in_block = [in_matrix[p] for p in positions] if in_matrix else []
-            rank_out = integer_rank(out_block) if out_block else 0
-            in_factors = snf_diagonal(in_block)
-            rank_in = len(in_factors)
-            free_rank = len(positions) - rank_out - rank_in
-            torsion = tuple(d for d in in_factors if d > 1)
+        for h, size in Counter(c.degrees[i]).items():
+            rank_in, torsion = image.get((i, h), (0, []))
+            rank_out, _ = image.get((i + 1, h), (0, []))
+            free_rank = size - rank_out - rank_in
             if free_rank or torsion:
-                entries[(i, h)] = (free_rank, torsion)
+                entries[(i, h)] = (free_rank, tuple(torsion))
     return HomologyTable.from_dict(c.grading, entries)
-
-
-def _block(matrix: List[List[int]], rows, cols) -> List[List[int]]:
-    """Submatrix with the given column positions (all rows)."""
-    if not matrix:
-        return []
-    if cols is not None:
-        return [[row[j] for j in cols] for row in matrix]
-    return matrix

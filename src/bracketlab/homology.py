@@ -5,7 +5,7 @@ M = S[t]/(t^2) (one factor per circle), graded and shifted by the state's
 signed skein coefficient.  Cube edges carry multiplication/comultiplication
 maps scaled by the group element q*q_{x,y}^{-1}, with alternating signs
 making the faces anti-commute.  Expanding over the scalar group G reduces
-everything to integer matrices; cohomology is computed in ``graded``.
+everything to sparse integer matrices; cohomology is computed in ``graded``.
 
 Basis bookkeeping: a tensor word is a tuple over the state's circles (listed
 in their deterministic order) with letter 0 for the generator "1" (degree q)
@@ -142,12 +142,9 @@ def _build_cube_complex(D: OrientedDiagram, policy) -> GradedComplex:
                     grading.mul(global_shift, policy.degree(shift, g, word))
                 )
 
-    differentials: Dict[int, List[List[int]]] = {}
-    for col in basis:
-        rows = len(basis.get(col + 1, []))
-        cols = len(basis[col])
-        if rows and cols:
-            differentials[col] = [[0] * cols for _ in range(rows)]
+    differentials: Dict[int, List[Dict[int, int]]] = {
+        col: [{} for _ in basis[col + 1]] for col in basis if col + 1 in basis
+    }
 
     for edge in cube.edges:
         from_bits = edge.from_state.resolution
@@ -166,7 +163,8 @@ def _build_cube_complex(D: OrientedDiagram, policy) -> GradedComplex:
                 for letters in _frobenius(tuple(word[i] for i in edge.sources)):
                     for j, letter in zip(edge.targets, letters):
                         out[j] = letter
-                    matrix[index[(to_bits, g2, tuple(out))]][src] += edge.sign
+                    row = matrix[index[(to_bits, g2, tuple(out))]]
+                    row[src] = row.get(src, 0) + edge.sign
 
     return GradedComplex(grading=grading, degrees=degrees, differentials=differentials)
 

@@ -46,6 +46,13 @@ class TestVerify:
         with pytest.raises(ValueError):
             bracket_from_json(data, check=True)
 
+    def test_unchecked_non_unit_corner_rejected(self):
+        for table in ("A", "B"):
+            data = load_corpus_json("bracket_z9.json")
+            data[table][0][0] = 3  # not a unit of Z/9
+            with pytest.raises(ValueError, match=rf"{table}\[0\]\[0\] = 3 is not a unit"):
+                bracket_from_json(data, check=False)
+
     def test_nonunit_entry_rejected(self, flip):
         ring = ZModRing(4)
         with pytest.raises(ValueError):

@@ -12,6 +12,46 @@ def runner():
     return CliRunner()
 
 
+KINK = {"sign": 1, "under_in": 1, "over_in": 2, "under_out": 2, "over_out": 1}
+
+MALFORMED_DIAGRAMS = {
+    "free_circles_float": {"crossings": [], "free_circles": 2.7},
+    "free_circles_negative": {"crossings": [], "free_circles": -1},
+    "free_circles_bool": {"crossings": [], "free_circles": True},
+    "free_circles_string": {"crossings": [], "free_circles": "2"},
+    "free_circles_null": {"crossings": [], "free_circles": None},
+    "sign_bool": {"crossings": [{**KINK, "sign": True}]},
+    "sign_zero": {"crossings": [{**KINK, "sign": 0}]},
+    "sign_float": {"crossings": [{**KINK, "sign": 1.0}]},
+    "sign_string": {"crossings": [{**KINK, "sign": "1"}]},
+    "label_bool": {"crossings": [{**KINK, "under_in": True, "over_out": True}]},
+    "label_zero": {"crossings": [{**KINK, "under_in": 0, "over_out": 0}]},
+    "label_float": {"crossings": [{**KINK, "under_in": 1.0, "over_out": 1.0}]},
+    "label_dangling": {"crossings": [{**KINK, "over_in": 3}]},
+    "label_reused": {"crossings": [{**KINK, "over_in": 1, "over_out": 2}]},
+    "missing_field": {"crossings": [{"sign": 1}]},
+    "crossing_not_object": {"crossings": [1]},
+    "crossings_not_list": {"crossings": 5},
+    "top_level_list": [],
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_DIAGRAMS)
+def test_malformed_diagram_exits_2(runner, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED_DIAGRAMS[name]))
+    result = runner.invoke(main, ["khovanov", str(path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "bad diagram" in result.output and "Traceback" not in result.output
+
+
+def test_kink_fixture_is_well_formed(runner, tmp_path):
+    path = tmp_path / "kink.json"
+    path.write_text(json.dumps({"crossings": [KINK]}))
+    assert runner.invoke(main, ["khovanov", str(path)]).exit_code == 0
+
+
 class TestVerifyCommands:
     def test_verify_biquandle_pass(self, runner):
         result = runner.invoke(main, ["verify-biquandle", corpus_file("biquandle_3el.json")])
