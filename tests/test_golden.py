@@ -1,8 +1,9 @@
 """Byte-identical CLI output on the bundled corpus.
 
-Each case runs one ``bracketlab`` command in-process and compares its JSON
-output with the file under ``tests/golden/``; ``check-all`` is also run in
-fresh interpreters under three hash seeds.  To rewrite the files after an
+Each case runs one ``bracketlab`` command in-process, requires its exit
+code (1 for the negative controls, 0 otherwise) and compares its output
+with the file under ``tests/golden/``; ``check-all`` is also run in fresh
+interpreters under three hash seeds.  To rewrite the files after an
 intended change of output, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -20,33 +21,47 @@ from conftest import BRACKET_NAMES, DIAGRAM_NAMES, corpus_file
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-CASES = [("khovanov", None, d) for d in DIAGRAM_NAMES]
-CASES += [(command, b, None) for command in ("verify-bracket", "canonical-cocycle") for b in BRACKET_NAMES]
+CASES = [("khovanov", d) for d in DIAGRAM_NAMES]
+CASES += [(command, b) for command in ("verify-bracket", "canonical-cocycle") for b in BRACKET_NAMES]
 CASES += [
     (command, bracket, diagram)
     for command in ("bracket-invariant", "bracket-value", "z-invariant", "bh", "check-theorem", "check-euler")
     for bracket in ("bracket_z9", "bracket_gf8")
     for diagram in ("trefoil", "hopf")
 ]
-CASES += [("bh", "bracket_z9", "trefoil_r2"), ("check-all", None, None)]
+CASES += [("bh", "bracket_z9", "trefoil_r2"), ("check-all",), ("check-all", "--pretty")]
+CASES += [("verify-biquandle", b) for b in ("biquandle_flip", "biquandle_3el", "biquandle_3el_broken")]
+CASES += [("verify-cocycle", "cocycle_ab"), ("verify-cocycle", "cocycle_ab_broken")]
+CASES += [("verify-bracket", "bracket_gf8_broken")]
+
+# The negative controls fail verification, so their commands exit 1.
+EXIT_1 = {
+    ("verify-biquandle", "biquandle_3el_broken"),
+    ("verify-cocycle", "cocycle_ab_broken"),
+    ("verify-bracket", "bracket_gf8_broken"),
+}
 
 
 def _case_name(case) -> str:
-    return "_".join(part for part in case if part)
+    return "_".join(part.lstrip("-") for part in case)
+
+
+def _golden(case) -> Path:
+    suffix = ".txt" if "--pretty" in case else ".json"
+    return GOLDEN / f"{_case_name(case)}{suffix}"
 
 
 def _run(case) -> str:
-    command, bracket, diagram = case
-    files = [corpus_file(f"{name}.json") for name in (bracket, diagram) if name]
-    result = CliRunner().invoke(main, [command, *files])
-    assert result.exit_code == 0, result.output
+    command, *rest = case
+    args = [a if a.startswith("--") else corpus_file(f"{a}.json") for a in rest]
+    result = CliRunner().invoke(main, [command, *args])
+    assert result.exit_code == (1 if case in EXIT_1 else 0), result.output
     return result.output
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_name)
 def test_cli_output_is_unchanged(case):
-    expected = (GOLDEN / f"{_case_name(case)}.json").read_text()
-    assert _run(case) == expected
+    assert _run(case) == _golden(case).read_text()
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "2"])
@@ -65,4 +80,4 @@ def test_check_all_is_independent_of_hash_seed(seed):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in CASES:
-        (GOLDEN / f"{_case_name(case)}.json").write_text(_run(case))
+        _golden(case).write_text(_run(case))
