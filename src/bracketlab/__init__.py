@@ -4,7 +4,7 @@ from .biquandle import (
     AxiomFailure,
     Biquandle,
     Coloring,
-    VerificationReport,
+    Report,
     counting_invariant,
     enumerate_colorings,
     verify_biquandle,
@@ -46,7 +46,6 @@ from .graded import (
     invariant_factors,
 )
 from .homology import (
-    CheckReport,
     bh_invariant,
     bh_multiset,
     build_complex,

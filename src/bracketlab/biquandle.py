@@ -6,10 +6,11 @@ convention: ``under[x-1][y-1]`` is x under y, ``over[x-1][y-1]`` is x over y.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, Iterable, List
 
-from .diagram import OrientedDiagram
+from .diagram import OrientedDiagram, _is_int
 
 
 @dataclass(frozen=True)
@@ -23,15 +24,32 @@ class AxiomFailure:
 
 
 @dataclass
-class VerificationReport:
-    failures: List[AxiomFailure]
+class Report:
+    """The outcome of one check.
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    ``failures`` are the failing axiom instances of a verification, with
+    their witnesses; ``details`` holds the rest of the JSON form, such as the
+    values a structure check compared.  ``name`` labels a check-all row and
+    is empty elsewhere.
+    """
+
+    name: str
+    ok: bool
+    failures: List[AxiomFailure]
+    details: dict
+
+    @classmethod
+    def of_failures(cls, failures: List[AxiomFailure]) -> "Report":
+        """A verification's report: it passes when no axiom instance failed."""
+        return cls("", not failures, failures, {"failures": [f.to_json() for f in failures]})
 
     def to_json(self):
-        return {"ok": self.ok, "failures": [f.to_json() for f in self.failures]}
+        return {"ok": self.ok, **self.details}
+
+
+def multiset(values: Iterable, key: Callable) -> List[tuple]:
+    """(value, multiplicity) pairs, sorted by ``key`` of the value."""
+    return sorted(Counter(values).items(), key=lambda kv: key(kv[0]))
 
 
 class Biquandle:
@@ -89,11 +107,11 @@ def _check_shape(under, over, n):
             raise ValueError(f"{name} table is not {n}x{n}")
         for row in table:
             for v in row:
-                if not (isinstance(v, int) and 1 <= v <= n):
+                if not (_is_int(v) and 1 <= v <= n):
                     raise ValueError(f"{name} table entry {v!r} out of range 1..{n}")
 
 
-def verify_biquandle(under, over) -> VerificationReport:
+def verify_biquandle(under, over) -> Report:
     """Check the biquandle axioms, reporting every failing instance.
 
     Invertibility is checked as: each column of each table is a permutation,
@@ -130,7 +148,7 @@ def verify_biquandle(under, over) -> VerificationReport:
                     failures.append(AxiomFailure("iii.2", (x, y, z)))
                 if ov(ov(x, y), ov(z, y)) != ov(ov(x, z), un(y, z)):
                     failures.append(AxiomFailure("iii.3", (x, y, z)))
-    return VerificationReport(failures)
+    return Report.of_failures(failures)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,9 @@ A_{x,x}/B_{x,x}, and yields the published Hopf-link cocycle values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import List, Tuple
 
-from .biquandle import AxiomFailure, Biquandle, Coloring, VerificationReport, enumerate_colorings
+from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset
 from .diagram import CrossingRecord, OrientedDiagram, smoothing_states
 from .rings import Ring, ring_make
 
@@ -93,7 +92,7 @@ class Bracket:
         }
 
 
-def verify_bracket(X: Biquandle, R: Ring, A, B, literal: bool = False) -> VerificationReport:
+def verify_bracket(X: Biquandle, R: Ring, A, B, literal: bool = False) -> Report:
     """Check the bracket axioms over all pairs/triples, reporting witnesses.
 
     Equation 4 of axiom (iii) as printed contains the subscripts
@@ -119,7 +118,7 @@ def verify_bracket(X: Biquandle, R: Ring, A, B, literal: bool = False) -> Verifi
                     )
                 inv[(name, i + 1, j + 1)] = b
     if failures:
-        return VerificationReport(failures)
+        return Report.of_failures(failures)
 
     a = lambda x, y: A[x - 1][y - 1]
     b = lambda x, y: B[x - 1][y - 1]
@@ -146,7 +145,7 @@ def verify_bracket(X: Biquandle, R: Ring, A, B, literal: bool = False) -> Verifi
             elif d != delta:
                 failures.append(AxiomFailure("ii", (x, y), f"delta mismatch: {d!r} vs {delta!r}"))
     if failures:
-        return VerificationReport(failures)
+        return Report.of_failures(failures)
 
     def prod3(u, v, t):
         return R.mul(R.mul(u, v), t)
@@ -195,10 +194,10 @@ def verify_bracket(X: Biquandle, R: Ring, A, B, literal: bool = False) -> Verifi
                         f"{R.element_str(lhs)} != {R.element_str(rhs)}",
                     )
                 )
-    return VerificationReport(failures)
+    return Report.of_failures(failures)
 
 
-def _bracket_values(beta: Bracket, D: OrientedDiagram, colorings: List[Coloring]) -> list:
+def bracket_values(beta: Bracket, D: OrientedDiagram, colorings: List[Coloring]) -> list:
     """The skein state sum w^{n_- - n_+} * sum_s delta^{circles(s)} prod coeff.
 
     One value per coloring of ``D``; each smoothing state is resolved once
@@ -225,16 +224,12 @@ def _bracket_values(beta: Bracket, D: OrientedDiagram, colorings: List[Coloring]
 
 def bracket_value(beta: Bracket, f: Coloring):
     """The bracket state sum of one coloring."""
-    return _bracket_values(beta, f.diagram, [f])[0]
+    return bracket_values(beta, f.diagram, [f])[0]
 
 
 def bracket_invariant(beta: Bracket, D: OrientedDiagram) -> List[tuple]:
     """Multiset of bracket values, as sorted (element, multiplicity) pairs."""
-    ring = beta.ring
-    counts = {}
-    for v in _bracket_values(beta, D, enumerate_colorings(beta.biquandle, D)):
-        counts[v] = counts.get(v, 0) + 1
-    return sorted(counts.items(), key=lambda kv: ring.sort_key(kv[0]))
+    return multiset(bracket_values(beta, D, enumerate_colorings(beta.biquandle, D)), beta.ring.sort_key)
 
 
 def decode_bracket(data: dict, check: bool = True) -> Tuple[Biquandle, Ring, list, list]:

@@ -63,6 +63,13 @@ def _emit(data, pretty_lines=None, pretty: bool = False):
         click.echo(json.dumps(data, indent=2, default=str))
 
 
+def _emit_report(out: dict, lines: list, pretty: bool):
+    """Emit a check's output, then exit 1 if it failed."""
+    _emit(out, lines, pretty)
+    if not out["ok"]:
+        raise click.exceptions.Exit(CHECK_FAILED)
+
+
 def _table(headers, rows) -> list:
     cells = [headers] + [[str(c) for c in row] for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
@@ -72,6 +79,11 @@ def _table(headers, rows) -> list:
         if idx == 0:
             lines.append("  ".join("-" * w for w in widths))
     return lines
+
+
+def _failure_table(report) -> list:
+    rows = [(f.axiom, list(f.witness), f.detail) for f in report.failures]
+    return _table(("axiom", "witness", "detail"), rows) if rows else []
 
 
 def _homology_rows(table):
@@ -133,11 +145,7 @@ def verify_biquandle_cmd(file, pretty):
         report = verify_biquandle(data["under"], data["over"])
     except (ValueError, KeyError, TypeError) as exc:
         raise click.exceptions.Exit(_input_error(f"bad biquandle {file}: {exc}"))
-    out = report.to_json()
-    rows = [(f["axiom"], f["witness"], f["detail"]) for f in out["failures"]]
-    _emit(out, ["ok: %s" % out["ok"]] + (_table(("axiom", "witness", "detail"), rows) if rows else []), pretty)
-    if not report.ok:
-        raise click.exceptions.Exit(CHECK_FAILED)
+    _emit_report(report.to_json(), [f"ok: {report.ok}"] + _failure_table(report), pretty)
 
 
 @main.command("verify-bracket")
@@ -157,18 +165,13 @@ def verify_bracket_cmd(file, literal_axioms, pretty):
         raise click.exceptions.Exit(_input_error(f"bad bracket {file}: {exc}"))
     report = verify_bracket(X, ring, A, B, literal=literal_axioms)
     out = report.to_json()
-    lines = ["ok: %s" % out["ok"]]
+    lines = [f"ok: {report.ok}"]
     if report.ok:
         beta = Bracket(X, ring, A, B, check=False)
         out["delta"] = ring.element_to_json(beta.delta)
         out["w"] = ring.element_to_json(beta.w)
         lines += [f"delta: {ring.element_str(beta.delta)}", f"w: {ring.element_str(beta.w)}"]
-    rows = [(f["axiom"], f["witness"], f["detail"]) for f in out["failures"]]
-    if rows:
-        lines += _table(("axiom", "witness", "detail"), rows)
-    _emit(out, lines, pretty)
-    if not report.ok:
-        raise click.exceptions.Exit(CHECK_FAILED)
+    _emit_report(out, lines + _failure_table(report), pretty)
 
 
 @main.command("verify-cocycle")
@@ -182,11 +185,7 @@ def verify_cocycle_cmd(file, pretty):
     except (RingError, ValueError, KeyError, TypeError) as exc:
         raise click.exceptions.Exit(_input_error(f"bad cocycle {file}: {exc}"))
     report = verify_cocycle(cocycle)
-    out = report.to_json()
-    rows = [(f["axiom"], f["witness"], f["detail"]) for f in out["failures"]]
-    _emit(out, ["ok: %s" % out["ok"]] + (_table(("axiom", "witness", "detail"), rows) if rows else []), pretty)
-    if not report.ok:
-        raise click.exceptions.Exit(CHECK_FAILED)
+    _emit_report(report.to_json(), [f"ok: {report.ok}"] + _failure_table(report), pretty)
 
 
 @main.command("colorings")
@@ -331,10 +330,8 @@ def _run_checks(bracket_file, diagram_file, x0, pretty, check_fn, label):
     ok = all(r["ok"] for r in reports)
     out = {"ok": ok, "checked": len(reports), "reports": reports}
     rows = [(json.dumps(r["coloring"]), r["ok"]) for r in reports]
-    _emit(out, [f"{label}: {'pass' if ok else 'FAIL'} ({len(reports)} colorings)"]
-          + _table(("coloring", "ok"), rows), pretty)
-    if not ok:
-        raise click.exceptions.Exit(CHECK_FAILED)
+    lines = [f"{label}: {'pass' if ok else 'FAIL'} ({len(reports)} colorings)"]
+    _emit_report(out, lines + _table(("coloring", "ok"), rows), pretty)
 
 
 @main.command("check-theorem")
@@ -373,13 +370,11 @@ def check_all_cmd(manifest_path, pretty):
     except (OSError, RingError, DiagramError, ValueError, KeyError, TypeError) as exc:
         raise click.exceptions.Exit(_input_error(f"corpus error: {exc}"))
     out = report_to_json(results)
-    rows = [(r.name, "ok" if r.ok else "FAIL", r.detail) for r in results if not r.ok]
+    rows = [(r.name, "ok" if r.ok else "FAIL", r.details["detail"]) for r in results if not r.ok]
     lines = [f"{'pass' if out['ok'] else 'FAIL'}: {out['total'] - len(out['failed'])}/{out['total']} checks"]
     if rows:
         lines += _table(("check", "status", "detail"), rows)
-    _emit(out, lines, pretty)
-    if not out["ok"]:
-        raise click.exceptions.Exit(CHECK_FAILED)
+    _emit_report(out, lines, pretty)
 
 
 if __name__ == "__main__":

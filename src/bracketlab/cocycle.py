@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import List, Tuple
 
-from .biquandle import AxiomFailure, Biquandle, Coloring, VerificationReport, enumerate_colorings
+from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset
 from .bracket import Bracket, crossing_color_pair
 from .diagram import OrientedDiagram
 from .rings import Coset, UnitSubgroup, subgroup_generate
@@ -139,7 +138,7 @@ class Cocycle:
         }
 
 
-def verify_cocycle(c: Cocycle) -> VerificationReport:
+def verify_cocycle(c: Cocycle) -> Report:
     """Check phi(x,x) = 1 and the hexagon relation over all triples."""
     X, T = c.biquandle, c.target
     failures: List[AxiomFailure] = []
@@ -154,7 +153,7 @@ def verify_cocycle(c: Cocycle) -> VerificationReport:
             failures.append(
                 AxiomFailure("ii", (x, y, z), f"{T.element_str(lhs)} != {T.element_str(rhs)}")
             )
-    return VerificationReport(failures)
+    return Report.of_failures(failures)
 
 
 def cocycle_value(c: Cocycle, f: Coloring):
@@ -170,12 +169,7 @@ def cocycle_value(c: Cocycle, f: Coloring):
 
 def cocycle_invariant(c: Cocycle, D: OrientedDiagram) -> List[tuple]:
     """Multiset of cocycle values, as sorted (element, multiplicity) pairs."""
-    T = c.target
-    counts = {}
-    for f in enumerate_colorings(c.biquandle, D):
-        v = cocycle_value(c, f)
-        counts[v] = counts.get(v, 0) + 1
-    return sorted(counts.items(), key=lambda kv: T.sort_key(kv[0]))
+    return multiset((cocycle_value(c, f) for f in enumerate_colorings(c.biquandle, D)), c.target.sort_key)
 
 
 def scalar_group(beta: Bracket, x0: int = 1) -> Tuple[UnitSubgroup, object]:
@@ -211,15 +205,14 @@ def canonical_cocycle(beta: Bracket, x0: int = 1) -> Tuple[UnitSubgroup, Cocycle
     return G, cocycle
 
 
-def z_invariant(beta: Bracket, f: Coloring, x0: int = 1) -> Coset:
-    """Z_beta(f) as a coset of G in R^x.
+def z_invariant(beta: Bracket, f: Coloring, G: UnitSubgroup, x0: int) -> Coset:
+    """Z_beta(f) as a coset of G = scalar_group(beta, x0)[0] in R^x.
 
     Computed from the positive/negative crossing products
     (prod A_{x,y} A_{x0,x0}^{-1}) (prod B_{x,y}^{-1} B_{x0,x0}); the formal
     gdim(S) factor is exactly the G-blur absorbed by the coset.
     """
     ring = beta.ring
-    G, _ = scalar_group(beta, x0)
     colors = dict(f.arc_colors)
     a00_inv = ring.try_invert(beta.a(x0, x0))
     b00 = beta.b(x0, x0)
@@ -235,12 +228,9 @@ def z_invariant(beta: Bracket, f: Coloring, x0: int = 1) -> Coset:
 
 def z_invariant_multiset(beta: Bracket, D: OrientedDiagram, x0: int = 1) -> List[tuple]:
     """Multiset of Z_beta values, as sorted (coset, multiplicity) pairs."""
-    ring = beta.ring
-    counts = {}
-    for f in enumerate_colorings(beta.biquandle, D):
-        v = z_invariant(beta, f, x0)
-        counts[v] = counts.get(v, 0) + 1
-    return sorted(counts.items(), key=lambda kv: ring.sort_key(kv[0].canonical))
+    G, _ = scalar_group(beta, x0)
+    zs = (z_invariant(beta, f, G, x0) for f in enumerate_colorings(beta.biquandle, D))
+    return multiset(zs, lambda z: beta.ring.sort_key(z.canonical))
 
 
 def cocycle_from_json(data: dict, check: bool = True) -> Cocycle:

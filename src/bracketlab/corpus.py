@@ -5,7 +5,9 @@ Reidemeister-equivalent diagram pairs and negative verification controls.
 ``check_all`` is the single entry point that re-runs every structural
 guarantee over the whole corpus: axiom verification, invariance of all four
 invariants across equivalent pairs, and the theorem / Euler-identity checks
-on every bracket x diagram x coloring combination.
+on every bracket x diagram x coloring combination.  It computes each value
+once: Khovanov homology per diagram, the scalar group per bracket, and the
+bracket value, Z_beta coset and Bh table per coloring.
 """
 
 from __future__ import annotations
@@ -15,22 +17,12 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Dict, List, Optional
 
-from .biquandle import Biquandle, counting_invariant, enumerate_colorings, verify_biquandle
-from .bracket import Bracket, bracket_invariant, decode_bracket, verify_bracket
-from .cocycle import (
-    canonical_cocycle,
-    cocycle_from_json,
-    verify_cocycle,
-    z_invariant_multiset,
-)
+from .biquandle import Biquandle, Report, counting_invariant, enumerate_colorings, multiset, verify_biquandle
+from .bracket import Bracket, bracket_values, decode_bracket, verify_bracket
+from .cocycle import canonical_cocycle, cocycle_from_json, scalar_group, verify_cocycle, z_invariant
 from .diagram import OrientedDiagram, parse_diagram
 from .graded import cohomology
-from .homology import (
-    bh_multiset,
-    build_complex,
-    check_euler_identity,
-    check_theorem,
-)
+from .homology import build_complex, euler_report, khovanov_classical, theorem_report
 
 
 @dataclass
@@ -96,22 +88,15 @@ def _read(entry: ManifestEntry, base: Optional[str]) -> dict:
         return json.load(f)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
-
-    def to_json(self):
-        return {"check": self.name, "ok": self.ok, "detail": self.detail}
-
-
-def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[CheckResult]:
-    """Run the full corpus validation; every CheckResult must have ok=True."""
-    results: List[CheckResult] = []
+def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Report]:
+    """Run the full corpus validation; every row must have ok=True."""
+    results: List[Report] = []
     diagrams: Dict[str, OrientedDiagram] = {}
     biquandles: Dict[str, Biquandle] = {}
     brackets: Dict[str, Bracket] = {}
+
+    def row(name: str, ok: bool, detail: str):
+        results.append(Report(name, ok, [], {"detail": detail}))
 
     for entry in manifest.diagrams:
         diagrams[entry.name] = parse_diagram(_read(entry, base))
@@ -120,13 +105,7 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Chec
         data = _read(entry, base)
         report = verify_biquandle(data["under"], data["over"])
         expected = entry.expected_verification == "pass"
-        results.append(
-            CheckResult(
-                f"verify-biquandle:{entry.name}",
-                report.ok == expected,
-                "" if report.ok else report.failures[0].axiom,
-            )
-        )
+        row(f"verify-biquandle:{entry.name}", report.ok == expected, "" if report.ok else report.failures[0].axiom)
         if report.ok and expected:
             biquandles[entry.name] = Biquandle(data["under"], data["over"], check=False)
 
@@ -134,13 +113,7 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Chec
         X, ring, A, B = decode_bracket(_read(entry, base))
         report = verify_bracket(X, ring, A, B)
         expected = entry.expected_verification == "pass"
-        results.append(
-            CheckResult(
-                f"verify-bracket:{entry.name}",
-                report.ok == expected,
-                "" if report.ok else report.failures[0].axiom,
-            )
-        )
+        row(f"verify-bracket:{entry.name}", report.ok == expected, "" if report.ok else report.failures[0].axiom)
         if report.ok and expected:
             brackets[entry.name] = Bracket(X, ring, A, B, check=False)
 
@@ -153,7 +126,7 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Chec
             ok = report.ok
         except ValueError:
             ok = False
-        results.append(CheckResult(f"verify-cocycle:{entry.name}", ok == expected))
+        row(f"verify-cocycle:{entry.name}", ok == expected, "")
 
     pairs = [
         (e.name, e.equivalent_to) for e in manifest.diagrams if e.equivalent_to is not None
@@ -163,48 +136,64 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Chec
     for bq_name, X in biquandles.items():
         for a, b in pairs:
             same = counting_invariant(X, diagrams[a]) == counting_invariant(X, diagrams[b])
-            results.append(CheckResult(f"counting-invariance:{bq_name}:{a}~{b}", same))
+            row(f"counting-invariance:{bq_name}:{a}~{b}", same, "")
+
+    # One pass over every bracket x diagram x coloring.  Each coloring's
+    # complex lives only for its own checks; the pass keeps, per (bracket,
+    # diagram), the bracket, Z_beta and Bh multisets and each coloring's
+    # theorem, Euler and chi(C) = chi(H(C)) outcomes.
+    classical = {name: khovanov_classical(D) for name, D in diagrams.items()} if brackets else {}
+    invariants, outcomes = {}, {}
+    for br_name, beta in brackets.items():
+        ring = beta.ring
+        G, q = scalar_group(beta)
+        for name, D in diagrams.items():
+            colorings = enumerate_colorings(beta.biquandle, D)
+            values = bracket_values(beta, D, colorings)
+            zs, tables, checks = [], [], []
+            for f, value in zip(colorings, values):
+                z = z_invariant(beta, f, G, 1)
+                c = build_complex(beta, f, G, q)
+                bh = cohomology(c)
+                zs.append(z)
+                tables.append(bh)
+                checks.append((
+                    theorem_report(bh, classical[name], G, q, z).ok,
+                    euler_report(bh, G, value).ok,
+                    c.euler_characteristic() == bh.euler_characteristic(),
+                ))
+            invariants[br_name, name] = (
+                multiset(values, ring.sort_key),
+                multiset(zs, lambda coset: ring.sort_key(coset.canonical)),
+                multiset(tables, lambda table: table.entries),
+            )
+            outcomes[br_name, name] = checks
 
     # Invariance of the bracket, Z_beta, and Bh multisets across pairs.
-    for br_name, beta in brackets.items():
+    for br_name in brackets:
         for a, b in pairs:
-            Da, Db = diagrams[a], diagrams[b]
-            same = bracket_invariant(beta, Da) == bracket_invariant(beta, Db)
-            results.append(CheckResult(f"bracket-invariance:{br_name}:{a}~{b}", same))
-            same = z_invariant_multiset(beta, Da) == z_invariant_multiset(beta, Db)
-            results.append(CheckResult(f"z-invariance:{br_name}:{a}~{b}", same))
-            same = bh_multiset(beta, Da) == bh_multiset(beta, Db)
-            results.append(CheckResult(f"bh-invariance:{br_name}:{a}~{b}", same))
+            for kind, ms_a, ms_b in zip(("bracket", "z", "bh"), invariants[br_name, a], invariants[br_name, b]):
+                row(f"{kind}-invariance:{br_name}:{a}~{b}", ms_a == ms_b, "")
 
     # Canonical cocycle of every bracket verifies.
     for br_name, beta in brackets.items():
         _, phi = canonical_cocycle(beta)
-        results.append(CheckResult(f"canonical-cocycle:{br_name}", verify_cocycle(phi).ok))
+        row(f"canonical-cocycle:{br_name}", verify_cocycle(phi).ok, "")
 
-    # Theorem and Euler identity on every bracket x diagram x coloring.
-    for br_name, beta in brackets.items():
-        for name, D in diagrams.items():
-            for idx, f in enumerate(enumerate_colorings(beta.biquandle, D)):
-                results.append(
-                    CheckResult(f"theorem:{br_name}:{name}:{idx}", check_theorem(beta, f).ok)
-                )
-                results.append(
-                    CheckResult(f"euler:{br_name}:{name}:{idx}", check_euler_identity(beta, f).ok)
-                )
-                # chi(C) = chi(H(C)) on the built complex.
-                c = build_complex(beta, f)
-                chi_c = c.euler_characteristic()
-                chi_h = cohomology(c).euler_characteristic()
-                results.append(
-                    CheckResult(f"euler-complex:{br_name}:{name}:{idx}", chi_c == chi_h)
-                )
+    # Theorem and Euler identity on every bracket x diagram x coloring, and
+    # chi(C) = chi(H(C)) on the built complex.
+    for (br_name, name), checks in outcomes.items():
+        for idx, oks in enumerate(checks):
+            for kind, ok in zip(("theorem", "euler", "euler-complex"), oks):
+                row(f"{kind}:{br_name}:{name}:{idx}", ok, "")
     return results
 
 
-def report_to_json(results: List[CheckResult]) -> dict:
+def report_to_json(results: List[Report]) -> dict:
+    rows = [{"check": r.name, **r.to_json()} for r in results]
     return {
         "ok": all(r.ok for r in results),
         "total": len(results),
-        "failed": [r.to_json() for r in results if not r.ok],
-        "checks": [r.to_json() for r in results],
+        "failed": [row for row in rows if not row["ok"]],
+        "checks": rows,
     }

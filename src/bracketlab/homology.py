@@ -15,10 +15,9 @@ and letter 1 for "t" (degree q^{-1}).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .biquandle import Coloring, enumerate_colorings
+from .biquandle import Coloring, Report, enumerate_colorings, multiset
 from .bracket import Bracket, bracket_value, crossing_color_pair
 from .cocycle import scalar_group, z_invariant
 from .diagram import OrientedDiagram, smoothing_states, state_cube
@@ -32,7 +31,7 @@ from .graded import (
     evaluate_formal_sum,
     merge_invariant_factors,
 )
-from .rings import UnitSubgroup, subgroup_generate
+from .rings import Coset, UnitSubgroup, subgroup_generate
 
 
 def _frobenius(letters: Tuple[int, ...]) -> List[Tuple[int, ...]]:
@@ -50,14 +49,14 @@ def _frobenius(letters: Tuple[int, ...]) -> List[Tuple[int, ...]]:
 class _BhPolicy:
     """Grading data for the bracket-cohomology cube over a finite ring."""
 
-    def __init__(self, beta: Bracket, colors: dict, x0: int):
+    def __init__(self, beta: Bracket, colors: dict, G: UnitSubgroup, q):
         self.ring = beta.ring
         self.beta = beta
         self.colors = colors
         self.grading = FiniteUnitsGrading(beta.ring)
-        self.G, self.q = scalar_group(beta, x0)
-        self.scalars = self.G.sorted_elements()
-        self.q_inv = beta.ring.try_invert(self.q)
+        self.q = q
+        self.scalars = G.sorted_elements()
+        self.q_inv = beta.ring.try_invert(q)
 
     def state_shift(self, D: OrientedDiagram, bits):
         ring = self.ring
@@ -169,24 +168,23 @@ def _build_cube_complex(D: OrientedDiagram, policy) -> GradedComplex:
     return GradedComplex(grading=grading, degrees=degrees, differentials=differentials)
 
 
-def build_complex(beta: Bracket, f: Coloring, x0: int = 1) -> GradedComplex:
-    """The shifted bracket-cohomology complex C_beta(f) on expanded bases."""
-    policy = _BhPolicy(beta, dict(f.arc_colors), x0)
-    return _build_cube_complex(f.diagram, policy)
+def build_complex(beta: Bracket, f: Coloring, G: UnitSubgroup, q) -> GradedComplex:
+    """The shifted bracket-cohomology complex C_beta(f) on expanded bases.
+
+    ``G, q`` is the bracket's ``scalar_group``.
+    """
+    return _build_cube_complex(f.diagram, _BhPolicy(beta, dict(f.arc_colors), G, q))
 
 
 def bh_invariant(beta: Bracket, f: Coloring, x0: int = 1) -> HomologyTable:
     """Cohomology of the bracket complex for one coloring."""
-    return cohomology(build_complex(beta, f, x0))
+    return cohomology(build_complex(beta, f, *scalar_group(beta, x0)))
 
 
 def bh_multiset(beta: Bracket, D: OrientedDiagram, x0: int = 1) -> List[tuple]:
     """Multiset of homology tables over all colorings, as sorted pairs."""
-    counts: Dict[HomologyTable, int] = {}
-    for f in enumerate_colorings(beta.biquandle, D):
-        table = bh_invariant(beta, f, x0)
-        counts[table] = counts.get(table, 0) + 1
-    return sorted(counts.items(), key=lambda kv: kv[0].entries)
+    tables = (bh_invariant(beta, f, x0) for f in enumerate_colorings(beta.biquandle, D))
+    return multiset(tables, lambda table: table.entries)
 
 
 def khovanov_classical(D: OrientedDiagram) -> HomologyTable:
@@ -213,28 +211,13 @@ def kauffman_state_sum(D: OrientedDiagram) -> FormalSum:
     return FormalSum(grading, total)
 
 
-@dataclass
-class CheckReport:
-    ok: bool
-    details: dict
-
-    def to_json(self):
-        return {"ok": self.ok, **self.details}
-
-
-def check_theorem(beta: Bracket, f: Coloring, x0: int = 1) -> CheckReport:
-    """Verify Bh(f) equals classical Khovanov folded into R^x and shifted.
+def fold_khovanov(classical: HomologyTable, G: UnitSubgroup, q, z: Coset) -> HomologyTable:
+    """Classical Khovanov homology folded into R^x: the prediction of Bh(f).
 
     The classical table's q-exponents are mapped through j -> q^j, shifted by
-    the coset Z_beta(f), and expanded over G (one copy per group element);
-    the result must match the directly computed bracket cohomology table.
+    the coset Z_beta(f), and expanded over G (one copy per group element).
     """
-    ring = beta.ring
-    G, q = scalar_group(beta, x0)
-    direct = bh_invariant(beta, f, x0)
-    classical = khovanov_classical(f.diagram)
-    z = z_invariant(beta, f, x0)
-
+    ring = G.ring
     predicted: Dict[tuple, list] = {}
     for (i, j), rank, tors in classical.entries:
         base = ring.mul(ring.power(q, j), z.representative)
@@ -244,39 +227,47 @@ def check_theorem(beta: Bracket, f: Coloring, x0: int = 1) -> CheckReport:
             bucket[0] += rank
             if tors:
                 bucket[1].append(list(tors))
-    predicted_table = HomologyTable.from_dict(
+    return HomologyTable.from_dict(
         FiniteUnitsGrading(ring),
         {key: (rank, merge_invariant_factors(tlists)) for key, (rank, tlists) in predicted.items()},
     )
-    ok = predicted_table == direct
-    return CheckReport(
-        ok=ok,
-        details={
-            "bh": direct.to_json(),
-            "predicted_from_classical": predicted_table.to_json(),
-            "z_shift": z.to_json(),
-            "G": G.to_json(),
-        },
-    )
 
 
-def check_euler_identity(beta: Bracket, f: Coloring, x0: int = 1) -> CheckReport:
-    """Verify chi(Bh(f)) evaluates in R to (sum of G) * beta(f)."""
-    ring = beta.ring
-    G, _ = scalar_group(beta, x0)
-    table = bh_invariant(beta, f, x0)
-    lhs = evaluate_formal_sum(table.euler_characteristic(), ring)
+def theorem_report(bh: HomologyTable, classical: HomologyTable, G: UnitSubgroup, q, z: Coset) -> Report:
+    """Bh(f) against classical Khovanov homology folded by ``fold_khovanov``."""
+    predicted = fold_khovanov(classical, G, q, z)
+    details = {
+        "bh": bh.to_json(),
+        "predicted_from_classical": predicted.to_json(),
+        "z_shift": z.to_json(),
+        "G": G.to_json(),
+    }
+    return Report("", predicted == bh, [], details)
+
+
+def euler_report(bh: HomologyTable, G: UnitSubgroup, value) -> Report:
+    """chi(Bh(f)) evaluated in R against (sum of G) * beta(f)."""
+    ring = G.ring
+    lhs = evaluate_formal_sum(bh.euler_characteristic(), ring)
     g_sum = ring.zero
     for g in G.elements:
         g_sum = ring.add(g_sum, g)
-    rhs = ring.mul(g_sum, bracket_value(beta, f))
-    return CheckReport(
-        ok=lhs == rhs,
-        details={
-            "euler_evaluated": ring.element_to_json(lhs),
-            "gdim_times_bracket": ring.element_to_json(rhs),
-        },
-    )
+    rhs = ring.mul(g_sum, value)
+    details = {"euler_evaluated": ring.element_to_json(lhs), "gdim_times_bracket": ring.element_to_json(rhs)}
+    return Report("", lhs == rhs, [], details)
+
+
+def check_theorem(beta: Bracket, f: Coloring, x0: int = 1) -> Report:
+    """Verify Bh(f) equals classical Khovanov folded into R^x and shifted."""
+    G, q = scalar_group(beta, x0)
+    z = z_invariant(beta, f, G, x0)
+    return theorem_report(bh_invariant(beta, f, x0), khovanov_classical(f.diagram), G, q, z)
+
+
+def check_euler_identity(beta: Bracket, f: Coloring, x0: int = 1) -> Report:
+    """Verify chi(Bh(f)) evaluates in R to (sum of G) * beta(f)."""
+    G, _ = scalar_group(beta, x0)
+    return euler_report(bh_invariant(beta, f, x0), G, bracket_value(beta, f))
 
 
 def grading_subgroup(beta: Bracket) -> UnitSubgroup:

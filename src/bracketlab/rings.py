@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Optional
 
+from .diagram import _is_int
+
 
 class RingError(ValueError):
     """Raised for malformed ring descriptors or out-of-ring elements."""
@@ -97,8 +99,8 @@ class ZModRing(Ring):
     """The ring Z/nZ with canonical representatives 0..n-1."""
 
     def __init__(self, n: int):
-        if n < 2:
-            raise RingError(f"modulus must be >= 2, got {n}")
+        if not _is_int(n) or n < 2:
+            raise RingError(f"modulus must be an integer >= 2, got {n!r}")
         self.n = n
         self.zero = 0
         self.one = 1 % n
@@ -130,7 +132,7 @@ class ZModRing(Ring):
         return a
 
     def element_from_json(self, data):
-        if not isinstance(data, int):
+        if not _is_int(data):
             raise RingError(f"expected integer element, got {data!r}")
         return data % self.n
 
@@ -159,7 +161,10 @@ class PolyQuotientRing(Ring):
 
     def __init__(self, base_n: int, modulus: Iterable[int]):
         self.base = ZModRing(base_n)
-        mod = [c % base_n for c in modulus]
+        mod = list(modulus)
+        if not all(_is_int(c) for c in mod):
+            raise RingError(f"modulus coefficients must be integers, got {modulus!r}")
+        mod = [c % base_n for c in mod]
         while mod and mod[-1] == 0:
             mod.pop()
         if len(mod) < 2:
@@ -172,6 +177,14 @@ class PolyQuotientRing(Ring):
         self._lead_inv = lead_inv
         self.zero = (0,) * self.degree
         self.one = tuple([1 % base_n] + [0] * (self.degree - 1))
+        # One scan per element, done once: try_invert is then a lookup.
+        elements = self.elements()
+        self._inverses = {}
+        for a in elements:
+            for b in elements:
+                if self.mul(a, b) == self.one:
+                    self._inverses[a] = b
+                    break
 
     def _reduce(self, coeffs: list) -> tuple:
         n = self.base.n
@@ -208,11 +221,7 @@ class PolyQuotientRing(Ring):
         return [tuple(c) for c in itertools.product(range(self.base.n), repeat=self.degree)]
 
     def try_invert(self, a):
-        # Brute force; rings at play are small (|R| <= a few hundred).
-        for b in self.elements():
-            if self.mul(a, b) == self.one:
-                return b
-        return None
+        return self._inverses.get(a)
 
     def sort_key(self, a):
         return a
@@ -228,9 +237,9 @@ class PolyQuotientRing(Ring):
         return list(a)
 
     def element_from_json(self, data):
-        if isinstance(data, int):
+        if _is_int(data):
             data = [data]
-        if not isinstance(data, list) or not all(isinstance(c, int) for c in data):
+        if not isinstance(data, list) or not all(_is_int(c) for c in data):
             raise RingError(f"expected coefficient list, got {data!r}")
         return self._reduce(list(data))
 
@@ -270,11 +279,13 @@ def ring_make(desc: dict) -> Ring:
     ``{"kind": "poly_quotient", "base_n": 2, "modulus": [1, 1, 0, 1]}``
     (coefficient list, constant term first).
     """
+    if not isinstance(desc, dict):
+        raise RingError(f"ring descriptor must be an object, got {desc!r}")
     kind = desc.get("kind")
     if kind == "zmod":
-        return ZModRing(int(desc["n"]))
+        return ZModRing(desc["n"])
     if kind == "poly_quotient":
-        return PolyQuotientRing(int(desc["base_n"]), [int(c) for c in desc["modulus"]])
+        return PolyQuotientRing(desc["base_n"], desc["modulus"])
     raise RingError(f"unknown ring kind {kind!r}")
 
 
@@ -284,7 +295,6 @@ class UnitSubgroup:
 
     ring: Ring
     elements: frozenset
-    generators: tuple = ()
 
     def __contains__(self, a):
         return a in self.elements
@@ -317,7 +327,7 @@ def subgroup_generate(ring: Ring, gens: Iterable) -> UnitSubgroup:
                     nxt.append(b)
         frontier = nxt
     # A finite multiplicatively closed set of units contains all inverses.
-    return UnitSubgroup(ring=ring, elements=frozenset(elems), generators=tuple(gens))
+    return UnitSubgroup(ring=ring, elements=frozenset(elems))
 
 
 @dataclass(frozen=True)

@@ -239,7 +239,7 @@ class TestCriterion9StructuralSuites:
         for beta in brackets.values():
             for dname in ("unknot_r1_pos", "trefoil", "hopf", "figure_eight"):
                 for f in enumerate_colorings(beta.biquandle, diagrams[dname]):
-                    yield beta, build_complex(beta, f)
+                    yield beta, build_complex(beta, f, *scalar_group(beta))
 
     def test_complex_validity(self, brackets, diagrams):
         for _, c in self._complexes(brackets, diagrams):

@@ -46,6 +46,50 @@ def test_malformed_diagram_exits_2(runner, tmp_path, name):
     assert "bad diagram" in result.output and "Traceback" not in result.output
 
 
+# (corpus bracket, path to one field, malformed value)
+MALFORMED_BRACKETS = {
+    "n_float": ("bracket_z9", ("ring", "n"), 9.7),
+    "n_string": ("bracket_z9", ("ring", "n"), "9"),
+    "n_bool": ("bracket_z9", ("ring", "n"), True),
+    "n_null": ("bracket_z9", ("ring", "n"), None),
+    "n_one": ("bracket_z9", ("ring", "n"), 1),
+    "ring_not_object": ("bracket_z9", ("ring",), 9),
+    "ring_kind_unknown": ("bracket_z9", ("ring", "kind"), "field"),
+    "entry_bool": ("bracket_z9", ("A", 0, 0), True),
+    "entry_float": ("bracket_z9", ("A", 0, 1), 1.0),
+    "entry_string": ("bracket_z9", ("B", 0, 1), "4"),
+    "A_not_square": ("bracket_z9", ("A", 1), [1]),
+    "B_not_list": ("bracket_z9", ("B",), 4),
+    "base_n_float": ("bracket_gf8", ("ring", "base_n"), 2.5),
+    "base_n_bool": ("bracket_gf8", ("ring", "base_n"), True),
+    "modulus_float": ("bracket_gf8", ("ring", "modulus", 3), 1.9),
+    "modulus_bool": ("bracket_gf8", ("ring", "modulus", 3), True),
+    "modulus_string": ("bracket_gf8", ("ring", "modulus"), "1101"),
+    "modulus_not_list": ("bracket_gf8", ("ring", "modulus"), 11),
+    "coefficient_bool": ("bracket_gf8", ("A", 0, 0, 0), True),
+    "coefficient_float": ("bracket_gf8", ("A", 0, 0, 0), 1.0),
+    "element_bool": ("bracket_gf8", ("A", 0, 0), True),
+    "biquandle_entry_bool": ("bracket_z9", ("biquandle", "under", 1, 0), True),
+    "biquandle_entry_float": ("bracket_z9", ("biquandle", "under", 0, 0), 2.0),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_BRACKETS)
+def test_malformed_bracket_exits_2(runner, tmp_path, name):
+    base, (*keys, last), value = MALFORMED_BRACKETS[name]
+    data = json.loads(open(corpus_file(f"{base}.json")).read())
+    field = data
+    for key in keys:
+        field = field[key]
+    field[last] = value
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["bracket-invariant", str(path), corpus_file("trefoil.json")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "bad bracket" in result.output and "Traceback" not in result.output
+
+
 def test_kink_fixture_is_well_formed(runner, tmp_path):
     path = tmp_path / "kink.json"
     path.write_text(json.dumps({"crossings": [KINK]}))

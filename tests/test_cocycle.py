@@ -107,17 +107,18 @@ class TestCanonicalCocycle:
 class TestZInvariant:
     def test_crossingless_diagram_gives_identity(self, brackets, diagrams):
         beta = brackets["bracket_gf8"]
+        G, _ = scalar_group(beta)
         for f in enumerate_colorings(beta.biquandle, diagrams["unknot"]):
-            assert z_invariant(beta, f).canonical == beta.ring.one
+            assert z_invariant(beta, f, G, 1).canonical == beta.ring.one
 
     def test_matches_phi_product(self, brackets, diagrams):
         # Two equivalent formulas: crossing-sign product of A/B ratios
         # versus the product of phi_beta values.
         for name, beta in brackets.items():
-            _, phi = canonical_cocycle(beta)
+            G, phi = canonical_cocycle(beta)
             for dname in ("trefoil", "figure_eight", "hopf"):
                 for f in enumerate_colorings(beta.biquandle, diagrams[dname]):
-                    assert z_invariant(beta, f) == cocycle_value(phi, f), (name, dname)
+                    assert z_invariant(beta, f, G, 1) == cocycle_value(phi, f), (name, dname)
 
     def test_invariance_across_pairs(self, brackets, diagrams):
         from conftest import EQUIVALENT_PAIRS

@@ -61,3 +61,27 @@ class TestManifest:
         report = report_to_json(results)
         assert report["ok"] is True
         json.dumps(report)  # fully JSON-serializable
+
+
+def test_check_all_builds_each_complex_once(monkeypatch):
+    # One cube complex per coloring (120 over 5 brackets x 10 diagrams) plus
+    # one classical Khovanov complex per diagram.
+    from bracketlab import corpus, homology
+
+    calls = {"build": 0, "khovanov": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(homology, "_build_cube_complex", counted("build", homology._build_cube_complex))
+    khovanov = counted("khovanov", homology.khovanov_classical)
+    monkeypatch.setattr(homology, "khovanov_classical", khovanov)
+    monkeypatch.setattr(corpus, "khovanov_classical", khovanov)
+    report = report_to_json(check_all(default_manifest()))
+    assert report["ok"] and report["total"] == 478
+    assert calls["build"] == 130
+    assert calls["khovanov"] <= 10

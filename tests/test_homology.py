@@ -9,10 +9,13 @@ from bracketlab.homology import (
     build_complex,
     check_euler_identity,
     check_theorem,
+    fold_khovanov,
     grading_subgroup,
     kauffman_state_sum,
     khovanov_classical,
+    theorem_report,
 )
+from bracketlab.rings import Coset
 
 # Published integer Khovanov homology tables, (i, j) -> (rank, torsion).
 KH_UNKNOT = {(0, -1): (1, ()), (0, 1): (1, ())}
@@ -90,14 +93,14 @@ class TestBracketCohomology:
         for name, beta in brackets.items():
             for dname in ("trefoil", "figure_eight", "hopf"):
                 for f in enumerate_colorings(beta.biquandle, diagrams[dname]):
-                    build_complex(beta, f).validate()
+                    build_complex(beta, f, *scalar_group(beta)).validate()
 
     def test_degrees_lie_in_grading_subgroup(self, brackets, diagrams):
         for name, beta in brackets.items():
             H = grading_subgroup(beta)
             for dname in ("trefoil", "figure_eight"):
                 for f in enumerate_colorings(beta.biquandle, diagrams[dname]):
-                    c = build_complex(beta, f)
+                    c = build_complex(beta, f, *scalar_group(beta))
                     for degs in c.degrees.values():
                         assert all(d in H for d in degs), (name, dname)
 
@@ -105,7 +108,7 @@ class TestBracketCohomology:
         for name, beta in brackets.items():
             for dname in ("trefoil", "hopf"):
                 for f in enumerate_colorings(beta.biquandle, diagrams[dname]):
-                    c = build_complex(beta, f)
+                    c = build_complex(beta, f, *scalar_group(beta))
                     assert c.euler_characteristic() == cohomology(c).euler_characteristic()
 
 
@@ -146,10 +149,20 @@ class TestTheoremChecks:
                 assert check_euler_identity(beta, f).ok
 
     def test_z_shift_consistency(self, brackets, diagrams):
-        # The predicted table in check_theorem is shifted by Z_beta(f); a
-        # wrong shift must be detected, so verify the check actually depends
-        # on the coloring-specific z value for a bracket with |G| < |units|.
+        # The predicted table is shifted by Z_beta(f); a wrong shift must be
+        # detected.  With gf8, |G| < |R^x|, so a coset other than Z_beta(f)
+        # exists and moves the prediction off Bh(f).
         beta = brackets["bracket_gf8"]
+        ring = beta.ring
+        G, q = scalar_group(beta)
         f = enumerate_colorings(beta.biquandle, diagrams["trefoil"])[0]
-        z = z_invariant(beta, f)
-        assert z.canonical in beta.ring.units()
+        z = z_invariant(beta, f, G, 1)
+        assert z.canonical in ring.units()
+        bh = bh_invariant(beta, f)
+        classical = khovanov_classical(f.diagram)
+        assert fold_khovanov(classical, G, q, z) == bh
+        wrong = [c for c in (Coset(G, u) for u in ring.units()) if c != z]
+        assert wrong and len(G) < len(ring.units())
+        for c in wrong:
+            assert fold_khovanov(classical, G, q, c) != bh
+            assert not theorem_report(bh, classical, G, q, c).ok

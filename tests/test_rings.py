@@ -75,6 +75,39 @@ class TestPolyQuotient:
         with pytest.raises(RingError):
             ring_make({"kind": "matrix"})
 
+    @pytest.mark.parametrize("modulus", [[3, 0, 1], [1, 1, 0, 1]])
+    @pytest.mark.parametrize("base_n", [2, 4])
+    def test_inverse_table_matches_full_scan(self, base_n, modulus):
+        r = PolyQuotientRing(base_n, modulus)
+        for a in r.elements():
+            inverses = [b for b in r.elements() if r.mul(a, b) == r.one]
+            assert r.try_invert(a) == (inverses[0] if inverses else None)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"kind": "zmod", "n": 9.7},
+        {"kind": "zmod", "n": "9"},
+        {"kind": "zmod", "n": True},
+        {"kind": "poly_quotient", "base_n": 2.5, "modulus": [1, 1, 0, 1]},
+        {"kind": "poly_quotient", "base_n": 2, "modulus": [1, 1, 0, 1.9]},
+        {"kind": "poly_quotient", "base_n": 2, "modulus": [1, True, 0, 1]},
+        {"kind": "poly_quotient", "base_n": 2, "modulus": "1101"},
+        "zmod",
+    ],
+)
+def test_ring_make_rejects_non_integers(desc):
+    with pytest.raises(RingError):
+        ring_make(desc)
+
+
+@pytest.mark.parametrize("ring", [ZModRing(9), PolyQuotientRing(2, [1, 1, 0, 1])], ids=repr)
+@pytest.mark.parametrize("data", [True, False, 1.0, "1", [1, True, 0]])
+def test_element_from_json_rejects_non_integers(ring, data):
+    with pytest.raises(RingError):
+        ring.element_from_json(data)
+
 
 class TestSubgroups:
     def test_generate_closure(self):
