@@ -76,9 +76,6 @@ class Biquandle:
     def elements(self) -> range:
         return range(1, self.n + 1)
 
-    def is_quandle(self) -> bool:
-        return all(self.over(x, y) == x for x in self.elements() for y in self.elements())
-
     def to_json(self):
         return {
             "n": self.n,
@@ -158,18 +155,8 @@ class Coloring:
     diagram: OrientedDiagram
     arc_colors: tuple  # sorted tuple of (arc, color)
 
-    def color(self, arc: int) -> int:
-        return dict(self.arc_colors)[arc]
-
     def to_json(self):
         return {str(arc): color for arc, color in self.arc_colors}
-
-
-def crossing_constraints_ok(X: Biquandle, colors: Dict[int, int], crossing) -> bool:
-    """Both output colors of a fully-colored crossing satisfy the relations."""
-    x = colors[crossing.under_in]
-    y = colors[crossing.over_in]
-    return colors[crossing.under_out] == X.under(x, y) and colors[crossing.over_out] == X.over(y, x)
 
 
 def enumerate_colorings(X: Biquandle, D: OrientedDiagram) -> List[Coloring]:

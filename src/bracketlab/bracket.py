@@ -21,7 +21,7 @@ import itertools
 from typing import List, Tuple
 
 from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset
-from .diagram import CrossingRecord, OrientedDiagram, smoothing_states
+from .diagram import CrossingRecord, OrientedDiagram, transfer_scan
 from .rings import Ring, ring_make
 
 
@@ -200,26 +200,29 @@ def verify_bracket(X: Biquandle, R: Ring, A, B, literal: bool = False) -> Report
 def bracket_values(beta: Bracket, D: OrientedDiagram, colorings: List[Coloring]) -> list:
     """The skein state sum w^{n_- - n_+} * sum_s delta^{circles(s)} prod coeff.
 
-    One value per coloring of ``D``; each smoothing state is resolved once
-    and summed into every coloring's total.
+    One value per coloring of ``D``, folded over ``transfer_scan(D)``: each
+    partial matching carries one partial sum per coloring, multiplied at
+    each crossing by that crossing's coefficient and by delta once per
+    closed loop.
     """
     ring = beta.ring
-    coefficients = []
-    for f in colorings:
-        colors = dict(f.arc_colors)
-        coefficients.append(
-            [tuple(beta.coefficient(c, bit, colors) for bit in (0, 1)) for c in D.crossings]
-        )
-    totals = [ring.zero] * len(colorings)
-    for state in smoothing_states(D):
-        loop = ring.power(beta.delta, state.num_circles)
-        for k, per_crossing in enumerate(coefficients):
-            term = loop
-            for pair, bit in zip(per_crossing, state.resolution):
-                term = ring.mul(term, pair[bit])
-            totals[k] = ring.add(totals[k], term)
-    norm = ring.power(beta.w, D.n_minus - D.n_plus)
-    return [ring.mul(norm, total) for total in totals]
+    colors = [dict(f.arc_colors) for f in colorings]
+    # Each of a crossing's two arcs closes at most one loop.
+    delta_powers = [ring.one, beta.delta, ring.mul(beta.delta, beta.delta)]
+    sums = [[ring.one] * len(colors)]
+    for step in transfer_scan(D):
+        crossing = D.crossings[step.crossing]
+        coefficients = [[beta.coefficient(crossing, bit, c) for c in colors] for bit in (0, 1)]
+        # factors[bit][loops][k]: coloring k's coefficient times delta^loops.
+        factors = [[[ring.mul(a, d) for a in row] for d in delta_powers] for row in coefficients]
+        after = [[ring.zero] * len(colors) for _ in range(step.width)]
+        for source, bit, target, loops in step.moves:
+            row = after[target]
+            for k, (s, f) in enumerate(zip(sums[source], factors[bit][loops])):
+                row[k] = ring.add(row[k], ring.mul(s, f))
+        sums = after
+    norm = ring.mul(ring.power(beta.w, D.n_minus - D.n_plus), ring.power(beta.delta, D.free_circles))
+    return [ring.mul(norm, total) for total in sums[0]]
 
 
 def bracket_value(beta: Bracket, f: Coloring):

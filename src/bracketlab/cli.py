@@ -18,7 +18,7 @@ from .bracket import (
     Bracket,
     bracket_from_json,
     bracket_invariant,
-    bracket_value,
+    bracket_values,
     decode_bracket,
     verify_bracket,
 )
@@ -27,15 +27,18 @@ from .cocycle import (
     cocycle_from_json,
     scalar_group,
     verify_cocycle,
+    z_invariant,
     z_invariant_multiset,
 )
 from .corpus import check_all, default_manifest, load_manifest, report_to_json
 from .diagram import DiagramError, parse_diagram
+from .graded import cohomology
 from .homology import (
     bh_multiset,
-    check_euler_identity,
-    check_theorem,
+    build_complex,
+    euler_report,
     khovanov_classical,
+    theorem_report,
 )
 from .rings import RingError
 
@@ -108,13 +111,18 @@ def _bracket(path: str):
         raise click.exceptions.Exit(_input_error(f"bad bracket {path}: {exc}"))
 
 
+def _scalar_group(beta: Bracket, x0: int):
+    """``scalar_group(beta, x0)``; exit 2 when ``x0`` is not one of the biquandle's elements."""
+    try:
+        return scalar_group(beta, x0)
+    except ValueError as exc:
+        raise click.exceptions.Exit(_input_error(str(exc)))
+
+
 def _bracket_at(path: str, x0: int):
     """The bracket in ``path``, with ``x0`` checked to be one of its biquandle's elements."""
     beta = _bracket(path)
-    try:
-        scalar_group(beta, x0)
-    except ValueError as exc:
-        raise click.exceptions.Exit(_input_error(str(exc)))
+    _scalar_group(beta, x0)
     return beta
 
 
@@ -211,9 +219,10 @@ def bracket_value_cmd(bracket_file, diagram_file, pretty):
     beta = _bracket(bracket_file)
     D = _diagram(diagram_file)
     ring = beta.ring
+    colorings = enumerate_colorings(beta.biquandle, D)
     values = [
-        {"coloring": f.to_json(), "value": ring.element_to_json(bracket_value(beta, f))}
-        for f in enumerate_colorings(beta.biquandle, D)
+        {"coloring": f.to_json(), "value": ring.element_to_json(value)}
+        for f, value in zip(colorings, bracket_values(beta, D, colorings))
     ]
     out = {
         "delta": ring.element_to_json(beta.delta),
@@ -320,12 +329,29 @@ def bh_cmd(bracket_file, diagram_file, x0, pretty):
     _emit(out, lines, pretty)
 
 
+def _theorem_reports(beta, D, colorings, G, q, x0):
+    """Each coloring's direct Bh cube against one Khovanov table of ``D``, folded."""
+    classical = khovanov_classical(D)
+    for f in colorings:
+        bh = cohomology(build_complex(beta, f, G, q))
+        yield theorem_report(bh, classical, G, q, z_invariant(beta, f, G, x0))
+
+
+def _euler_reports(beta, D, colorings, G, q, x0):
+    """Each coloring's chi(Bh) against its value from one bracket state sum."""
+    for f, value in zip(colorings, bracket_values(beta, D, colorings)):
+        yield euler_report(cohomology(build_complex(beta, f, G, q)), G, value)
+
+
 def _run_checks(bracket_file, diagram_file, x0, pretty, check_fn, label):
-    beta = _bracket_at(bracket_file, x0)
+    """One report per coloring from ``check_fn(beta, D, colorings, G, q, x0)``."""
+    beta = _bracket(bracket_file)
+    G, q = _scalar_group(beta, x0)
     D = _diagram(diagram_file)
+    colorings = enumerate_colorings(beta.biquandle, D)
     reports = [
-        {"coloring": f.to_json(), **check_fn(beta, f, x0).to_json()}
-        for f in enumerate_colorings(beta.biquandle, D)
+        {"coloring": f.to_json(), **report.to_json()}
+        for f, report in zip(colorings, check_fn(beta, D, colorings, G, q, x0))
     ]
     ok = all(r["ok"] for r in reports)
     out = {"ok": ok, "checked": len(reports), "reports": reports}
@@ -341,7 +367,7 @@ def _run_checks(bracket_file, diagram_file, x0, pretty, check_fn, label):
 @pretty_option
 def check_theorem_cmd(bracket_file, diagram_file, x0, pretty):
     """Check Bh(f) = classical Khovanov folded into R^x and shifted by Z_beta(f)."""
-    _run_checks(bracket_file, diagram_file, x0, pretty, check_theorem, "theorem")
+    _run_checks(bracket_file, diagram_file, x0, pretty, _theorem_reports, "theorem")
 
 
 @main.command("check-euler")
@@ -351,7 +377,7 @@ def check_theorem_cmd(bracket_file, diagram_file, x0, pretty):
 @pretty_option
 def check_euler_cmd(bracket_file, diagram_file, x0, pretty):
     """Check chi(Bh(f)) evaluates to (sum over G) * bracket value."""
-    _run_checks(bracket_file, diagram_file, x0, pretty, check_euler_identity, "euler identity")
+    _run_checks(bracket_file, diagram_file, x0, pretty, _euler_reports, "euler identity")
 
 
 @main.command("check-all")

@@ -189,6 +189,92 @@ def _pairings(crossing: CrossingRecord, bit: int) -> List[Tuple[int, int]]:
     return [(crossing.under_in, crossing.over_in), (crossing.under_out, crossing.over_out)]
 
 
+def frontier_order(D: OrientedDiagram) -> List[int]:
+    """Crossing indices in an order that keeps few edges open.
+
+    Greedy: the next crossing is the one sharing the most edge labels with
+    the crossings already taken; ties go to PD order.
+    """
+    labels = [set(D._edge_labels(c)) for c in D.crossings]
+    left = list(range(len(D.crossings)))
+    taken: set = set()
+    order = []
+    while left:
+        best = max(left, key=lambda i: len(labels[i] & taken))
+        left.remove(best)
+        order.append(best)
+        taken |= labels[best]
+    return order
+
+
+@dataclass(frozen=True)
+class TransferStep:
+    """One crossing of a transfer scan.
+
+    Matchings before and after the step are numbered from 0.  ``moves``
+    holds one (source, bit, target, loops) tuple per matching before the
+    step and per bit: smoothing ``crossing`` by ``bit`` takes matching
+    ``source`` to matching ``target`` and closes ``loops`` loops.
+    ``width`` is the number of matchings after the step.
+    """
+
+    crossing: int
+    width: int
+    moves: Tuple[Tuple[int, int, int, int], ...]
+
+
+def _smooth(matching: Tuple[Tuple[int, int], ...], crossing: CrossingRecord, bit: int):
+    """The matching after smoothing one more crossing, and the loops it closes.
+
+    An end is keyed by its edge label.  An edge whose far end is not yet
+    taken (a new edge, or the second end of a kink) has that far end keyed
+    by the negated label, and the edge itself joins the two keys.
+    """
+    partner: Dict[int, int] = {}
+    for a, b in matching:
+        partner[a], partner[b] = b, a
+    for label in set(OrientedDiagram._edge_labels(crossing)):
+        if label not in partner:
+            partner[label], partner[-label] = -label, label
+    ends = [e for arc in _pairings(crossing, bit) for e in arc]
+    keys = [-e if e in ends[:i] else e for i, e in enumerate(ends)]
+    loops = 0
+    for a, b in zip(keys[::2], keys[1::2]):
+        if partner[a] == b:
+            del partner[a], partner[b]
+            loops += 1
+        else:
+            pa, pb = partner.pop(a), partner.pop(b)
+            partner[pa], partner[pb] = pb, pa
+    return tuple(sorted((abs(a), abs(b)) for a, b in partner.items() if abs(a) < abs(b))), loops
+
+
+def transfer_scan(D: OrientedDiagram) -> List[TransferStep]:
+    """The smoothing states of ``D`` as a crossing-by-crossing scan.
+
+    Crossings are taken in ``frontier_order``.  An edge is open when exactly
+    one of its ends is at a taken crossing; the smoothed taken crossings join
+    the open edges in pairs (a matching) and close some loops.  States that
+    leave the same matching close the same number of loops from then on, so
+    a state sum keeps one partial sum per matching instead of one term per
+    state.  The scan starts and ends with the empty matching; free circles
+    are not counted.
+    """
+    steps = []
+    matchings: Dict[tuple, int] = {(): 0}
+    for index in frontier_order(D):
+        crossing = D.crossings[index]
+        after: Dict[tuple, int] = {}
+        moves = []
+        for matching, source in matchings.items():
+            for bit in (0, 1):
+                smoothed, loops = _smooth(matching, crossing, bit)
+                moves.append((source, bit, after.setdefault(smoothed, len(after)), loops))
+        steps.append(TransferStep(index, len(after), tuple(moves)))
+        matchings = after
+    return steps
+
+
 @dataclass(frozen=True)
 class SmoothingState:
     resolution: Tuple[int, ...]

@@ -49,9 +49,6 @@ class Ring:
         """Total order on canonical representations (for deterministic output)."""
         raise NotImplementedError
 
-    def contains(self, a) -> bool:
-        raise NotImplementedError
-
     def power(self, a, k: int):
         """a**k for any integer k; negative k requires a to be a unit."""
         if k < 0:
@@ -124,9 +121,6 @@ class ZModRing(Ring):
 
     def sort_key(self, a):
         return a
-
-    def contains(self, a):
-        return isinstance(a, int) and 0 <= a < self.n
 
     def element_to_json(self, a):
         return a
@@ -225,13 +219,6 @@ class PolyQuotientRing(Ring):
 
     def sort_key(self, a):
         return a
-
-    def contains(self, a):
-        return (
-            isinstance(a, tuple)
-            and len(a) == self.degree
-            and all(isinstance(c, int) and 0 <= c < self.base.n for c in a)
-        )
 
     def element_to_json(self, a):
         return list(a)
@@ -336,24 +323,26 @@ class Coset:
 
     subgroup: UnitSubgroup
     representative: object = field(compare=False)
+    _canonical: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ring = self.subgroup.ring
+        products = (ring.mul(self.representative, g) for g in self.subgroup.elements)
+        object.__setattr__(self, "_canonical", min(products, key=ring.sort_key))
 
     @property
     def canonical(self):
-        ring = self.subgroup.ring
-        return min(
-            (ring.mul(self.representative, g) for g in self.subgroup.elements),
-            key=ring.sort_key,
-        )
+        return self._canonical
 
     def __eq__(self, other):
         return (
             isinstance(other, Coset)
             and self.subgroup.elements == other.subgroup.elements
-            and self.canonical == other.canonical
+            and self._canonical == other._canonical
         )
 
     def __hash__(self):
-        return hash(self.canonical)
+        return hash(self._canonical)
 
     def mul(self, other: "Coset") -> "Coset":
         ring = self.subgroup.ring

@@ -1,4 +1,6 @@
-"""Shared fixtures: corpus objects loaded once per session."""
+"""Shared fixtures (corpus objects loaded once per session) and a seeded closed-braid generator."""
+
+import random
 
 import pytest
 
@@ -60,3 +62,35 @@ def cocycle_ab():
 
 def corpus_file(name: str) -> str:
     return str(corpus_path(name))
+
+
+def braid_closure(word, strands: int) -> dict:
+    """Diagram JSON of the closed braid of ``word`` on ``strands`` strands.
+
+    Letter ``i`` is sigma_i, a positive crossing of the strands at positions
+    i and i+1 (running downward, the left one passes under to the right);
+    ``-i`` is its inverse.  Edges 1..strands are the tops of the strands,
+    and a position no letter touches is a free circle.
+    """
+    at = list(range(1, strands + 1))  # the edge now leaving each position
+    crossings = []
+    for letter in word:
+        left, right = abs(letter) - 1, abs(letter)
+        new_left, new_right = 2 * len(crossings) + strands + 1, 2 * len(crossings) + strands + 2
+        if letter > 0:
+            ends = dict(under_in=at[left], over_in=at[right], under_out=new_right, over_out=new_left)
+        else:
+            ends = dict(under_in=at[right], over_in=at[left], under_out=new_left, over_out=new_right)
+        crossings.append({"sign": 1 if letter > 0 else -1, **ends})
+        at[left], at[right] = new_left, new_right
+    # The bottom of each position is its top: rename its last edge.
+    close = {at[p]: p + 1 for p in range(strands)}
+    for c in crossings:
+        c["under_out"] = close.get(c["under_out"], c["under_out"])
+        c["over_out"] = close.get(c["over_out"], c["over_out"])
+    return {"crossings": crossings, "free_circles": sum(at[p] == p + 1 for p in range(strands))}
+
+
+def random_braid_word(rng: random.Random, strands: int, length: int) -> list:
+    """``length`` letters, each generator and sign equally likely."""
+    return [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]

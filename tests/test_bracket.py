@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bracketlab.biquandle import enumerate_colorings
@@ -6,11 +8,63 @@ from bracketlab.bracket import (
     bracket_from_json,
     bracket_invariant,
     bracket_value,
+    bracket_values,
     crossing_color_pair,
     verify_bracket,
 )
 from bracketlab.corpus import load_corpus_json
+from bracketlab.diagram import OrientedDiagram, parse_diagram, smoothing_states
 from bracketlab.rings import ZModRing
+from conftest import DIAGRAM_NAMES, braid_closure, random_braid_word
+
+
+def walk_bracket_values(beta, D, colorings, states=None) -> list:
+    """The bracket state sum by walking all 2^n smoothing states.
+
+    Independent cross-check of the transfer scan in ``bracket_values``: each
+    state's circles come from ``resolve_state``.  ``states`` may hold
+    ``smoothing_states(D)`` already resolved, to share them across brackets.
+    """
+    ring = beta.ring
+    coefficients = []
+    for f in colorings:
+        colors = dict(f.arc_colors)
+        coefficients.append(
+            [tuple(beta.coefficient(c, bit, colors) for bit in (0, 1)) for c in D.crossings]
+        )
+    totals = [ring.zero] * len(colorings)
+    for state in smoothing_states(D) if states is None else states:
+        loop = ring.power(beta.delta, state.num_circles)
+        for k, per_crossing in enumerate(coefficients):
+            term = loop
+            for pair, bit in zip(per_crossing, state.resolution):
+                term = ring.mul(term, pair[bit])
+            totals[k] = ring.add(totals[k], term)
+    norm = ring.power(beta.w, D.n_minus - D.n_plus)
+    return [ring.mul(norm, total) for total in totals]
+
+
+SCAN_BRACKETS = ("bracket_z9", "bracket_gf8", "bracket_phi", "bracket_const_z5")
+
+
+def seeded_closures():
+    """Seeded closed braids on 2-4 strands, one of each size from 1 to 12 crossings.
+
+    The 3-, 6-, 9- and 12-crossing words are stabilised 3-strand words, so
+    their last crossing is a kink; the 4-crossing word on 4 strands uses only
+    sigma_1 and sigma_2 and leaves a free circle.
+    """
+    rng = random.Random(2020)
+    closures = []
+    for k in range(12):
+        crossings, strands = 1 + k, 2 + (k + 2) % 3
+        stabilise = k % 3 == 2
+        generators = 3 if k == 3 else strands
+        word = random_braid_word(rng, generators, crossings - stabilise)
+        if stabilise:
+            word, strands = word + [rng.choice((1, -1)) * strands], strands + 1
+        closures.append((word, strands))
+    return closures
 
 
 class TestVerify:
@@ -88,6 +142,47 @@ class TestStateSum:
                 assert bracket_invariant(beta, diagrams[a]) == bracket_invariant(
                     beta, diagrams[b]
                 ), (bname, a, b)
+
+
+class TestTransferScan:
+    def test_bundled_diagrams_match_walk(self, brackets, diagrams):
+        for bname, beta in brackets.items():
+            for name in DIAGRAM_NAMES:
+                D = diagrams[name]
+                colorings = enumerate_colorings(beta.biquandle, D)
+                walk = walk_bracket_values(beta, D, colorings)
+                assert bracket_values(beta, D, colorings) == walk, (bname, name)
+
+    def test_seeded_closures_match_walk(self, brackets):
+        closures = seeded_closures()
+        assert max(len(word) for word, _ in closures) == 12
+        assert any(braid_closure(word, m)["free_circles"] for word, m in closures)
+        for word, strands in closures:
+            D = parse_diagram(braid_closure(word, strands))
+            states = list(smoothing_states(D))
+            for bname in SCAN_BRACKETS:
+                beta = brackets[bname]
+                # Coloring entries of the scan never mix, and the walk costs
+                # 2^n per coloring: two colorings per diagram keep it short.
+                colorings = enumerate_colorings(beta.biquandle, D)[:2]
+                walk = walk_bracket_values(beta, D, colorings, states)
+                assert bracket_values(beta, D, colorings) == walk, (bname, word, strands)
+
+    def test_crossing_order_does_not_matter(self, brackets, diagrams):
+        def by_coloring(beta, D):
+            colorings = enumerate_colorings(beta.biquandle, D)
+            return dict(zip((f.arc_colors for f in colorings), bracket_values(beta, D, colorings)))
+
+        rng = random.Random(7)
+        cases = [diagrams[name] for name in DIAGRAM_NAMES]
+        cases += [parse_diagram(braid_closure(word, m)) for word, m in seeded_closures()]
+        for D in cases:
+            crossings = list(D.crossings)
+            rng.shuffle(crossings)
+            shuffled = OrientedDiagram(crossings, D.free_circles)
+            for bname in SCAN_BRACKETS:
+                beta = brackets[bname]
+                assert by_coloring(beta, shuffled) == by_coloring(beta, D), (bname, D.to_json())
 
 
 class TestColorPair:

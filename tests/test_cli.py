@@ -1,10 +1,11 @@
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
 
 from bracketlab.cli import main
-from conftest import corpus_file
+from conftest import braid_closure, corpus_file, random_braid_word
 
 
 @pytest.fixture()
@@ -214,6 +215,16 @@ class TestInvariantCommands:
         assert result.exit_code == 0
         assert "torsion" in result.output
 
+    def test_bracket_invariant_30_crossing_closure(self, runner, tmp_path):
+        path = tmp_path / "closure.json"
+        path.write_text(json.dumps(braid_closure(random_braid_word(random.Random(30), 4, 30), 4)))
+        colorings = runner.invoke(main, ["colorings", corpus_file("biquandle_flip.json"), str(path)])
+        for bracket in ("bracket_z9.json", "bracket_gf8.json"):
+            result = runner.invoke(main, ["bracket-invariant", corpus_file(bracket), str(path)])
+            assert result.exit_code == 0, result.output
+            multiset = json.loads(result.output)["multiset"]
+            assert sum(m["multiplicity"] for m in multiset) == json.loads(colorings.output)["count"]
+
     def test_bh(self, runner):
         result = runner.invoke(
             main, ["bh", corpus_file("bracket_const_z5.json"), corpus_file("unknot.json")]
@@ -231,6 +242,26 @@ class TestCheckCommands:
         )
         assert result.exit_code == 0
         assert json.loads(result.output)["ok"] is True
+
+    def test_check_theorem_computes_shared_values_once(self, runner, monkeypatch):
+        import bracketlab
+
+        calls = {"khovanov_classical": 0, "scalar_group": 0}
+        for name in calls:
+            original = getattr(bracketlab, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in vars(bracketlab).values():
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        files = [corpus_file("bracket_z9.json"), corpus_file("trefoil_r2.json")]
+        result = runner.invoke(main, ["check-theorem", *files])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["checked"] == 2
+        assert calls == {"khovanov_classical": 1, "scalar_group": 1}
 
     def test_check_euler(self, runner):
         result = runner.invoke(

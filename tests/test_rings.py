@@ -1,5 +1,6 @@
 import pytest
 
+from bracketlab.cocycle import scalar_group
 from bracketlab.rings import (
     Coset,
     PolyQuotientRing,
@@ -130,3 +131,16 @@ class TestSubgroups:
         assert Coset(g, 4) != Coset(g, 2)
         assert Coset(g, 4).canonical == 1
         assert Coset(g, 2).mul(Coset(g, 2)).canonical == Coset(g, 4).canonical
+
+    @pytest.mark.parametrize("bname", ["bracket_z9", "bracket_gf8"])
+    def test_every_representative_gives_one_coset(self, brackets, bname):
+        G, _ = scalar_group(brackets[bname])
+        ring = G.ring
+        cosets = quotient_cosets(G)
+        assert len(cosets) * len(G) == len(ring.units())
+        for coset in cosets:
+            for g in G.elements:
+                other = Coset(G, ring.mul(coset.representative, g))
+                assert other == coset and hash(other) == hash(coset)
+                assert other.canonical == coset.canonical
+                assert [other == c for c in cosets].count(True) == 1
