@@ -13,7 +13,7 @@ import sys
 
 import click
 
-from .biquandle import Biquandle, enumerate_colorings, verify_biquandle
+from .biquandle import Biquandle, enumerate_colorings, multiset, verify_biquandle
 from .bracket import (
     Bracket,
     bracket_from_json,
@@ -28,7 +28,6 @@ from .cocycle import (
     scalar_group,
     verify_cocycle,
     z_invariant,
-    z_invariant_multiset,
 )
 from .corpus import check_all, default_manifest, load_manifest, report_to_json
 from .diagram import DiagramError, parse_diagram
@@ -111,19 +110,16 @@ def _bracket(path: str):
         raise click.exceptions.Exit(_input_error(f"bad bracket {path}: {exc}"))
 
 
-def _scalar_group(beta: Bracket, x0: int):
-    """``scalar_group(beta, x0)``; exit 2 when ``x0`` is not one of the biquandle's elements."""
+def _bracket_at(path: str, x0: int):
+    """The bracket in ``path`` and its ``scalar_group`` ``G, q`` at ``x0``.
+
+    Exits 2 when ``x0`` is not one of the biquandle's elements.
+    """
+    beta = _bracket(path)
     try:
-        return scalar_group(beta, x0)
+        return (beta, *scalar_group(beta, x0))
     except ValueError as exc:
         raise click.exceptions.Exit(_input_error(str(exc)))
-
-
-def _bracket_at(path: str, x0: int):
-    """The bracket in ``path``, with ``x0`` checked to be one of its biquandle's elements."""
-    beta = _bracket(path)
-    _scalar_group(beta, x0)
-    return beta
 
 
 def _biquandle(path: str) -> Biquandle:
@@ -262,8 +258,8 @@ def bracket_invariant_cmd(bracket_file, diagram_file, pretty):
 @pretty_option
 def canonical_cocycle_cmd(bracket_file, x0, pretty):
     """The canonical 2-cocycle phi_beta of a bracket, with its group G."""
-    beta = _bracket_at(bracket_file, x0)
-    G, phi = canonical_cocycle(beta, x0)
+    beta, G, _ = _bracket_at(bracket_file, x0)
+    phi = canonical_cocycle(beta, G, x0)
     out = {"G": G.to_json(), "order_G": len(G.elements), "cocycle": phi.to_json()}
     rows = [
         (x + 1, y + 1, phi.target.element_str(phi.phi[x][y]))
@@ -284,16 +280,16 @@ def canonical_cocycle_cmd(bracket_file, x0, pretty):
 @pretty_option
 def z_invariant_cmd(bracket_file, diagram_file, x0, pretty):
     """The multiset of Z_beta cosets over all colorings of a diagram."""
-    beta = _bracket_at(bracket_file, x0)
+    beta, G, _ = _bracket_at(bracket_file, x0)
     D = _diagram(diagram_file)
-    G, _ = canonical_cocycle(beta, x0)
-    multiset = z_invariant_multiset(beta, D, x0)
+    zs = (z_invariant(beta, f, G, x0) for f in enumerate_colorings(beta.biquandle, D))
+    cosets = multiset(zs, lambda z: beta.ring.sort_key(z.canonical))
     out = {
         "G": G.to_json(),
         "order_G": len(G.elements),
-        "multiset": [{"coset": c.to_json(), "multiplicity": m} for c, m in multiset],
+        "multiset": [{"coset": c.to_json(), "multiplicity": m} for c, m in cosets],
     }
-    rows = [(beta.ring.element_str(c.canonical) + "*G", m) for c, m in multiset]
+    rows = [(beta.ring.element_str(c.canonical) + "*G", m) for c, m in cosets]
     _emit(out, [f"|G|: {len(G.elements)}"] + _table(("coset", "multiplicity"), rows), pretty)
 
 
@@ -314,9 +310,9 @@ def khovanov_cmd(diagram_file, pretty):
 @pretty_option
 def bh_cmd(bracket_file, diagram_file, x0, pretty):
     """Bracket cohomology tables over all colorings of a diagram."""
-    beta = _bracket_at(bracket_file, x0)
+    beta, G, q = _bracket_at(bracket_file, x0)
     D = _diagram(diagram_file)
-    multiset = bh_multiset(beta, D, x0)
+    multiset = bh_multiset(beta, D, G, q)
     out = {
         "multiset": [
             {"table": table.to_json(), "multiplicity": m} for table, m in multiset
@@ -345,8 +341,7 @@ def _euler_reports(beta, D, colorings, G, q, x0):
 
 def _run_checks(bracket_file, diagram_file, x0, pretty, check_fn, label):
     """One report per coloring from ``check_fn(beta, D, colorings, G, q, x0)``."""
-    beta = _bracket(bracket_file)
-    G, q = _scalar_group(beta, x0)
+    beta, G, q = _bracket_at(bracket_file, x0)
     D = _diagram(diagram_file)
     colorings = enumerate_colorings(beta.biquandle, D)
     reports = [

@@ -184,25 +184,19 @@ def scalar_group(beta: Bracket, x0: int = 1) -> Tuple[UnitSubgroup, object]:
     return subgroup_generate(ring, gens), q
 
 
-def canonical_cocycle(beta: Bracket, x0: int = 1) -> Tuple[UnitSubgroup, Cocycle]:
+def canonical_cocycle(beta: Bracket, G: UnitSubgroup, x0: int = 1) -> Cocycle:
     """The canonical 2-cocycle phi_beta(x,y) = A_{x,y} A_{x0,x0}^{-1} G.
 
-    This is always a 2-cocycle by construction, so a verification failure
-    here signals an implementation bug rather than bad input.
+    ``G`` is ``scalar_group(beta, x0)[0]``.  This is a 2-cocycle by
+    construction; ``check_all`` verifies it.
     """
     ring = beta.ring
-    G, _ = scalar_group(beta, x0)
-    target = UnitQuotientTarget(G)
     a00_inv = ring.try_invert(beta.a(x0, x0))
     phi = [
         [Coset(G, ring.mul(beta.a(x, y), a00_inv)) for y in beta.biquandle.elements()]
         for x in beta.biquandle.elements()
     ]
-    cocycle = Cocycle(beta.biquandle, target, phi, check=False)
-    report = verify_cocycle(cocycle)
-    if not report.ok:
-        raise RuntimeError(f"canonical cocycle failed verification (internal bug): {report.to_json()}")
-    return G, cocycle
+    return Cocycle(beta.biquandle, UnitQuotientTarget(G), phi, check=False)
 
 
 def z_invariant(beta: Bracket, f: Coloring, G: UnitSubgroup, x0: int) -> Coset:

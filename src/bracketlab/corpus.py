@@ -143,10 +143,10 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
     # diagram), the bracket, Z_beta and Bh multisets and each coloring's
     # theorem, Euler and chi(C) = chi(H(C)) outcomes.
     classical = {name: khovanov_classical(D) for name, D in diagrams.items()} if brackets else {}
-    invariants, outcomes = {}, {}
+    invariants, outcomes, groups = {}, {}, {}
     for br_name, beta in brackets.items():
         ring = beta.ring
-        G, q = scalar_group(beta)
+        G, q = groups[br_name] = scalar_group(beta)
         for name, D in diagrams.items():
             colorings = enumerate_colorings(beta.biquandle, D)
             values = bracket_values(beta, D, colorings)
@@ -177,7 +177,7 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
 
     # Canonical cocycle of every bracket verifies.
     for br_name, beta in brackets.items():
-        _, phi = canonical_cocycle(beta)
+        phi = canonical_cocycle(beta, groups[br_name][0])
         row(f"canonical-cocycle:{br_name}", verify_cocycle(phi).ok, "")
 
     # Theorem and Euler identity on every bracket x diagram x coloring, and

@@ -92,50 +92,52 @@ class OrientedDiagram:
         if set(incoming) != set(outgoing):
             dangling = set(incoming) ^ set(outgoing)
             raise DiagramError(f"dangling edge labels: {sorted(dangling)}")
+        self._check_planar()
 
-    @property
-    def writhe(self) -> int:
-        return self.n_plus - self.n_minus
+    def _check_planar(self):
+        """Raise unless the crossings and edges lie in the plane as drawn.
+
+        Corner 4i + k is corner k of crossing i, clockwise from NW (NW, NE,
+        SE, SW as in the module docstring): the two inputs, then the two
+        outputs.  A face is walked by following an edge to its far corner
+        and turning to the next corner clockwise.  By Euler's formula, a
+        graph of n crossings and 2n edges in k pieces is plane exactly when
+        it has n + 2k faces.
+        """
+        n = len(self.crossings)
+        enters: Dict[int, int] = {}  # edge label -> the corner it enters by
+        leaves: Dict[int, int] = {}  # edge label -> the corner it leaves by
+        for i, c in enumerate(self.crossings):
+            if c.sign == 1:
+                corners = (c.under_in, c.over_in), (c.under_out, c.over_out)
+            else:
+                corners = (c.over_in, c.under_in), (c.over_out, c.under_out)
+            (nw, ne), (se, sw) = corners
+            enters[nw], enters[ne], leaves[se], leaves[sw] = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
+        piece = list(range(n))
+
+        def find(i):
+            while piece[i] != i:
+                i = piece[i]
+            return i
+
+        far = [0] * (4 * n)
+        for label, a in enters.items():
+            b = leaves[label]
+            far[a], far[b] = b, a
+            piece[find(a // 4)] = find(b // 4)
+        faces, seen = 0, [False] * (4 * n)
+        for corner in range(4 * n):
+            faces += not seen[corner]
+            while not seen[corner]:
+                seen[corner] = True
+                corner = far[corner] - far[corner] % 4 + (far[corner] + 1) % 4
+        if faces != n + 2 * sum(1 for i in range(n) if piece[i] == i):
+            raise DiagramError("the crossings do not lie in the plane: this is not a link diagram")
 
     def arcs(self) -> List[int]:
         """All colorable arcs: crossing edges plus one arc per free circle."""
         return self.edges + list(self.free_circle_arcs)
-
-    def components(self) -> List[Tuple[int, ...]]:
-        """Link components as cyclic edge sequences (plus free circles)."""
-        succ = {}
-        for c in self.crossings:
-            succ[c.under_in] = c.under_out
-            succ[c.over_in] = c.over_out
-        comps = []
-        seen = set()
-        for start in self.edges:
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            cur = succ[start]
-            while cur != start:
-                cycle.append(cur)
-                seen.add(cur)
-                cur = succ[cur]
-            comps.append(tuple(cycle))
-        comps.extend((arc,) for arc in self.free_circle_arcs)
-        return comps
-
-    def linking_number(self, comp_a: int, comp_b: int) -> int:
-        """Half the signed count of crossings between two components."""
-        comps = self.components()
-        in_a, in_b = set(comps[comp_a]), set(comps[comp_b])
-        total = 0
-        for c in self.crossings:
-            if (c.under_in in in_a and c.over_in in in_b) or (
-                c.under_in in in_b and c.over_in in in_a
-            ):
-                total += c.sign
-        if total % 2:
-            raise DiagramError("odd inter-component crossing sum")
-        return total // 2
 
     def to_json(self):
         return {
@@ -189,11 +191,24 @@ def _pairings(crossing: CrossingRecord, bit: int) -> List[Tuple[int, int]]:
     return [(crossing.under_in, crossing.over_in), (crossing.under_out, crossing.over_out)]
 
 
+def _width(D: OrientedDiagram, order: List[int]) -> int:
+    """The most edges open at once when crossings are taken in ``order``."""
+    taken: Dict[int, int] = {}
+    width = widest = 0
+    for index in order:
+        for label in D._edge_labels(D.crossings[index]):
+            taken[label] = taken.get(label, 0) + 1
+            width += 1 if taken[label] == 1 else -1
+        widest = max(widest, width)
+    return widest
+
+
 def frontier_order(D: OrientedDiagram) -> List[int]:
     """Crossing indices in an order that keeps few edges open.
 
     Greedy: the next crossing is the one sharing the most edge labels with
-    the crossings already taken; ties go to PD order.
+    the crossings already taken; ties go to PD order.  PD order itself is
+    returned when it leaves fewer edges open at its widest.
     """
     labels = [set(D._edge_labels(c)) for c in D.crossings]
     left = list(range(len(D.crossings)))
@@ -204,7 +219,8 @@ def frontier_order(D: OrientedDiagram) -> List[int]:
         left.remove(best)
         order.append(best)
         taken |= labels[best]
-    return order
+    pd_order = list(range(len(D.crossings)))
+    return pd_order if _width(D, pd_order) < _width(D, order) else order
 
 
 @dataclass(frozen=True)
@@ -228,7 +244,8 @@ def _smooth(matching: Tuple[Tuple[int, int], ...], crossing: CrossingRecord, bit
 
     An end is keyed by its edge label.  An edge whose far end is not yet
     taken (a new edge, or the second end of a kink) has that far end keyed
-    by the negated label, and the edge itself joins the two keys.
+    by the negated label, and the edge itself joins the two keys.  Each
+    closed loop is named by the label of one edge on it.
     """
     partner: Dict[int, int] = {}
     for a, b in matching:
@@ -238,11 +255,11 @@ def _smooth(matching: Tuple[Tuple[int, int], ...], crossing: CrossingRecord, bit
             partner[label], partner[-label] = -label, label
     ends = [e for arc in _pairings(crossing, bit) for e in arc]
     keys = [-e if e in ends[:i] else e for i, e in enumerate(ends)]
-    loops = 0
+    loops = []
     for a, b in zip(keys[::2], keys[1::2]):
         if partner[a] == b:
             del partner[a], partner[b]
-            loops += 1
+            loops.append(abs(a))
         else:
             pa, pb = partner.pop(a), partner.pop(b)
             partner[pa], partner[pb] = pb, pa
@@ -269,7 +286,7 @@ def transfer_scan(D: OrientedDiagram) -> List[TransferStep]:
         for matching, source in matchings.items():
             for bit in (0, 1):
                 smoothed, loops = _smooth(matching, crossing, bit)
-                moves.append((source, bit, after.setdefault(smoothed, len(after)), loops))
+                moves.append((source, bit, after.setdefault(smoothed, len(after)), len(loops)))
         steps.append(TransferStep(index, len(after), tuple(moves)))
         matchings = after
     return steps

@@ -185,12 +185,6 @@ class FormalSum:
             out.add_term(d, c)
         return out
 
-    def scale_degree(self, h) -> "FormalSum":
-        """Multiply every degree by the group element h."""
-        return FormalSum(
-            self.grading, {self.grading.mul(h, d): c for d, c in self.terms.items()}
-        )
-
     def __eq__(self, other):
         return isinstance(other, FormalSum) and self.terms == other.terms
 

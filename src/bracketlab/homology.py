@@ -1,4 +1,4 @@
-"""The cube-complex construction: bracket cohomology and classical Khovanov.
+"""Bracket cohomology from the cube of smoothings, and classical Khovanov homology.
 
 Each smoothing state becomes a tensor power of the rank-2 Frobenius algebra
 M = S[t]/(t^2) (one factor per circle), graded and shifted by the state's
@@ -6,6 +6,8 @@ signed skein coefficient.  Cube edges carry multiplication/comultiplication
 maps scaled by the group element q*q_{x,y}^{-1}, with alternating signs
 making the faces anti-commute.  Expanding over the scalar group G reduces
 everything to sparse integer matrices; cohomology is computed in ``graded``.
+Classical Khovanov homology does not build the cube: it comes from the
+tangle scan in ``tangle``.
 
 Basis bookkeeping: a tensor word is a tuple over the state's circles (listed
 in their deterministic order) with letter 0 for the generator "1" (degree q)
@@ -31,7 +33,8 @@ from .graded import (
     evaluate_formal_sum,
     merge_invariant_factors,
 )
-from .rings import Coset, UnitSubgroup, subgroup_generate
+from .rings import Coset, UnitSubgroup
+from .tangle import khovanov_complex
 
 
 def _frobenius(letters: Tuple[int, ...]) -> List[Tuple[int, ...]]:
@@ -92,34 +95,12 @@ class _BhPolicy:
         return d
 
 
-class _ClassicalPolicy:
-    """Integer-graded data reproducing the classical Khovanov complex."""
-
-    def __init__(self):
-        self.grading = InfiniteCyclicGrading()
-        self.scalars = [0]
-
-    def state_shift(self, D: OrientedDiagram, bits):
-        return sum(bits)
-
-    def global_shift(self, D: OrientedDiagram):
-        return D.n_plus - 2 * D.n_minus
-
-    def letter_degree(self, letter: int) -> int:
-        return 1 if letter == 0 else -1
-
-    def edge_scalar(self, crossing) -> int:
-        return 0
-
-    def scalar_mul(self, g: int, c: int) -> int:
-        return g + c
-
-    def degree(self, shift: int, g: int, word) -> int:
-        return shift + g + sum(self.letter_degree(l) for l in word)
-
-
 def _build_cube_complex(D: OrientedDiagram, policy) -> GradedComplex:
-    """Assemble the expanded integer complex for either grading policy."""
+    """Assemble the expanded integer complex for a grading policy.
+
+    ``_BhPolicy`` gives the bracket-cohomology cube; the tests pass a
+    classical one, which makes this cube the oracle for the tangle scan.
+    """
     cube = state_cube(D)
     global_shift = policy.global_shift(D)
     grading = policy.grading
@@ -181,15 +162,18 @@ def bh_invariant(beta: Bracket, f: Coloring, x0: int = 1) -> HomologyTable:
     return cohomology(build_complex(beta, f, *scalar_group(beta, x0)))
 
 
-def bh_multiset(beta: Bracket, D: OrientedDiagram, x0: int = 1) -> List[tuple]:
-    """Multiset of homology tables over all colorings, as sorted pairs."""
-    tables = (bh_invariant(beta, f, x0) for f in enumerate_colorings(beta.biquandle, D))
+def bh_multiset(beta: Bracket, D: OrientedDiagram, G: UnitSubgroup, q) -> List[tuple]:
+    """Multiset of homology tables over all colorings, as sorted pairs.
+
+    ``G, q`` is the bracket's ``scalar_group``.
+    """
+    tables = (cohomology(build_complex(beta, f, G, q)) for f in enumerate_colorings(beta.biquandle, D))
     return multiset(tables, lambda table: table.entries)
 
 
 def khovanov_classical(D: OrientedDiagram) -> HomologyTable:
-    """Classical integer-graded Khovanov homology of the diagram."""
-    return cohomology(_build_cube_complex(D, _ClassicalPolicy()))
+    """Classical integer-graded Khovanov homology of the diagram, by the tangle scan."""
+    return cohomology(khovanov_complex(D))
 
 
 def kauffman_state_sum(D: OrientedDiagram) -> FormalSum:
@@ -268,14 +252,3 @@ def check_euler_identity(beta: Bracket, f: Coloring, x0: int = 1) -> Report:
     """Verify chi(Bh(f)) evaluates in R to (sum of G) * beta(f)."""
     G, _ = scalar_group(beta, x0)
     return euler_report(bh_invariant(beta, f, x0), G, bracket_value(beta, f))
-
-
-def grading_subgroup(beta: Bracket) -> UnitSubgroup:
-    """H = <A_{x,y}, -B_{x,y}>: the subgroup containing all complex degrees."""
-    ring = beta.ring
-    gens = []
-    for x in beta.biquandle.elements():
-        for y in beta.biquandle.elements():
-            gens.append(beta.a(x, y))
-            gens.append(ring.neg(beta.b(x, y)))
-    return subgroup_generate(ring, sorted(set(gens), key=ring.sort_key))

@@ -354,18 +354,3 @@ class Coset:
 
     def to_json(self):
         return self.subgroup.ring.element_to_json(self.canonical)
-
-
-def quotient_cosets(group: UnitSubgroup) -> list:
-    """Partition R^x into cosets of ``group``, minimal representatives first."""
-    ring = group.ring
-    seen = set()
-    cosets = []
-    for u in sorted(ring.units(), key=ring.sort_key):
-        if u in seen:
-            continue
-        coset = Coset(group, u)
-        for g in group.elements:
-            seen.add(ring.mul(u, g))
-        cosets.append(coset)
-    return cosets

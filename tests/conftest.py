@@ -9,6 +9,7 @@ from bracketlab.bracket import bracket_from_json
 from bracketlab.cocycle import cocycle_from_json
 from bracketlab.corpus import corpus_path, load_corpus_json
 from bracketlab.diagram import parse_diagram
+from bracketlab.rings import UnitSubgroup, subgroup_generate
 
 DIAGRAM_NAMES = [
     "unknot",
@@ -58,6 +59,17 @@ def brackets():
 @pytest.fixture(scope="session")
 def cocycle_ab():
     return cocycle_from_json(load_corpus_json("cocycle_ab.json"))
+
+
+def grading_subgroup(beta) -> UnitSubgroup:
+    """H = <A_{x,y}, -B_{x,y}>: the subgroup containing all complex degrees."""
+    ring = beta.ring
+    gens = []
+    for x in beta.biquandle.elements():
+        for y in beta.biquandle.elements():
+            gens.append(beta.a(x, y))
+            gens.append(ring.neg(beta.b(x, y)))
+    return subgroup_generate(ring, sorted(set(gens), key=ring.sort_key))
 
 
 def corpus_file(name: str) -> str:

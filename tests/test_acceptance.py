@@ -29,12 +29,11 @@ from bracketlab.homology import (
     build_complex,
     check_euler_identity,
     check_theorem,
-    grading_subgroup,
     kauffman_state_sum,
     khovanov_classical,
 )
 
-from conftest import EQUIVALENT_PAIRS
+from conftest import EQUIVALENT_PAIRS, grading_subgroup
 
 
 class TestCriterion1BundledStructures:
@@ -124,8 +123,9 @@ class TestCriterion4ReidemeisterInvariance:
 
     def test_bh_multiset(self, brackets, diagrams):
         for name, beta in brackets.items():
+            G, q = scalar_group(beta)
             for a, b in EQUIVALENT_PAIRS:
-                assert bh_multiset(beta, diagrams[a]) == bh_multiset(beta, diagrams[b]), (name, a, b)
+                assert bh_multiset(beta, diagrams[a], G, q) == bh_multiset(beta, diagrams[b], G, q), (name, a, b)
 
 
 class TestCriterion5ClassicalKhovanov:
@@ -198,14 +198,15 @@ class TestCriterion8CanonicalCocycle:
 
     def test_phi_beta_always_verifies(self, brackets):
         for name, beta in brackets.items():
-            _, phi = canonical_cocycle(beta)  # raises on internal failure
+            phi = canonical_cocycle(beta, scalar_group(beta)[0])
             assert verify_cocycle(phi).ok, name
 
     def test_x0_independence(self, brackets):
         for name, beta in brackets.items():
             results = []
             for x0 in beta.biquandle.elements():
-                G, phi = canonical_cocycle(beta, x0)
+                G, _ = scalar_group(beta, x0)
+                phi = canonical_cocycle(beta, G, x0)
                 results.append(
                     (G.elements, tuple(tuple(v.canonical for v in row) for row in phi.phi))
                 )
@@ -213,7 +214,8 @@ class TestCriterion8CanonicalCocycle:
 
     def test_constant_brackets_trivial(self, brackets):
         for name in ("bracket_const_z5", "bracket_const_z7"):
-            _, phi = canonical_cocycle(brackets[name])
+            beta = brackets[name]
+            phi = canonical_cocycle(beta, scalar_group(beta)[0])
             assert all(v == phi.target.identity for row in phi.phi for v in row)
 
     def test_phi_bracket_reproduces_phi(self, brackets, cocycle_ab):
@@ -222,7 +224,8 @@ class TestCriterion8CanonicalCocycle:
         beta = brackets["bracket_phi"]
         ring = beta.ring
         u = ring.element_from_json([0, 1])
-        G, phi_beta = canonical_cocycle(beta)
+        G, _ = scalar_group(beta)
+        phi_beta = canonical_cocycle(beta, G)
         assert G.elements == frozenset({ring.one})
         for x in (1, 2):
             for y in (1, 2):

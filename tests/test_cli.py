@@ -32,6 +32,7 @@ MALFORMED_DIAGRAMS = {
     "label_reused": {"crossings": [{**KINK, "over_in": 1, "over_out": 2}]},
     "missing_field": {"crossings": [{"sign": 1}]},
     "crossing_not_object": {"crossings": [1]},
+    "not_planar": {"crossings": [{**KINK, "under_out": 1, "over_out": 2}]},
     "crossings_not_list": {"crossings": 5},
     "top_level_list": [],
 }
@@ -258,10 +259,14 @@ class TestCheckCommands:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         files = [corpus_file("bracket_z9.json"), corpus_file("trefoil_r2.json")]
-        result = runner.invoke(main, ["check-theorem", *files])
-        assert result.exit_code == 0
-        assert json.loads(result.output)["checked"] == 2
-        assert calls == {"khovanov_classical": 1, "scalar_group": 1}
+        for command, khovanov in (("check-theorem", 1), ("bh", 0), ("z-invariant", 0)):
+            calls.update(khovanov_classical=0, scalar_group=0)
+            result = runner.invoke(main, [command, *files])
+            assert result.exit_code == 0, command
+            out = json.loads(result.output)
+            colorings = out["checked"] if command == "check-theorem" else sum(e["multiplicity"] for e in out["multiset"])
+            assert colorings == 2, command
+            assert calls == {"khovanov_classical": khovanov, "scalar_group": 1}, command
 
     def test_check_euler(self, runner):
         result = runner.invoke(

@@ -75,7 +75,7 @@ class TestCanonicalCocycle:
     def test_gf8_phi_is_a_ratio(self, brackets):
         beta = brackets["bracket_gf8"]
         ring = beta.ring
-        G, phi = canonical_cocycle(beta)
+        phi = canonical_cocycle(beta, scalar_group(beta)[0])
         a00_inv = ring.try_invert(beta.a(1, 1))
         for x in (1, 2):
             for y in (1, 2):
@@ -89,7 +89,7 @@ class TestCanonicalCocycle:
     def test_constant_bracket_phi_trivial(self, brackets):
         for name in ("bracket_const_z5", "bracket_const_z7"):
             beta = brackets[name]
-            G, phi = canonical_cocycle(beta)
+            phi = canonical_cocycle(beta, scalar_group(beta)[0])
             identity = phi.target.identity
             assert all(v == identity for row in phi.phi for v in row)
 
@@ -97,7 +97,8 @@ class TestCanonicalCocycle:
         for name, beta in brackets.items():
             tables = []
             for x0 in beta.biquandle.elements():
-                G, phi = canonical_cocycle(beta, x0)
+                G, _ = scalar_group(beta, x0)
+                phi = canonical_cocycle(beta, G, x0)
                 tables.append(
                     (G.elements, tuple(tuple(v.canonical for v in row) for row in phi.phi))
                 )
@@ -115,7 +116,8 @@ class TestZInvariant:
         # Two equivalent formulas: crossing-sign product of A/B ratios
         # versus the product of phi_beta values.
         for name, beta in brackets.items():
-            G, phi = canonical_cocycle(beta)
+            G, _ = scalar_group(beta)
+            phi = canonical_cocycle(beta, G)
             for dname in ("trefoil", "figure_eight", "hopf"):
                 for f in enumerate_colorings(beta.biquandle, diagrams[dname]):
                     assert z_invariant(beta, f, G, 1) == cocycle_value(phi, f), (name, dname)

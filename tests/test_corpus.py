@@ -64,8 +64,8 @@ class TestManifest:
 
 
 def test_check_all_builds_each_complex_once(monkeypatch):
-    # One cube complex per coloring (120 over 5 brackets x 10 diagrams) plus
-    # one classical Khovanov complex per diagram.
+    # One cube complex per coloring (120 over 5 brackets x 10 diagrams) and
+    # one Khovanov tangle scan per diagram, which builds no cube.
     from bracketlab import corpus, homology
 
     calls = {"build": 0, "khovanov": 0}
@@ -83,5 +83,31 @@ def test_check_all_builds_each_complex_once(monkeypatch):
     monkeypatch.setattr(corpus, "khovanov_classical", khovanov)
     report = report_to_json(check_all(default_manifest()))
     assert report["ok"] and report["total"] == 478
-    assert calls["build"] == 130
+    assert calls["build"] == 120
     assert calls["khovanov"] <= 10
+
+
+def test_canonical_cocycle_row_fails_on_a_bad_cocycle(monkeypatch):
+    # check_all is the one place that verifies the canonical cocycle.
+    from bracketlab import corpus
+    from bracketlab.cocycle import Cocycle
+    from bracketlab.rings import Coset
+
+    original = corpus.canonical_cocycle
+
+    def moved_off_identity(beta, G, x0=1):
+        good = original(beta, G, x0)
+        off = next(c for c in (Coset(G, u) for u in beta.ring.units()) if c != good.target.identity)
+        phi = [list(row) for row in good.phi]
+        phi[0][0] = off  # breaks phi(x, x) = 1
+        return Cocycle(beta.biquandle, good.target, phi, check=False)
+
+    monkeypatch.setattr(corpus, "canonical_cocycle", moved_off_identity)
+    manifest = CorpusManifest.from_json({
+        "diagrams": [{"name": "unknot", "file": "unknot.json"}],
+        "brackets": [{"name": name, "file": f"{name}.json"} for name in ("bracket_z9", "bracket_gf8")],
+    })
+    rows = {r.name: r.ok for r in check_all(manifest)}
+    assert rows["canonical-cocycle:bracket_z9"] is False
+    assert rows["canonical-cocycle:bracket_gf8"] is False
+    assert all(ok for name, ok in rows.items() if not name.startswith("canonical-cocycle:"))

@@ -5,11 +5,26 @@ from bracketlab.rings import (
     Coset,
     PolyQuotientRing,
     RingError,
+    UnitSubgroup,
     ZModRing,
-    quotient_cosets,
     ring_make,
     subgroup_generate,
 )
+
+
+def quotient_cosets(group: UnitSubgroup) -> list:
+    """Partition R^x into cosets of ``group``, minimal representatives first."""
+    ring = group.ring
+    seen = set()
+    cosets = []
+    for u in sorted(ring.units(), key=ring.sort_key):
+        if u in seen:
+            continue
+        coset = Coset(group, u)
+        for g in group.elements:
+            seen.add(ring.mul(u, g))
+        cosets.append(coset)
+    return cosets
 
 
 class TestZMod:
