@@ -9,7 +9,6 @@ malformed input.
 from __future__ import annotations
 
 import json
-import sys
 
 import click
 
@@ -30,16 +29,8 @@ from .cocycle import (
     z_invariant,
 )
 from .corpus import check_all, default_manifest, load_manifest, report_to_json
-from .diagram import DiagramError, parse_diagram
-from .graded import cohomology
-from .homology import (
-    bh_multiset,
-    build_complex,
-    euler_report,
-    khovanov_classical,
-    theorem_report,
-)
-from .rings import RingError
+from .diagram import parse_diagram
+from .homology import bh_multiset, check_colorings, khovanov_classical
 
 INPUT_ERROR = 2
 CHECK_FAILED = 1
@@ -95,19 +86,17 @@ def _homology_rows(table):
     ]
 
 
-def _diagram(path: str):
-    try:
-        return parse_diagram(_load_json(path))
-    except (DiagramError, ValueError, KeyError, TypeError) as exc:
-        raise click.exceptions.Exit(_input_error(f"bad diagram {path}: {exc}"))
+def _parse(path: str, what: str, parse):
+    """``parse`` of the JSON in ``path``; exits 2 with ``bad <what> <path>: ...`` when it rejects it.
 
-
-def _bracket(path: str):
+    Input errors are ``ValueError`` (``DiagramError`` and ``RingError`` among
+    them), or the ``KeyError`` or ``TypeError`` of JSON of the wrong shape.
+    """
     data = _load_json(path)
     try:
-        return bracket_from_json(data)
-    except (RingError, ValueError, KeyError, TypeError) as exc:
-        raise click.exceptions.Exit(_input_error(f"bad bracket {path}: {exc}"))
+        return parse(data)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise click.exceptions.Exit(_input_error(f"bad {what} {path}: {exc}"))
 
 
 def _bracket_at(path: str, x0: int):
@@ -115,19 +104,11 @@ def _bracket_at(path: str, x0: int):
 
     Exits 2 when ``x0`` is not one of the biquandle's elements.
     """
-    beta = _bracket(path)
+    beta = _parse(path, "bracket", bracket_from_json)
     try:
         return (beta, *scalar_group(beta, x0))
     except ValueError as exc:
         raise click.exceptions.Exit(_input_error(str(exc)))
-
-
-def _biquandle(path: str) -> Biquandle:
-    data = _load_json(path)
-    try:
-        return Biquandle.from_json(data)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise click.exceptions.Exit(_input_error(f"bad biquandle {path}: {exc}"))
 
 
 pretty_option = click.option("--pretty", is_flag=True, help="Render aligned tables instead of JSON.")
@@ -144,11 +125,7 @@ def main():
 @pretty_option
 def verify_biquandle_cmd(file, pretty):
     """Check the biquandle axioms for the tables in FILE."""
-    data = _load_json(file)
-    try:
-        report = verify_biquandle(data["under"], data["over"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise click.exceptions.Exit(_input_error(f"bad biquandle {file}: {exc}"))
+    report = _parse(file, "biquandle", lambda data: verify_biquandle(data["under"], data["over"]))
     _emit_report(report.to_json(), [f"ok: {report.ok}"] + _failure_table(report), pretty)
 
 
@@ -162,11 +139,7 @@ def verify_biquandle_cmd(file, pretty):
 @pretty_option
 def verify_bracket_cmd(file, literal_axioms, pretty):
     """Check the bracket axioms for the (ring, biquandle, A, B) data in FILE."""
-    data = _load_json(file)
-    try:
-        X, ring, A, B = decode_bracket(data, check=False)
-    except (RingError, ValueError, KeyError, TypeError) as exc:
-        raise click.exceptions.Exit(_input_error(f"bad bracket {file}: {exc}"))
+    X, ring, A, B = _parse(file, "bracket", lambda data: decode_bracket(data, check=False))
     report = verify_bracket(X, ring, A, B, literal=literal_axioms)
     out = report.to_json()
     lines = [f"ok: {report.ok}"]
@@ -183,11 +156,7 @@ def verify_bracket_cmd(file, literal_axioms, pretty):
 @pretty_option
 def verify_cocycle_cmd(file, pretty):
     """Check the 2-cocycle conditions for the presentation matrix in FILE."""
-    data = _load_json(file)
-    try:
-        cocycle = cocycle_from_json(data, check=False)
-    except (RingError, ValueError, KeyError, TypeError) as exc:
-        raise click.exceptions.Exit(_input_error(f"bad cocycle {file}: {exc}"))
+    cocycle = _parse(file, "cocycle", lambda data: cocycle_from_json(data, check=False))
     report = verify_cocycle(cocycle)
     _emit_report(report.to_json(), [f"ok: {report.ok}"] + _failure_table(report), pretty)
 
@@ -198,8 +167,8 @@ def verify_cocycle_cmd(file, pretty):
 @pretty_option
 def colorings_cmd(biquandle_file, diagram_file, pretty):
     """Enumerate X-colorings of a diagram and report the counting invariant."""
-    X = _biquandle(biquandle_file)
-    D = _diagram(diagram_file)
+    X = _parse(biquandle_file, "biquandle", Biquandle.from_json)
+    D = _parse(diagram_file, "diagram", parse_diagram)
     colorings = enumerate_colorings(X, D)
     out = {"count": len(colorings), "colorings": [f.to_json() for f in colorings]}
     rows = [(i, json.dumps(f.to_json())) for i, f in enumerate(colorings)]
@@ -212,8 +181,8 @@ def colorings_cmd(biquandle_file, diagram_file, pretty):
 @pretty_option
 def bracket_value_cmd(bracket_file, diagram_file, pretty):
     """Evaluate the bracket state sum for every coloring of a diagram."""
-    beta = _bracket(bracket_file)
-    D = _diagram(diagram_file)
+    beta = _parse(bracket_file, "bracket", bracket_from_json)
+    D = _parse(diagram_file, "diagram", parse_diagram)
     ring = beta.ring
     colorings = enumerate_colorings(beta.biquandle, D)
     values = [
@@ -236,8 +205,8 @@ def bracket_value_cmd(bracket_file, diagram_file, pretty):
 @pretty_option
 def bracket_invariant_cmd(bracket_file, diagram_file, pretty):
     """The multiset of bracket values over all colorings."""
-    beta = _bracket(bracket_file)
-    D = _diagram(diagram_file)
+    beta = _parse(bracket_file, "bracket", bracket_from_json)
+    D = _parse(diagram_file, "diagram", parse_diagram)
     ring = beta.ring
     multiset = bracket_invariant(beta, D)
     out = {
@@ -281,7 +250,7 @@ def canonical_cocycle_cmd(bracket_file, x0, pretty):
 def z_invariant_cmd(bracket_file, diagram_file, x0, pretty):
     """The multiset of Z_beta cosets over all colorings of a diagram."""
     beta, G, _ = _bracket_at(bracket_file, x0)
-    D = _diagram(diagram_file)
+    D = _parse(diagram_file, "diagram", parse_diagram)
     zs = (z_invariant(beta, f, G, x0) for f in enumerate_colorings(beta.biquandle, D))
     cosets = multiset(zs, lambda z: beta.ring.sort_key(z.canonical))
     out = {
@@ -298,7 +267,7 @@ def z_invariant_cmd(bracket_file, diagram_file, x0, pretty):
 @pretty_option
 def khovanov_cmd(diagram_file, pretty):
     """Classical integer-graded Khovanov homology of a diagram."""
-    D = _diagram(diagram_file)
+    D = _parse(diagram_file, "diagram", parse_diagram)
     table = khovanov_classical(D)
     _emit(table.to_json(), _table(("i", "j", "rank", "torsion"), _homology_rows(table)), pretty)
 
@@ -311,8 +280,8 @@ def khovanov_cmd(diagram_file, pretty):
 def bh_cmd(bracket_file, diagram_file, x0, pretty):
     """Bracket cohomology tables over all colorings of a diagram."""
     beta, G, q = _bracket_at(bracket_file, x0)
-    D = _diagram(diagram_file)
-    multiset = bh_multiset(beta, D, G, q)
+    D = _parse(diagram_file, "diagram", parse_diagram)
+    multiset = bh_multiset(beta, D, G, q, x0)
     out = {
         "multiset": [
             {"table": table.to_json(), "multiplicity": m} for table, m in multiset
@@ -325,28 +294,15 @@ def bh_cmd(bracket_file, diagram_file, x0, pretty):
     _emit(out, lines, pretty)
 
 
-def _theorem_reports(beta, D, colorings, G, q, x0):
-    """Each coloring's direct Bh cube against one Khovanov table of ``D``, folded."""
-    classical = khovanov_classical(D)
-    for f in colorings:
-        bh = cohomology(build_complex(beta, f, G, q))
-        yield theorem_report(bh, classical, G, q, z_invariant(beta, f, G, x0))
-
-
-def _euler_reports(beta, D, colorings, G, q, x0):
-    """Each coloring's chi(Bh) against its value from one bracket state sum."""
-    for f, value in zip(colorings, bracket_values(beta, D, colorings)):
-        yield euler_report(cohomology(build_complex(beta, f, G, q)), G, value)
-
-
-def _run_checks(bracket_file, diagram_file, x0, pretty, check_fn, label):
-    """One report per coloring from ``check_fn(beta, D, colorings, G, q, x0)``."""
+def _run_checks(bracket_file, diagram_file, x0, pretty, field, label):
+    """One report per coloring: the ``field`` report of ``check_colorings``."""
     beta, G, q = _bracket_at(bracket_file, x0)
-    D = _diagram(diagram_file)
+    D = _parse(diagram_file, "diagram", parse_diagram)
     colorings = enumerate_colorings(beta.biquandle, D)
+    checks = check_colorings(beta, D, colorings, G, q, x0, khovanov_classical(D))
     reports = [
-        {"coloring": f.to_json(), **report.to_json()}
-        for f, report in zip(colorings, check_fn(beta, D, colorings, G, q, x0))
+        {"coloring": f.to_json(), **getattr(check, field).to_json()}
+        for f, check in zip(colorings, checks)
     ]
     ok = all(r["ok"] for r in reports)
     out = {"ok": ok, "checked": len(reports), "reports": reports}
@@ -362,7 +318,7 @@ def _run_checks(bracket_file, diagram_file, x0, pretty, check_fn, label):
 @pretty_option
 def check_theorem_cmd(bracket_file, diagram_file, x0, pretty):
     """Check Bh(f) = classical Khovanov folded into R^x and shifted by Z_beta(f)."""
-    _run_checks(bracket_file, diagram_file, x0, pretty, _theorem_reports, "theorem")
+    _run_checks(bracket_file, diagram_file, x0, pretty, "theorem", "theorem")
 
 
 @main.command("check-euler")
@@ -372,7 +328,7 @@ def check_theorem_cmd(bracket_file, diagram_file, x0, pretty):
 @pretty_option
 def check_euler_cmd(bracket_file, diagram_file, x0, pretty):
     """Check chi(Bh(f)) evaluates to (sum over G) * bracket value."""
-    _run_checks(bracket_file, diagram_file, x0, pretty, _euler_reports, "euler identity")
+    _run_checks(bracket_file, diagram_file, x0, pretty, "euler", "euler identity")
 
 
 @main.command("check-all")
@@ -388,7 +344,7 @@ def check_all_cmd(manifest_path, pretty):
             manifest = load_manifest(manifest_path)
             base = str(__import__("pathlib").Path(manifest_path).parent)
         results = check_all(manifest, base)
-    except (OSError, RingError, DiagramError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise click.exceptions.Exit(_input_error(f"corpus error: {exc}"))
     out = report_to_json(results)
     rows = [(r.name, "ok" if r.ok else "FAIL", r.details["detail"]) for r in results if not r.ok]

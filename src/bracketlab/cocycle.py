@@ -43,6 +43,8 @@ class FreeAbelianTarget:
 
     def parse(self, word: str):
         """Parse a multiplicative word like ``"1"``, ``"a"``, or ``"a*b^-1"``."""
+        if not isinstance(word, str):
+            raise ValueError(f"bad word {word!r}: not a string")
         word = word.strip()
         exps = [0] * len(self.symbols)
         if word in ("1", ""):

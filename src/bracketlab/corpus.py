@@ -6,8 +6,9 @@ Reidemeister-equivalent diagram pairs and negative verification controls.
 guarantee over the whole corpus: axiom verification, invariance of all four
 invariants across equivalent pairs, and the theorem / Euler-identity checks
 on every bracket x diagram x coloring combination.  It computes each value
-once: Khovanov homology per diagram, the scalar group per bracket, and the
-bracket value, Z_beta coset and Bh table per coloring.
+once: Khovanov homology per diagram, the scalar group per bracket, and,
+through ``homology.check_colorings``, the bracket value, Z_beta coset and
+direct-cube Bh table per coloring.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from importlib import resources
 from typing import Dict, List, Optional
 
 from .biquandle import Biquandle, Report, counting_invariant, enumerate_colorings, multiset, verify_biquandle
-from .bracket import Bracket, bracket_values, decode_bracket, verify_bracket
-from .cocycle import canonical_cocycle, cocycle_from_json, scalar_group, verify_cocycle, z_invariant
+from .bracket import Bracket, decode_bracket, verify_bracket
+from .cocycle import canonical_cocycle, cocycle_from_json, scalar_group, verify_cocycle
 from .diagram import OrientedDiagram, parse_diagram
-from .graded import cohomology
-from .homology import build_complex, euler_report, khovanov_classical, theorem_report
+from .homology import check_colorings, khovanov_classical
 
 
 @dataclass
@@ -138,10 +138,9 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
             same = counting_invariant(X, diagrams[a]) == counting_invariant(X, diagrams[b])
             row(f"counting-invariance:{bq_name}:{a}~{b}", same, "")
 
-    # One pass over every bracket x diagram x coloring.  Each coloring's
-    # complex lives only for its own checks; the pass keeps, per (bracket,
-    # diagram), the bracket, Z_beta and Bh multisets and each coloring's
-    # theorem, Euler and chi(C) = chi(H(C)) outcomes.
+    # One pass over every bracket x diagram x coloring.  The pass keeps, per
+    # (bracket, diagram), the bracket, Z_beta and Bh multisets and each
+    # coloring's theorem, Euler and chi(C) = chi(H(C)) outcomes.
     classical = {name: khovanov_classical(D) for name, D in diagrams.items()} if brackets else {}
     invariants, outcomes, groups = {}, {}, {}
     for br_name, beta in brackets.items():
@@ -149,25 +148,13 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
         G, q = groups[br_name] = scalar_group(beta)
         for name, D in diagrams.items():
             colorings = enumerate_colorings(beta.biquandle, D)
-            values = bracket_values(beta, D, colorings)
-            zs, tables, checks = [], [], []
-            for f, value in zip(colorings, values):
-                z = z_invariant(beta, f, G, 1)
-                c = build_complex(beta, f, G, q)
-                bh = cohomology(c)
-                zs.append(z)
-                tables.append(bh)
-                checks.append((
-                    theorem_report(bh, classical[name], G, q, z).ok,
-                    euler_report(bh, G, value).ok,
-                    c.euler_characteristic() == bh.euler_characteristic(),
-                ))
+            checks = check_colorings(beta, D, colorings, G, q, 1, classical[name])
             invariants[br_name, name] = (
-                multiset(values, ring.sort_key),
-                multiset(zs, lambda coset: ring.sort_key(coset.canonical)),
-                multiset(tables, lambda table: table.entries),
+                multiset((c.value for c in checks), ring.sort_key),
+                multiset((c.z for c in checks), lambda coset: ring.sort_key(coset.canonical)),
+                multiset((c.bh for c in checks), lambda table: table.entries),
             )
-            outcomes[br_name, name] = checks
+            outcomes[br_name, name] = [(c.theorem.ok, c.euler.ok, c.euler_complex) for c in checks]
 
     # Invariance of the bracket, Z_beta, and Bh multisets across pairs.
     for br_name in brackets:

@@ -1,4 +1,9 @@
-"""Bracket cohomology from the cube of smoothings, and classical Khovanov homology.
+"""Bracket cohomology Bh, by the folding theorem and from the cube of smoothings.
+
+``bh_invariant`` and ``bh_multiset`` compute Bh(f) by the paper's structure
+theorem: classical Khovanov homology (the tangle scan in ``tangle``) folded
+into R^x and shifted by Z_beta(f).  The direct cube is the independent side
+of the checks, built only by ``build_complex`` and ``check_colorings``.
 
 Each smoothing state becomes a tensor power of the rank-2 Frobenius algebra
 M = S[t]/(t^2) (one factor per circle), graded and shifted by the state's
@@ -6,8 +11,6 @@ signed skein coefficient.  Cube edges carry multiplication/comultiplication
 maps scaled by the group element q*q_{x,y}^{-1}, with alternating signs
 making the faces anti-commute.  Expanding over the scalar group G reduces
 everything to sparse integer matrices; cohomology is computed in ``graded``.
-Classical Khovanov homology does not build the cube: it comes from the
-tangle scan in ``tangle``.
 
 Basis bookkeeping: a tensor word is a tuple over the state's circles (listed
 in their deterministic order) with letter 0 for the generator "1" (degree q)
@@ -17,12 +20,12 @@ and letter 1 for "t" (degree q^{-1}).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .biquandle import Coloring, Report, enumerate_colorings, multiset
-from .bracket import Bracket, bracket_value, crossing_color_pair
+from .bracket import Bracket, bracket_values, crossing_color_pair
 from .cocycle import scalar_group, z_invariant
-from .diagram import OrientedDiagram, smoothing_states, state_cube
+from .diagram import OrientedDiagram, StateCube, smoothing_states, state_cube
 from .graded import (
     FiniteUnitsGrading,
     FormalSum,
@@ -95,13 +98,12 @@ class _BhPolicy:
         return d
 
 
-def _build_cube_complex(D: OrientedDiagram, policy) -> GradedComplex:
-    """Assemble the expanded integer complex for a grading policy.
+def _build_cube_complex(D: OrientedDiagram, cube: StateCube, policy) -> GradedComplex:
+    """Assemble the expanded integer complex on ``cube = state_cube(D)`` for a grading policy.
 
     ``_BhPolicy`` gives the bracket-cohomology cube; the tests pass a
     classical one, which makes this cube the oracle for the tangle scan.
     """
-    cube = state_cube(D)
     global_shift = policy.global_shift(D)
     grading = policy.grading
 
@@ -154,21 +156,8 @@ def build_complex(beta: Bracket, f: Coloring, G: UnitSubgroup, q) -> GradedCompl
 
     ``G, q`` is the bracket's ``scalar_group``.
     """
-    return _build_cube_complex(f.diagram, _BhPolicy(beta, dict(f.arc_colors), G, q))
-
-
-def bh_invariant(beta: Bracket, f: Coloring, x0: int = 1) -> HomologyTable:
-    """Cohomology of the bracket complex for one coloring."""
-    return cohomology(build_complex(beta, f, *scalar_group(beta, x0)))
-
-
-def bh_multiset(beta: Bracket, D: OrientedDiagram, G: UnitSubgroup, q) -> List[tuple]:
-    """Multiset of homology tables over all colorings, as sorted pairs.
-
-    ``G, q`` is the bracket's ``scalar_group``.
-    """
-    tables = (cohomology(build_complex(beta, f, G, q)) for f in enumerate_colorings(beta.biquandle, D))
-    return multiset(tables, lambda table: table.entries)
+    D = f.diagram
+    return _build_cube_complex(D, state_cube(D), _BhPolicy(beta, dict(f.arc_colors), G, q))
 
 
 def khovanov_classical(D: OrientedDiagram) -> HomologyTable:
@@ -217,6 +206,24 @@ def fold_khovanov(classical: HomologyTable, G: UnitSubgroup, q, z: Coset) -> Hom
     )
 
 
+def bh_invariant(beta: Bracket, f: Coloring, x0: int = 1) -> HomologyTable:
+    """Bh(f): Khovanov homology of the diagram folded by ``fold_khovanov``."""
+    G, q = scalar_group(beta, x0)
+    return fold_khovanov(khovanov_classical(f.diagram), G, q, z_invariant(beta, f, G, x0))
+
+
+def bh_multiset(beta: Bracket, D: OrientedDiagram, G: UnitSubgroup, q, x0: int) -> List[tuple]:
+    """Multiset of Bh tables over all colorings, as sorted pairs.
+
+    ``G, q`` is ``scalar_group(beta, x0)``.  One Khovanov table of ``D`` is
+    folded by each coloring's Z_beta coset.
+    """
+    classical = khovanov_classical(D)
+    zs = (z_invariant(beta, f, G, x0) for f in enumerate_colorings(beta.biquandle, D))
+    tables = (fold_khovanov(classical, G, q, z) for z in zs)
+    return multiset(tables, lambda table: table.entries)
+
+
 def theorem_report(bh: HomologyTable, classical: HomologyTable, G: UnitSubgroup, q, z: Coset) -> Report:
     """Bh(f) against classical Khovanov homology folded by ``fold_khovanov``."""
     predicted = fold_khovanov(classical, G, q, z)
@@ -241,14 +248,52 @@ def euler_report(bh: HomologyTable, G: UnitSubgroup, value) -> Report:
     return Report("", lhs == rhs, [], details)
 
 
-def check_theorem(beta: Bracket, f: Coloring, x0: int = 1) -> Report:
-    """Verify Bh(f) equals classical Khovanov folded into R^x and shifted."""
+class ColoringCheck(NamedTuple):
+    """One coloring's values, its Bh table from the direct cube, and the checks on them."""
+
+    value: object  # the bracket value beta(f)
+    z: Coset
+    bh: HomologyTable
+    theorem: Report
+    euler: Report
+    euler_complex: bool  # chi(C) = chi(H(C)) on the built complex
+
+
+def check_colorings(
+    beta: Bracket, D: OrientedDiagram, colorings: List[Coloring], G: UnitSubgroup, q, x0: int, classical: HomologyTable
+) -> List[ColoringCheck]:
+    """Each coloring's direct Bh cube against its bracket value and the folded Khovanov table.
+
+    ``G, q`` is ``scalar_group(beta, x0)`` and ``classical`` is
+    ``khovanov_classical(D)``.  The state cube of ``D`` is built once and
+    the bracket values come from one scan; each complex lives only for its
+    own coloring's checks.
+    """
+    cube = state_cube(D)
+    checks = []
+    for f, value in zip(colorings, bracket_values(beta, D, colorings)):
+        z = z_invariant(beta, f, G, x0)
+        c = _build_cube_complex(D, cube, _BhPolicy(beta, dict(f.arc_colors), G, q))
+        bh = cohomology(c)
+        checks.append(ColoringCheck(
+            value, z, bh,
+            theorem_report(bh, classical, G, q, z),
+            euler_report(bh, G, value),
+            c.euler_characteristic() == bh.euler_characteristic(),
+        ))
+    return checks
+
+
+def _check_one(beta: Bracket, f: Coloring, x0: int) -> ColoringCheck:
     G, q = scalar_group(beta, x0)
-    z = z_invariant(beta, f, G, x0)
-    return theorem_report(bh_invariant(beta, f, x0), khovanov_classical(f.diagram), G, q, z)
+    return check_colorings(beta, f.diagram, [f], G, q, x0, khovanov_classical(f.diagram))[0]
+
+
+def check_theorem(beta: Bracket, f: Coloring, x0: int = 1) -> Report:
+    """Verify Bh(f) from the direct cube equals classical Khovanov folded into R^x and shifted."""
+    return _check_one(beta, f, x0).theorem
 
 
 def check_euler_identity(beta: Bracket, f: Coloring, x0: int = 1) -> Report:
-    """Verify chi(Bh(f)) evaluates in R to (sum of G) * beta(f)."""
-    G, _ = scalar_group(beta, x0)
-    return euler_report(bh_invariant(beta, f, x0), G, bracket_value(beta, f))
+    """Verify chi(Bh(f)) from the direct cube evaluates in R to (sum of G) * beta(f)."""
+    return _check_one(beta, f, x0).euler

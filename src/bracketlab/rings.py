@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .diagram import _is_int
 

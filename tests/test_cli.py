@@ -13,6 +13,28 @@ def runner():
     return CliRunner()
 
 
+def _malformed(tmp_path, name, base, keys, value):
+    """A copy of corpus file ``base`` with the field at path ``keys`` set to ``value``."""
+    data = json.loads(open(corpus_file(f"{base}.json")).read())
+    if keys:
+        *parents, last = keys
+        field = data
+        for key in parents:
+            field = field[key]
+        field[last] = value
+    else:
+        data = value
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _assert_input_error(result, kind):
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"bad {kind}" in result.output and "Traceback" not in result.output
+
+
 KINK = {"sign": 1, "under_in": 1, "over_in": 2, "under_out": 2, "over_out": 1}
 
 MALFORMED_DIAGRAMS = {
@@ -42,10 +64,7 @@ MALFORMED_DIAGRAMS = {
 def test_malformed_diagram_exits_2(runner, tmp_path, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(MALFORMED_DIAGRAMS[name]))
-    result = runner.invoke(main, ["khovanov", str(path)])
-    assert result.exit_code == 2, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert "bad diagram" in result.output and "Traceback" not in result.output
+    _assert_input_error(runner.invoke(main, ["khovanov", str(path)]), "diagram")
 
 
 # (corpus bracket, path to one field, malformed value)
@@ -78,18 +97,67 @@ MALFORMED_BRACKETS = {
 
 @pytest.mark.parametrize("name", MALFORMED_BRACKETS)
 def test_malformed_bracket_exits_2(runner, tmp_path, name):
-    base, (*keys, last), value = MALFORMED_BRACKETS[name]
-    data = json.loads(open(corpus_file(f"{base}.json")).read())
-    field = data
-    for key in keys:
-        field = field[key]
-    field[last] = value
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(data))
-    result = runner.invoke(main, ["bracket-invariant", str(path), corpus_file("trefoil.json")])
-    assert result.exit_code == 2, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert "bad bracket" in result.output and "Traceback" not in result.output
+    path = _malformed(tmp_path, name, *MALFORMED_BRACKETS[name])
+    _assert_input_error(runner.invoke(main, ["bracket-invariant", path, corpus_file("trefoil.json")]), "bracket")
+
+
+# (path to one field of biquandle_flip, malformed value); () replaces the whole file.
+MALFORMED_BIQUANDLES = {
+    "entry_zero": (("under", 0, 0), 0),
+    "entry_too_big": (("under", 0, 0), 3),
+    "entry_bool": (("over", 1, 0), True),
+    "entry_float": (("over", 0, 1), 2.0),
+    "entry_string": (("under", 1, 1), "1"),
+    "entry_null": (("under", 1, 1), None),
+    "entry_list": (("under", 0, 0), [1]),
+    "row_short": (("under", 1), [1]),
+    "rows_missing": (("under",), [[2, 2]]),
+    "under_empty": (("under",), []),
+    "over_not_list": (("over",), 2),
+    "top_level_list": ((), [1]),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_BIQUANDLES)
+def test_malformed_biquandle_exits_2(runner, tmp_path, name):
+    path = _malformed(tmp_path, name, "biquandle_flip", *MALFORMED_BIQUANDLES[name])
+    _assert_input_error(runner.invoke(main, ["verify-biquandle", path]), "biquandle")
+    _assert_input_error(runner.invoke(main, ["colorings", path, corpus_file("trefoil.json")]), "biquandle")
+
+
+# (path to one field of cocycle_ab, malformed value)
+MALFORMED_COCYCLES = {
+    "word_int": (("phi", 0, 1), 1),
+    "word_null": (("phi", 0, 1), None),
+    "word_list": (("phi", 0, 1), ["a"]),
+    "word_unknown_symbol": (("phi", 0, 1), "c"),
+    "word_bad_exponent": (("phi", 0, 1), "a^x"),
+    "phi_not_square": (("phi", 1), ["1"]),
+    "phi_not_list": (("phi",), 3),
+    "symbols_not_list": (("target", "symbols"), 5),
+    "target_kind_unknown": (("target", "kind"), "free_group"),
+    "target_null": (("target",), None),
+    "biquandle_entry_bool": (("biquandle", "under", 0, 0), True),
+    "quotient_modulus_float": (("target",), {"kind": "unit_quotient", "ring": {"kind": "zmod", "n": 9.5}, "G": [1]}),
+    "quotient_generator_bool": (("target",), {"kind": "unit_quotient", "ring": {"kind": "zmod", "n": 9}, "G": [True]}),
+    "quotient_generator_not_unit": (("target",), {"kind": "unit_quotient", "ring": {"kind": "zmod", "n": 9}, "G": [3]}),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_COCYCLES)
+def test_malformed_cocycle_exits_2(runner, tmp_path, name):
+    path = _malformed(tmp_path, name, "cocycle_ab", *MALFORMED_COCYCLES[name])
+    _assert_input_error(runner.invoke(main, ["verify-cocycle", path]), "cocycle")
+
+
+def test_check_all_reports_a_malformed_cocycle_as_a_failed_row(runner, tmp_path):
+    _malformed(tmp_path, "word_int", "cocycle_ab", *MALFORMED_COCYCLES["word_int"])
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"cocycles": [{"name": "word_int", "file": "word_int.json"}]}))
+    result = runner.invoke(main, ["check-all", "--manifest", str(manifest)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output
+    assert [row["check"] for row in json.loads(result.output)["failed"]] == ["verify-cocycle:word_int"]
 
 
 def test_kink_fixture_is_well_formed(runner, tmp_path):
@@ -247,9 +315,13 @@ class TestCheckCommands:
     def test_check_theorem_computes_shared_values_once(self, runner, monkeypatch):
         import bracketlab
 
-        calls = {"khovanov_classical": 0, "scalar_group": 0}
+        # bh folds one Khovanov table and builds no cube; check-theorem
+        # builds one state cube and one cube complex per coloring.
+        from bracketlab import homology
+
+        calls = {"khovanov_classical": 0, "scalar_group": 0, "state_cube": 0, "_build_cube_complex": 0}
         for name in calls:
-            original = getattr(bracketlab, name)
+            original = getattr(homology, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
@@ -259,14 +331,23 @@ class TestCheckCommands:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         files = [corpus_file("bracket_z9.json"), corpus_file("trefoil_r2.json")]
-        for command, khovanov in (("check-theorem", 1), ("bh", 0), ("z-invariant", 0)):
-            calls.update(khovanov_classical=0, scalar_group=0)
+        for command, khovanov, cubes, complexes in (
+            ("check-theorem", 1, 1, 2),
+            ("bh", 1, 0, 0),
+            ("z-invariant", 0, 0, 0),
+        ):
+            calls.update(dict.fromkeys(calls, 0))
             result = runner.invoke(main, [command, *files])
             assert result.exit_code == 0, command
             out = json.loads(result.output)
             colorings = out["checked"] if command == "check-theorem" else sum(e["multiplicity"] for e in out["multiset"])
             assert colorings == 2, command
-            assert calls == {"khovanov_classical": khovanov, "scalar_group": 1}, command
+            assert calls == {
+                "khovanov_classical": khovanov,
+                "scalar_group": 1,
+                "state_cube": cubes,
+                "_build_cube_complex": complexes,
+            }, command
 
     def test_check_euler(self, runner):
         result = runner.invoke(

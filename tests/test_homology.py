@@ -4,7 +4,7 @@ import pytest
 
 from bracketlab.biquandle import enumerate_colorings
 from bracketlab.cocycle import scalar_group, z_invariant
-from bracketlab.diagram import OrientedDiagram, parse_diagram
+from bracketlab.diagram import OrientedDiagram, parse_diagram, state_cube
 from bracketlab.graded import HomologyTable, InfiniteCyclicGrading, cohomology, evaluate_formal_sum
 from bracketlab.homology import (
     _build_cube_complex,
@@ -53,7 +53,7 @@ def cube_khovanov(D: OrientedDiagram) -> HomologyTable:
 
     Independent cross-check of the tangle scan in ``khovanov_classical``.
     """
-    return cohomology(_build_cube_complex(D, CubeKhovanovPolicy()))
+    return cohomology(_build_cube_complex(D, state_cube(D), CubeKhovanovPolicy()))
 
 
 def torus_khovanov(n: int) -> dict:
@@ -162,7 +162,7 @@ class TestBracketCohomology:
         ring = beta.ring
         G, q = scalar_group(beta)
         f = enumerate_colorings(beta.biquandle, diagrams["unknot"])[0]
-        table = bh_invariant(beta, f)
+        table = cohomology(build_complex(beta, f, G, q))
         expected = {}
         for e in (1, -1):
             for g in G.sorted_elements():
@@ -176,7 +176,26 @@ class TestBracketCohomology:
         for name, beta in brackets.items():
             G, q = scalar_group(beta)
             for a, b in EQUIVALENT_PAIRS:
-                assert bh_multiset(beta, diagrams[a], G, q) == bh_multiset(beta, diagrams[b], G, q), (name, a, b)
+                assert bh_multiset(beta, diagrams[a], G, q, 1) == bh_multiset(beta, diagrams[b], G, q, 1), (name, a, b)
+
+    def test_fold_equals_cube_on_seeded_closures(self, brackets):
+        # bh_invariant folds Khovanov homology; the direct cube is built
+        # apart from it, for every coloring and every choice of x0.
+        rng = random.Random(8)
+        shifted = 0
+        for k in range(10):
+            strands, crossings = 2 + k % 2, 1 + k % 6
+            word = random_braid_word(rng, strands, crossings)
+            D = parse_diagram(braid_closure(word, strands))
+            for name in ("bracket_z9", "bracket_gf8"):
+                beta = brackets[name]
+                for x0 in beta.biquandle.elements():
+                    G, q = scalar_group(beta, x0)
+                    for f in enumerate_colorings(beta.biquandle, D):
+                        shifted += z_invariant(beta, f, G, x0) != Coset(G, beta.ring.one)
+                        cube = cohomology(build_complex(beta, f, G, q))
+                        assert bh_invariant(beta, f, x0) == cube, (word, strands, name, x0)
+        assert shifted  # some Z_beta(f) is not G, so the sweep sees the shift
 
     def test_complex_is_valid(self, brackets, diagrams):
         # d compose d = 0 and degree preservation on every built complex.
@@ -226,8 +245,9 @@ class TestTheoremChecks:
         from bracketlab.bracket import bracket_value
 
         beta = brackets["bracket_gf8"]
+        G, q = scalar_group(beta)
         for f in enumerate_colorings(beta.biquandle, diagrams["trefoil"]):
-            table = bh_invariant(beta, f)
+            table = cohomology(build_complex(beta, f, G, q))
             chi = evaluate_formal_sum(table.euler_characteristic(), beta.ring)
             assert chi == bracket_value(beta, f)
             assert check_euler_identity(beta, f).ok
@@ -237,6 +257,42 @@ class TestTheoremChecks:
         for dname in ("trefoil", "hopf"):
             for f in enumerate_colorings(beta.biquandle, diagrams[dname]):
                 assert check_euler_identity(beta, f).ok
+
+    def test_library_checks_compute_shared_values_once(self, brackets, diagrams, monkeypatch):
+        # One scalar group and one state cube per call of check_theorem or
+        # check_euler_identity.
+        from bracketlab import homology
+
+        calls = {"scalar_group": 0, "state_cube": 0}
+        for name in calls:
+            original = getattr(homology, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(homology, name, counted)
+        beta = brackets["bracket_z9"]
+        f = enumerate_colorings(beta.biquandle, diagrams["trefoil_r2"])[0]
+        for check in (check_theorem, check_euler_identity):
+            calls.update(scalar_group=0, state_cube=0)
+            assert check(beta, f).ok
+            assert calls == {"scalar_group": 1, "state_cube": 1}, check.__name__
+
+    def test_checks_read_the_direct_cube(self, brackets, diagrams, monkeypatch):
+        # Moving every degree of the direct cube by a unit outside G must
+        # fail both checks; checks that took Bh from the fold would pass.
+        from bracketlab import homology
+
+        beta = brackets["bracket_gf8"]
+        ring = beta.ring
+        G, _ = scalar_group(beta)
+        off = next(u for u in ring.units() if u not in G.elements)
+        original = homology._BhPolicy.global_shift
+        monkeypatch.setattr(homology._BhPolicy, "global_shift", lambda self, D: ring.mul(original(self, D), off))
+        for f in enumerate_colorings(beta.biquandle, diagrams["trefoil"]):
+            assert not check_theorem(beta, f).ok
+            assert not check_euler_identity(beta, f).ok
 
     def test_z_shift_consistency(self, brackets, diagrams):
         # The predicted table is shifted by Z_beta(f); a wrong shift must be
@@ -248,7 +304,7 @@ class TestTheoremChecks:
         f = enumerate_colorings(beta.biquandle, diagrams["trefoil"])[0]
         z = z_invariant(beta, f, G, 1)
         assert z.canonical in ring.units()
-        bh = bh_invariant(beta, f)
+        bh = cohomology(build_complex(beta, f, G, q))
         classical = khovanov_classical(f.diagram)
         assert fold_khovanov(classical, G, q, z) == bh
         wrong = [c for c in (Coset(G, u) for u in ring.units()) if c != z]
