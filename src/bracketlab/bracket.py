@@ -21,7 +21,7 @@ import itertools
 from typing import List, Tuple
 
 from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset
-from .diagram import CrossingRecord, OrientedDiagram, transfer_scan
+from .diagram import CrossingRecord, OrientedDiagram, _smooth, frontier_order
 from .rings import Ring, ring_make
 
 
@@ -200,29 +200,34 @@ def verify_bracket(X: Biquandle, R: Ring, A, B, literal: bool = False) -> Report
 def bracket_values(beta: Bracket, D: OrientedDiagram, colorings: List[Coloring]) -> list:
     """The skein state sum w^{n_- - n_+} * sum_s delta^{circles(s)} prod coeff.
 
-    One value per coloring of ``D``, folded over ``transfer_scan(D)``: each
-    partial matching carries one partial sum per coloring, multiplied at
-    each crossing by that crossing's coefficient and by delta once per
-    closed loop.
+    One value per coloring of ``D``, by a crossing-by-crossing scan.
+    Crossings are taken in ``frontier_order``; the smoothed crossings taken
+    so far join the open edges in pairs (a matching, see ``_smooth``) and
+    close some loops.  States that leave the same matching close the same
+    loops from then on, so each matching carries one partial sum per
+    coloring, multiplied at each crossing by that crossing's coefficient and
+    by delta once per closed loop.  Free circles are counted at the end.
     """
     ring = beta.ring
     colors = [dict(f.arc_colors) for f in colorings]
     # Each of a crossing's two arcs closes at most one loop.
     delta_powers = [ring.one, beta.delta, ring.mul(beta.delta, beta.delta)]
-    sums = [[ring.one] * len(colors)]
-    for step in transfer_scan(D):
-        crossing = D.crossings[step.crossing]
+    sums = {(): [ring.one] * len(colors)}
+    for index in frontier_order(D):
+        crossing = D.crossings[index]
         coefficients = [[beta.coefficient(crossing, bit, c) for c in colors] for bit in (0, 1)]
         # factors[bit][loops][k]: coloring k's coefficient times delta^loops.
         factors = [[[ring.mul(a, d) for a in row] for d in delta_powers] for row in coefficients]
-        after = [[ring.zero] * len(colors) for _ in range(step.width)]
-        for source, bit, target, loops in step.moves:
-            row = after[target]
-            for k, (s, f) in enumerate(zip(sums[source], factors[bit][loops])):
-                row[k] = ring.add(row[k], ring.mul(s, f))
+        after = {}
+        for matching, partial in sums.items():
+            for bit in (0, 1):
+                smoothed, loops = _smooth(matching, crossing, bit)
+                row = after.setdefault(smoothed, [ring.zero] * len(colors))
+                for k, (s, f) in enumerate(zip(partial, factors[bit][len(loops)])):
+                    row[k] = ring.add(row[k], ring.mul(s, f))
         sums = after
     norm = ring.mul(ring.power(beta.w, D.n_minus - D.n_plus), ring.power(beta.delta, D.free_circles))
-    return [ring.mul(norm, total) for total in sums[0]]
+    return [ring.mul(norm, total) for total in sums[()]]
 
 
 def bracket_value(beta: Bracket, f: Coloring):

@@ -9,6 +9,7 @@ malformed input.
 from __future__ import annotations
 
 import json
+import pathlib
 
 import click
 
@@ -28,7 +29,7 @@ from .cocycle import (
     verify_cocycle,
     z_invariant,
 )
-from .corpus import check_all, default_manifest, load_manifest, report_to_json
+from .corpus import check_all, load_manifest, report_to_json
 from .diagram import parse_diagram
 from .homology import bh_multiset, check_colorings, khovanov_classical
 
@@ -337,12 +338,8 @@ def check_euler_cmd(bracket_file, diagram_file, x0, pretty):
 def check_all_cmd(manifest_path, pretty):
     """Run every structural check over the bundled (or given) corpus."""
     try:
-        if manifest_path is None:
-            manifest = default_manifest()
-            base = None
-        else:
-            manifest = load_manifest(manifest_path)
-            base = str(__import__("pathlib").Path(manifest_path).parent)
+        manifest = load_manifest(manifest_path)
+        base = None if manifest_path is None else str(pathlib.Path(manifest_path).parent)
         results = check_all(manifest, base)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise click.exceptions.Exit(_input_error(f"corpus error: {exc}"))

@@ -33,6 +33,15 @@ class ManifestEntry:
     equivalent_to: Optional[str] = None  # diagrams
 
 
+# The keys each manifest section's entries may have.
+_KEYS = {
+    "diagrams": {"name", "file", "equivalent_to"},
+    "biquandles": {"name", "file", "expected_verification"},
+    "brackets": {"name", "file", "expected_verification"},
+    "cocycles": {"name", "file", "expected_verification"},
+}
+
+
 @dataclass
 class CorpusManifest:
     diagrams: List[ManifestEntry] = field(default_factory=list)
@@ -41,24 +50,37 @@ class CorpusManifest:
     cocycles: List[ManifestEntry] = field(default_factory=list)
 
     @classmethod
-    def from_json(cls, data: dict) -> "CorpusManifest":
-        def entries(key):
-            return [
-                ManifestEntry(
-                    name=e["name"],
-                    file=e["file"],
-                    expected_verification=e.get("expected_verification", "pass"),
-                    equivalent_to=e.get("equivalent_to"),
-                )
-                for e in data.get(key, [])
-            ]
+    def from_json(cls, data) -> "CorpusManifest":
+        """The manifest in ``data``; ``ValueError`` unless every section, key and value is known.
 
-        return cls(
-            diagrams=entries("diagrams"),
-            biquandles=entries("biquandles"),
-            brackets=entries("brackets"),
-            cocycles=entries("cocycles"),
-        )
+        Names are unique within a section, ``expected_verification`` is
+        "pass" or "fail", and ``equivalent_to`` names a diagram.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("a manifest must be a JSON object")
+        unknown = sorted(set(data) - set(_KEYS))
+        if unknown:
+            raise ValueError(f"unknown manifest sections {unknown}")
+        sections = {}
+        for section, keys in _KEYS.items():
+            entries = data.get(section, [])
+            if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+                raise ValueError(f"{section} must be a list of objects")
+            names = set()
+            for e in entries:
+                if not {"name", "file"} <= set(e) <= keys:
+                    raise ValueError(f"{section} entry {e} must have name and file, and only keys {sorted(keys)}")
+                if e.get("expected_verification", "pass") not in ("pass", "fail"):
+                    raise ValueError(f"{section} entry {e['name']!r}: expected_verification must be pass or fail")
+                if e["name"] in names:
+                    raise ValueError(f"{section}: two entries named {e['name']!r}")
+                names.add(e["name"])
+            sections[section] = [ManifestEntry(**e) for e in entries]
+        diagrams = {e.name for e in sections["diagrams"]}
+        for e in sections["diagrams"]:
+            if e.equivalent_to is not None and e.equivalent_to not in diagrams:
+                raise ValueError(f"diagram {e.name!r} is equivalent_to {e.equivalent_to!r}, which is not listed")
+        return cls(**sections)
 
 
 def corpus_path(filename: str):
@@ -118,15 +140,9 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
             brackets[entry.name] = Bracket(X, ring, A, B, check=False)
 
     for entry in manifest.cocycles:
-        data = _read(entry, base)
+        cocycle = cocycle_from_json(_read(entry, base), check=False)
         expected = entry.expected_verification == "pass"
-        try:
-            cocycle = cocycle_from_json(data, check=False)
-            report = verify_cocycle(cocycle)
-            ok = report.ok
-        except ValueError:
-            ok = False
-        row(f"verify-cocycle:{entry.name}", ok == expected, "")
+        row(f"verify-cocycle:{entry.name}", verify_cocycle(cocycle).ok == expected, "")
 
     pairs = [
         (e.name, e.equivalent_to) for e in manifest.diagrams if e.equivalent_to is not None

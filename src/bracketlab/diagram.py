@@ -223,22 +223,6 @@ def frontier_order(D: OrientedDiagram) -> List[int]:
     return pd_order if _width(D, pd_order) < _width(D, order) else order
 
 
-@dataclass(frozen=True)
-class TransferStep:
-    """One crossing of a transfer scan.
-
-    Matchings before and after the step are numbered from 0.  ``moves``
-    holds one (source, bit, target, loops) tuple per matching before the
-    step and per bit: smoothing ``crossing`` by ``bit`` takes matching
-    ``source`` to matching ``target`` and closes ``loops`` loops.
-    ``width`` is the number of matchings after the step.
-    """
-
-    crossing: int
-    width: int
-    moves: Tuple[Tuple[int, int, int, int], ...]
-
-
 def _smooth(matching: Tuple[Tuple[int, int], ...], crossing: CrossingRecord, bit: int):
     """The matching after smoothing one more crossing, and the loops it closes.
 
@@ -264,32 +248,6 @@ def _smooth(matching: Tuple[Tuple[int, int], ...], crossing: CrossingRecord, bit
             pa, pb = partner.pop(a), partner.pop(b)
             partner[pa], partner[pb] = pb, pa
     return tuple(sorted((abs(a), abs(b)) for a, b in partner.items() if abs(a) < abs(b))), loops
-
-
-def transfer_scan(D: OrientedDiagram) -> List[TransferStep]:
-    """The smoothing states of ``D`` as a crossing-by-crossing scan.
-
-    Crossings are taken in ``frontier_order``.  An edge is open when exactly
-    one of its ends is at a taken crossing; the smoothed taken crossings join
-    the open edges in pairs (a matching) and close some loops.  States that
-    leave the same matching close the same number of loops from then on, so
-    a state sum keeps one partial sum per matching instead of one term per
-    state.  The scan starts and ends with the empty matching; free circles
-    are not counted.
-    """
-    steps = []
-    matchings: Dict[tuple, int] = {(): 0}
-    for index in frontier_order(D):
-        crossing = D.crossings[index]
-        after: Dict[tuple, int] = {}
-        moves = []
-        for matching, source in matchings.items():
-            for bit in (0, 1):
-                smoothed, loops = _smooth(matching, crossing, bit)
-                moves.append((source, bit, after.setdefault(smoothed, len(after)), len(loops)))
-        steps.append(TransferStep(index, len(after), tuple(moves)))
-        matchings = after
-    return steps
 
 
 @dataclass(frozen=True)

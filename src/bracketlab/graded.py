@@ -123,10 +123,7 @@ def merge_invariant_factors(lists: List[List[int]]) -> List[int]:
 
 
 class GradingGroup:
-    """Degrees with multiplication; either ring units or integer exponents."""
-
-    def mul(self, a, b):
-        raise NotImplementedError
+    """Degrees: either ring units or integer exponents."""
 
     def sort_key(self, a):
         raise NotImplementedError
@@ -138,10 +135,6 @@ class GradingGroup:
 class FiniteUnitsGrading(GradingGroup):
     def __init__(self, ring: Ring):
         self.ring = ring
-        self.identity = ring.one
-
-    def mul(self, a, b):
-        return self.ring.mul(a, b)
 
     def sort_key(self, a):
         return self.ring.sort_key(a)
@@ -152,11 +145,6 @@ class FiniteUnitsGrading(GradingGroup):
 
 class InfiniteCyclicGrading(GradingGroup):
     """Written multiplicatively as powers of q; elements are integer exponents."""
-
-    identity = 0
-
-    def mul(self, a: int, b: int) -> int:
-        return a + b
 
     def sort_key(self, a: int):
         return a

@@ -52,60 +52,22 @@ def _frobenius(letters: Tuple[int, ...]) -> List[Tuple[int, ...]]:
     return [(0, 1), (1, 0)] if letters[0] == 0 else [(1, 1)]
 
 
-class _BhPolicy:
-    """Grading data for the bracket-cohomology cube over a finite ring."""
+def _build_cube_complex(
+    beta: Bracket, colors: dict, G: UnitSubgroup, q, D: OrientedDiagram, cube: StateCube
+) -> GradedComplex:
+    """The expanded integer complex C_beta on ``cube = state_cube(D)`` for one coloring.
 
-    def __init__(self, beta: Bracket, colors: dict, G: UnitSubgroup, q):
-        self.ring = beta.ring
-        self.beta = beta
-        self.colors = colors
-        self.grading = FiniteUnitsGrading(beta.ring)
-        self.q = q
-        self.scalars = G.sorted_elements()
-        self.q_inv = beta.ring.try_invert(q)
-
-    def state_shift(self, D: OrientedDiagram, bits):
-        ring = self.ring
-        shift = ring.one
-        for crossing, bit in zip(D.crossings, bits):
-            shift = ring.mul(shift, self.beta.coefficient(crossing, bit, self.colors))
-        if sum(bits) % 2:
-            shift = ring.neg(shift)
-        return shift
-
-    def global_shift(self, D: OrientedDiagram):
-        ring = self.ring
-        shift = ring.power(self.beta.w, D.n_minus - D.n_plus)
-        if D.n_minus % 2:
-            shift = ring.neg(shift)
-        return shift
-
-    def letter_degree(self, letter: int):
-        return self.q if letter == 0 else self.q_inv
-
-    def edge_scalar(self, crossing):
-        """q * q_{x,y}^{-1}, an element of G."""
-        x, y = crossing_color_pair(crossing, self.colors)
-        return self.ring.mul(self.q, self.ring.try_invert(self.beta.q(x, y)))
-
-    def scalar_mul(self, g, c):
-        return self.ring.mul(g, c)
-
-    def degree(self, shift, g, word):
-        d = self.ring.mul(shift, g)
-        for letter in word:
-            d = self.ring.mul(d, self.letter_degree(letter))
-        return d
-
-
-def _build_cube_complex(D: OrientedDiagram, cube: StateCube, policy) -> GradedComplex:
-    """Assemble the expanded integer complex on ``cube = state_cube(D)`` for a grading policy.
-
-    ``_BhPolicy`` gives the bracket-cohomology cube; the tests pass a
-    classical one, which makes this cube the oracle for the tangle scan.
+    ``colors`` maps arcs to biquandle elements and ``G, q`` is the bracket's
+    ``scalar_group``.  A basis element (state, g, word) has degree global
+    shift * signed state coefficient * g * q^(#1 - #t); an edge at crossing
+    (x, y) takes g to g * q * q_{x,y}^{-1}.
     """
-    global_shift = policy.global_shift(D)
-    grading = policy.grading
+    ring = beta.ring
+    scalars = G.sorted_elements()
+    global_shift = ring.power(beta.w, D.n_minus - D.n_plus)
+    if D.n_minus % 2:
+        global_shift = ring.neg(global_shift)
+    q_power = {}  # #1 - #t -> q^(#1 - #t)
 
     # Expanded basis per column: (state bits, scalar, word), ordered by state,
     # then scalar, then word, for deterministic output.
@@ -114,15 +76,21 @@ def _build_cube_complex(D: OrientedDiagram, cube: StateCube, policy) -> GradedCo
     degrees: Dict[int, list] = {}
     for bits, state in cube.states.items():
         col = sum(bits) - D.n_minus
-        shift = policy.state_shift(D, bits)
-        for g in policy.scalars:
+        shift = global_shift
+        for crossing, bit in zip(D.crossings, bits):
+            shift = ring.mul(shift, beta.coefficient(crossing, bit, colors))
+        if sum(bits) % 2:
+            shift = ring.neg(shift)
+        for g in scalars:
+            base = ring.mul(shift, g)
             for word in itertools.product((0, 1), repeat=state.num_circles):
                 key = (bits, g, word)
                 basis.setdefault(col, []).append(key)
                 index[key] = len(basis[col]) - 1
-                degrees.setdefault(col, []).append(
-                    grading.mul(global_shift, policy.degree(shift, g, word))
-                )
+                e = len(word) - 2 * sum(word)
+                if e not in q_power:
+                    q_power[e] = ring.power(q, e)
+                degrees.setdefault(col, []).append(ring.mul(base, q_power[e]))
 
     differentials: Dict[int, List[Dict[int, int]]] = {
         col: [{} for _ in basis[col + 1]] for col in basis if col + 1 in basis
@@ -134,10 +102,11 @@ def _build_cube_complex(D: OrientedDiagram, cube: StateCube, policy) -> GradedCo
         matrix = differentials.get(sum(from_bits) - D.n_minus)
         if matrix is None:
             continue
-        scalar_step = policy.edge_scalar(D.crossings[edge.changed_crossing])
+        x, y = crossing_color_pair(D.crossings[edge.changed_crossing], colors)
+        step = ring.mul(q, ring.try_invert(beta.q(x, y)))
         out = [0] * edge.to_state.num_circles
-        for g in policy.scalars:
-            g2 = policy.scalar_mul(g, scalar_step)
+        for g in scalars:
+            g2 = ring.mul(g, step)
             for word in itertools.product((0, 1), repeat=edge.from_state.num_circles):
                 src = index[(from_bits, g, word)]
                 for i, j in edge.carried:
@@ -148,7 +117,7 @@ def _build_cube_complex(D: OrientedDiagram, cube: StateCube, policy) -> GradedCo
                     row = matrix[index[(to_bits, g2, tuple(out))]]
                     row[src] = row.get(src, 0) + edge.sign
 
-    return GradedComplex(grading=grading, degrees=degrees, differentials=differentials)
+    return GradedComplex(grading=FiniteUnitsGrading(ring), degrees=degrees, differentials=differentials)
 
 
 def build_complex(beta: Bracket, f: Coloring, G: UnitSubgroup, q) -> GradedComplex:
@@ -157,7 +126,7 @@ def build_complex(beta: Bracket, f: Coloring, G: UnitSubgroup, q) -> GradedCompl
     ``G, q`` is the bracket's ``scalar_group``.
     """
     D = f.diagram
-    return _build_cube_complex(D, state_cube(D), _BhPolicy(beta, dict(f.arc_colors), G, q))
+    return _build_cube_complex(beta, dict(f.arc_colors), G, q, D, state_cube(D))
 
 
 def khovanov_classical(D: OrientedDiagram) -> HomologyTable:
@@ -273,7 +242,7 @@ def check_colorings(
     checks = []
     for f, value in zip(colorings, bracket_values(beta, D, colorings)):
         z = z_invariant(beta, f, G, x0)
-        c = _build_cube_complex(D, cube, _BhPolicy(beta, dict(f.arc_colors), G, q))
+        c = _build_cube_complex(beta, dict(f.arc_colors), G, q, D, cube)
         bh = cohomology(c)
         checks.append(ColoringCheck(
             value, z, bh,

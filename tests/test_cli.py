@@ -150,14 +150,61 @@ def test_malformed_cocycle_exits_2(runner, tmp_path, name):
     _assert_input_error(runner.invoke(main, ["verify-cocycle", path]), "cocycle")
 
 
-def test_check_all_reports_a_malformed_cocycle_as_a_failed_row(runner, tmp_path):
+def _assert_corpus_error(result):
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "corpus error" in result.output and "Traceback" not in result.output
+
+
+def test_check_all_rejects_a_malformed_cocycle(runner, tmp_path):
+    # Listed as a negative control, a file that is not a cocycle at all must
+    # not pass as one that fails verification.
     _malformed(tmp_path, "word_int", "cocycle_ab", *MALFORMED_COCYCLES["word_int"])
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"cocycles": [{"name": "word_int", "file": "word_int.json"}]}))
-    result = runner.invoke(main, ["check-all", "--manifest", str(manifest)])
-    assert result.exit_code == 1, result.output
-    assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output
-    assert [row["check"] for row in json.loads(result.output)["failed"]] == ["verify-cocycle:word_int"]
+    entry = {"name": "word_int", "file": "word_int.json", "expected_verification": "fail"}
+    manifest.write_text(json.dumps({"cocycles": [entry]}))
+    _assert_corpus_error(runner.invoke(main, ["check-all", "--manifest", str(manifest)]))
+
+
+FLIP = {"name": "flip", "file": "biquandle_flip.json"}
+BROKEN = {"name": "broken", "file": "biquandle_3el_broken.json", "expected_verification": "fail"}
+UNKNOT = {"name": "unknot", "file": "unknot.json"}
+MANIFEST = {"diagrams": [UNKNOT], "biquandles": [FLIP, BROKEN]}
+
+MALFORMED_MANIFESTS = {
+    "top_level_list": [],
+    "top_level_null": None,
+    "unknown_section": {"diagram": [UNKNOT]},
+    "section_not_list": {"diagrams": UNKNOT},
+    "entry_not_object": {"diagrams": ["unknot.json"]},
+    "entry_without_file": {"diagrams": [{"name": "unknot"}]},
+    "unknown_key": {"diagrams": [{**UNKNOT, "equivalent": "unknot"}]},
+    "verification_on_diagram": {"diagrams": [{**UNKNOT, "expected_verification": "fail"}]},
+    "verification_typo": {"biquandles": [{**BROKEN, "expected_verification": "fial"}]},
+    "duplicate_name": {"biquandles": [FLIP, {**BROKEN, "name": "flip"}]},
+    "equivalent_to_unlisted": {"diagrams": [{**UNKNOT, "equivalent_to": "trefoil"}]},
+}
+
+
+def _manifest(tmp_path, data):
+    """``data`` as a manifest beside copies of the corpus files ``MANIFEST`` lists."""
+    for entry in (FLIP, BROKEN, UNKNOT):
+        (tmp_path / entry["file"]).write_text(open(corpus_file(entry["file"])).read())
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_wellformed_manifest_passes(runner, tmp_path):
+    result = runner.invoke(main, ["check-all", "--manifest", _manifest(tmp_path, MANIFEST)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["total"] == 2
+
+
+@pytest.mark.parametrize("name", MALFORMED_MANIFESTS)
+def test_malformed_manifest_exits_2(runner, tmp_path, name):
+    path = _manifest(tmp_path, MALFORMED_MANIFESTS[name])
+    _assert_corpus_error(runner.invoke(main, ["check-all", "--manifest", path]))
 
 
 def test_kink_fixture_is_well_formed(runner, tmp_path):

@@ -10,12 +10,12 @@ from bracketlab.diagram import (
     CrossingRecord,
     DiagramError,
     OrientedDiagram,
+    _smooth,
     frontier_order,
     parse_diagram,
     resolve_state,
     smoothing_states,
     state_cube,
-    transfer_scan,
 )
 from bracketlab.homology import khovanov_classical
 from conftest import DIAGRAM_NAMES, braid_closure, random_braid_word
@@ -230,24 +230,25 @@ class TestSmoothings:
 
 class TestTransferScan:
     def test_each_state_is_one_path(self, diagrams):
-        # Following the moves from the empty matching, every bit vector is
-        # one path, and the loops closed along it are the state's circles.
+        # Smoothing crossings one at a time in frontier order from the empty
+        # matching, every bit vector ends at the empty matching, and the
+        # loops closed along it are the state's circles.
         rng = random.Random(5)
         cases = [diagrams[name] for name in DIAGRAM_NAMES]
         cases += [parse_diagram(braid_closure(random_braid_word(rng, m, 8), m)) for m in (2, 3, 4, 4)]
         for D in cases:
-            paths = [{(): 0}]  # per matching: bits in scan order -> loops closed
-            order = []
-            for step in transfer_scan(D):
-                order.append(step.crossing)
-                after = [{} for _ in range(step.width)]
-                for source, bit, target, loops in step.moves:
-                    for bits, closed in paths[source].items():
-                        after[target][bits + (bit,)] = closed + loops
-                paths = after
+            order = frontier_order(D)
             assert sorted(order) == list(range(len(D.crossings)))
-            (ends,) = paths
-            by_state = {tuple(bits[order.index(i)] for i in range(len(order))): loops for bits, loops in ends.items()}
+            paths = {(): ((), 0)}  # bits in scan order -> (matching, loops closed)
+            for index in order:
+                paths = {
+                    bits + (bit,): (smoothed, closed + len(loops))
+                    for bits, (matching, closed) in paths.items()
+                    for bit in (0, 1)
+                    for smoothed, loops in [_smooth(matching, D.crossings[index], bit)]
+                }
+            assert {matching for matching, _ in paths.values()} == {()}
+            by_state = {tuple(bits[order.index(i)] for i in range(len(order))): loops for bits, (_, loops) in paths.items()}
             assert by_state == {s.resolution: s.num_circles - D.free_circles for s in smoothing_states(D)}
 
 

@@ -127,15 +127,6 @@ class TestFormalSum:
         assert (s + t).terms == {-1: 1}
         assert (s + (-s)).terms == {}
 
-    def test_scale_degree(self):
-        def scale_degree(s: FormalSum, h) -> FormalSum:
-            """Multiply every degree by the group element h."""
-            return FormalSum(s.grading, {s.grading.mul(h, d): c for d, c in s.terms.items()})
-
-        g = InfiniteCyclicGrading()
-        s = FormalSum(g, {0: 1, 2: 3})
-        assert scale_degree(s, 5).terms == {5: 1, 7: 3}
-
     def test_evaluate_in_ring(self):
         ring = ZModRing(7)
         g = FiniteUnitsGrading(ring)

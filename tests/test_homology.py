@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from bracketlab.biquandle import enumerate_colorings
+from bracketlab.biquandle import Biquandle, enumerate_colorings
+from bracketlab.bracket import Bracket
 from bracketlab.cocycle import scalar_group, z_invariant
-from bracketlab.diagram import OrientedDiagram, parse_diagram, state_cube
+from bracketlab.diagram import OrientedDiagram, parse_diagram
 from bracketlab.graded import HomologyTable, InfiniteCyclicGrading, cohomology, evaluate_formal_sum
 from bracketlab.homology import (
-    _build_cube_complex,
     bh_invariant,
     bh_multiset,
     build_complex,
@@ -18,42 +18,35 @@ from bracketlab.homology import (
     khovanov_classical,
     theorem_report,
 )
-from bracketlab.rings import Coset
+from bracketlab.rings import Coset, ZModRing
 from conftest import DIAGRAM_NAMES, braid_closure, grading_subgroup, random_braid_word
 
 
-class CubeKhovanovPolicy:
-    """Integer-graded data that makes ``_build_cube_complex`` the classical Khovanov cube."""
-
-    def __init__(self):
-        self.grading = InfiniteCyclicGrading()
-        self.scalars = [0]
-
-    def state_shift(self, D: OrientedDiagram, bits):
-        return sum(bits)
-
-    def global_shift(self, D: OrientedDiagram):
-        return D.n_plus - 2 * D.n_minus
-
-    def letter_degree(self, letter: int) -> int:
-        return 1 if letter == 0 else -1
-
-    def edge_scalar(self, crossing) -> int:
-        return 0
-
-    def scalar_mul(self, g: int, c: int) -> int:
-        return g + c
-
-    def degree(self, shift: int, g: int, word) -> int:
-        return shift + g + sum(self.letter_degree(l) for l in word)
+# The Kauffman bracket over Z/257 on the one-element biquandle: A = 3 and
+# B = 86 = 3^{-1}.  Its G is {1} and its q = -A^{-2} = 57 has order 128.
+KAUFFMAN = Bracket(Biquandle([[1]], [[1]]), ZModRing(257), [[3]], [[86]])
 
 
 def cube_khovanov(D: OrientedDiagram) -> HomologyTable:
     """Classical Khovanov homology from the whole 2^n cube of smoothings.
 
-    Independent cross-check of the tangle scan in ``khovanov_classical``.
+    Bh of the Kauffman bracket is Khovanov homology with each q-degree j
+    written as q^j; the degrees are read back as j.  Independent
+    cross-check of the tangle scan in ``khovanov_classical``.
     """
-    return cohomology(_build_cube_complex(D, state_cube(D), CubeKhovanovPolicy()))
+    ring = KAUFFMAN.ring
+    G, q = scalar_group(KAUFFMAN)
+    assert G.elements == {ring.one} and q == 57
+    # j = n_+ - 2 n_- + (1-bits) + (#1 - #t), and a state has at most 2n + free circles.
+    n, circles = len(D.crossings), 2 * len(D.crossings) + D.free_circles
+    js = range(D.n_plus - 2 * D.n_minus - circles, D.n_plus - 2 * D.n_minus + n + circles + 1)
+    exponent = {ring.power(q, j): j for j in js}
+    assert len(exponent) == len(js), "q^j does not tell the diagram's q-degrees apart"
+    (f,) = enumerate_colorings(KAUFFMAN.biquandle, D)
+    table = cohomology(build_complex(KAUFFMAN, f, G, q))
+    return HomologyTable.from_dict(
+        InfiniteCyclicGrading(), {(i, exponent[h]): (rank, tors) for (i, h), rank, tors in table.entries}
+    )
 
 
 def torus_khovanov(n: int) -> dict:
@@ -288,8 +281,14 @@ class TestTheoremChecks:
         ring = beta.ring
         G, _ = scalar_group(beta)
         off = next(u for u in ring.units() if u not in G.elements)
-        original = homology._BhPolicy.global_shift
-        monkeypatch.setattr(homology._BhPolicy, "global_shift", lambda self, D: ring.mul(original(self, D), off))
+        original = homology._build_cube_complex
+
+        def moved(*args):
+            c = original(*args)
+            c.degrees = {i: [ring.mul(d, off) for d in degs] for i, degs in c.degrees.items()}
+            return c
+
+        monkeypatch.setattr(homology, "_build_cube_complex", moved)
         for f in enumerate_colorings(beta.biquandle, diagrams["trefoil"]):
             assert not check_theorem(beta, f).ok
             assert not check_euler_identity(beta, f).ok

@@ -24,3 +24,31 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert not unused, f"imported but never used in {path.name}: {unused}"
+
+
+def _names(node) -> set:
+    """Every name, attribute and imported name referenced under ``node``."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name)
+    return names
+
+
+def test_every_private_helper_is_used():
+    # A top-level _function or _Class that no other statement of the package
+    # names is left over from code that is gone.
+    private, used = {}, set()
+    for path in Path(bracketlab.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            names = _names(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
+                private[stmt.name] = path.name
+                names.discard(stmt.name)
+            used |= names
+    unused = sorted(f"{module}:{name}" for name, module in private.items() if name not in used)
+    assert private and not unused, f"private helpers nothing uses: {unused}"
