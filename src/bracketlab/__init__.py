@@ -25,7 +25,6 @@ from .cocycle import (
     cocycle_from_json,
     cocycle_invariant,
     cocycle_value,
-    scalar_group,
     verify_cocycle,
     z_invariant,
     z_invariant_multiset,

@@ -99,6 +99,8 @@ class Biquandle:
 
 
 def _check_shape(under, over, n):
+    if n == 0:
+        raise ValueError("a biquandle needs at least one element")
     for name, table in (("under", under), ("over", over)):
         if len(table) != n or any(len(row) != n for row in table):
             raise ValueError(f"{name} table is not {n}x{n}")

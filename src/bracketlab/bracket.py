@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset
 from .diagram import CrossingRecord, OrientedDiagram, _smooth, frontier_order
-from .rings import Ring, ring_make
+from .rings import Ring, ring_make, subgroup_generate
 
 
 def crossing_color_pair(crossing: CrossingRecord, colors: dict) -> Tuple[int, int]:
@@ -38,7 +38,13 @@ def _check_shape(n: int, A, B):
 
 
 class Bracket:
-    """A verified biquandle bracket (A, B) with cached delta and w."""
+    """A verified biquandle bracket (A, B) with cached delta, w, q = q_{1,1} and G.
+
+    G = <q_{x,y}^{-1} q> is the scalar group.  Element 1 serves as the
+    basepoint of q, the canonical cocycle and Z_beta; any other element
+    gives the same G, cocycle, Z_beta cosets and Bh tables, because
+    A_{x,x} A_{y,y}^{-1} = q_{x,x} q_{y,y}^{-1} lies in G by axiom (i).
+    """
 
     def __init__(self, biquandle: Biquandle, ring: Ring, A, B, check: bool = True):
         self.biquandle = biquandle
@@ -50,14 +56,20 @@ class Bracket:
             report = verify_bracket(biquandle, ring, A, B)
             if not report.ok:
                 raise ValueError(f"not a bracket: {report.to_json()['failures'][:3]}")
+        for name, table in (("A", self.A), ("B", self.B)):
+            for i, row in enumerate(table):
+                for j, v in enumerate(row):
+                    if ring.try_invert(v) is None:
+                        raise ValueError(f"{name}[{i}][{j}] = {ring.element_str(v)} is not a unit")
         a11, b11 = self.A[0][0], self.B[0][0]
         b11_inv = ring.try_invert(b11)
         a11_inv = ring.try_invert(a11)
-        for name, v, inv in (("A", a11, a11_inv), ("B", b11, b11_inv)):
-            if inv is None:
-                raise ValueError(f"{name}[0][0] = {ring.element_str(v)} is not a unit")
         self.delta = ring.sub(ring.neg(ring.mul(a11, b11_inv)), ring.mul(a11_inv, b11))
         self.w = ring.neg(ring.mul(ring.mul(a11, a11), b11_inv))
+        self.q11 = self.q(1, 1)
+        elements = biquandle.elements()
+        gens = {ring.mul(ring.try_invert(self.q(x, y)), self.q11) for x in elements for y in elements}
+        self.G = subgroup_generate(ring, sorted(gens, key=ring.sort_key))
 
     def a(self, x: int, y: int):
         return self.A[x - 1][y - 1]

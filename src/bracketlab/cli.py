@@ -13,7 +13,7 @@ import pathlib
 
 import click
 
-from .biquandle import Biquandle, enumerate_colorings, multiset, verify_biquandle
+from .biquandle import Biquandle, enumerate_colorings, verify_biquandle
 from .bracket import (
     Bracket,
     bracket_from_json,
@@ -22,13 +22,7 @@ from .bracket import (
     decode_bracket,
     verify_bracket,
 )
-from .cocycle import (
-    canonical_cocycle,
-    cocycle_from_json,
-    scalar_group,
-    verify_cocycle,
-    z_invariant,
-)
+from .cocycle import canonical_cocycle, cocycle_from_json, verify_cocycle, z_invariant_multiset
 from .corpus import check_all, load_manifest, report_to_json
 from .diagram import parse_diagram
 from .homology import bh_multiset, check_colorings, khovanov_classical
@@ -100,20 +94,7 @@ def _parse(path: str, what: str, parse):
         raise click.exceptions.Exit(_input_error(f"bad {what} {path}: {exc}"))
 
 
-def _bracket_at(path: str, x0: int):
-    """The bracket in ``path`` and its ``scalar_group`` ``G, q`` at ``x0``.
-
-    Exits 2 when ``x0`` is not one of the biquandle's elements.
-    """
-    beta = _parse(path, "bracket", bracket_from_json)
-    try:
-        return (beta, *scalar_group(beta, x0))
-    except ValueError as exc:
-        raise click.exceptions.Exit(_input_error(str(exc)))
-
-
 pretty_option = click.option("--pretty", is_flag=True, help="Render aligned tables instead of JSON.")
-x0_option = click.option("--x0", type=int, default=1, show_default=True, help="Distinguished biquandle element.")
 
 
 @click.group()
@@ -224,12 +205,12 @@ def bracket_invariant_cmd(bracket_file, diagram_file, pretty):
 
 @main.command("canonical-cocycle")
 @click.argument("bracket_file", type=click.Path())
-@x0_option
 @pretty_option
-def canonical_cocycle_cmd(bracket_file, x0, pretty):
+def canonical_cocycle_cmd(bracket_file, pretty):
     """The canonical 2-cocycle phi_beta of a bracket, with its group G."""
-    beta, G, _ = _bracket_at(bracket_file, x0)
-    phi = canonical_cocycle(beta, G, x0)
+    beta = _parse(bracket_file, "bracket", bracket_from_json)
+    G = beta.G
+    phi = canonical_cocycle(beta)
     out = {"G": G.to_json(), "order_G": len(G.elements), "cocycle": phi.to_json()}
     rows = [
         (x + 1, y + 1, phi.target.element_str(phi.phi[x][y]))
@@ -246,14 +227,13 @@ def canonical_cocycle_cmd(bracket_file, x0, pretty):
 @main.command("z-invariant")
 @click.argument("bracket_file", type=click.Path())
 @click.argument("diagram_file", type=click.Path())
-@x0_option
 @pretty_option
-def z_invariant_cmd(bracket_file, diagram_file, x0, pretty):
+def z_invariant_cmd(bracket_file, diagram_file, pretty):
     """The multiset of Z_beta cosets over all colorings of a diagram."""
-    beta, G, _ = _bracket_at(bracket_file, x0)
+    beta = _parse(bracket_file, "bracket", bracket_from_json)
+    G = beta.G
     D = _parse(diagram_file, "diagram", parse_diagram)
-    zs = (z_invariant(beta, f, G, x0) for f in enumerate_colorings(beta.biquandle, D))
-    cosets = multiset(zs, lambda z: beta.ring.sort_key(z.canonical))
+    cosets = z_invariant_multiset(beta, D)
     out = {
         "G": G.to_json(),
         "order_G": len(G.elements),
@@ -276,13 +256,12 @@ def khovanov_cmd(diagram_file, pretty):
 @main.command("bh")
 @click.argument("bracket_file", type=click.Path())
 @click.argument("diagram_file", type=click.Path())
-@x0_option
 @pretty_option
-def bh_cmd(bracket_file, diagram_file, x0, pretty):
+def bh_cmd(bracket_file, diagram_file, pretty):
     """Bracket cohomology tables over all colorings of a diagram."""
-    beta, G, q = _bracket_at(bracket_file, x0)
+    beta = _parse(bracket_file, "bracket", bracket_from_json)
     D = _parse(diagram_file, "diagram", parse_diagram)
-    multiset = bh_multiset(beta, D, G, q, x0)
+    multiset = bh_multiset(beta, D)
     out = {
         "multiset": [
             {"table": table.to_json(), "multiplicity": m} for table, m in multiset
@@ -295,12 +274,12 @@ def bh_cmd(bracket_file, diagram_file, x0, pretty):
     _emit(out, lines, pretty)
 
 
-def _run_checks(bracket_file, diagram_file, x0, pretty, field, label):
+def _run_checks(bracket_file, diagram_file, pretty, field, label):
     """One report per coloring: the ``field`` report of ``check_colorings``."""
-    beta, G, q = _bracket_at(bracket_file, x0)
+    beta = _parse(bracket_file, "bracket", bracket_from_json)
     D = _parse(diagram_file, "diagram", parse_diagram)
     colorings = enumerate_colorings(beta.biquandle, D)
-    checks = check_colorings(beta, D, colorings, G, q, x0, khovanov_classical(D))
+    checks = check_colorings(beta, D, colorings, khovanov_classical(D))
     reports = [
         {"coloring": f.to_json(), **getattr(check, field).to_json()}
         for f, check in zip(colorings, checks)
@@ -315,21 +294,19 @@ def _run_checks(bracket_file, diagram_file, x0, pretty, field, label):
 @main.command("check-theorem")
 @click.argument("bracket_file", type=click.Path())
 @click.argument("diagram_file", type=click.Path())
-@x0_option
 @pretty_option
-def check_theorem_cmd(bracket_file, diagram_file, x0, pretty):
+def check_theorem_cmd(bracket_file, diagram_file, pretty):
     """Check Bh(f) = classical Khovanov folded into R^x and shifted by Z_beta(f)."""
-    _run_checks(bracket_file, diagram_file, x0, pretty, "theorem", "theorem")
+    _run_checks(bracket_file, diagram_file, pretty, "theorem", "theorem")
 
 
 @main.command("check-euler")
 @click.argument("bracket_file", type=click.Path())
 @click.argument("diagram_file", type=click.Path())
-@x0_option
 @pretty_option
-def check_euler_cmd(bracket_file, diagram_file, x0, pretty):
+def check_euler_cmd(bracket_file, diagram_file, pretty):
     """Check chi(Bh(f)) evaluates to (sum over G) * bracket value."""
-    _run_checks(bracket_file, diagram_file, x0, pretty, "euler", "euler identity")
+    _run_checks(bracket_file, diagram_file, pretty, "euler", "euler identity")
 
 
 @main.command("check-all")

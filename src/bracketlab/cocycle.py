@@ -174,58 +174,45 @@ def cocycle_invariant(c: Cocycle, D: OrientedDiagram) -> List[tuple]:
     return multiset((cocycle_value(c, f) for f in enumerate_colorings(c.biquandle, D)), c.target.sort_key)
 
 
-def scalar_group(beta: Bracket, x0: int = 1) -> Tuple[UnitSubgroup, object]:
-    """G = <q_{x,y}^{-1} q> and q = q_{x0,x0} for a bracket."""
-    if x0 not in beta.biquandle.elements():
-        raise ValueError(f"x0 = {x0} is not a biquandle element")
-    ring = beta.ring
-    q = beta.q(x0, x0)
-    q_els = [beta.q(x, y) for x in beta.biquandle.elements() for y in beta.biquandle.elements()]
-    gens = [ring.mul(ring.try_invert(qxy), q) for qxy in q_els]
-    gens = sorted(set(gens), key=ring.sort_key)
-    return subgroup_generate(ring, gens), q
+def canonical_cocycle(beta: Bracket) -> Cocycle:
+    """The canonical 2-cocycle phi_beta(x,y) = A_{x,y} A_{1,1}^{-1} G over R^x / G.
 
-
-def canonical_cocycle(beta: Bracket, G: UnitSubgroup, x0: int = 1) -> Cocycle:
-    """The canonical 2-cocycle phi_beta(x,y) = A_{x,y} A_{x0,x0}^{-1} G.
-
-    ``G`` is ``scalar_group(beta, x0)[0]``.  This is a 2-cocycle by
-    construction; ``check_all`` verifies it.
+    ``G`` is ``beta.G``.  This is a 2-cocycle by construction; ``check_all``
+    verifies it.
     """
-    ring = beta.ring
-    a00_inv = ring.try_invert(beta.a(x0, x0))
+    ring, G = beta.ring, beta.G
+    a11_inv = ring.try_invert(beta.a(1, 1))
     phi = [
-        [Coset(G, ring.mul(beta.a(x, y), a00_inv)) for y in beta.biquandle.elements()]
+        [Coset(G, ring.mul(beta.a(x, y), a11_inv)) for y in beta.biquandle.elements()]
         for x in beta.biquandle.elements()
     ]
     return Cocycle(beta.biquandle, UnitQuotientTarget(G), phi, check=False)
 
 
-def z_invariant(beta: Bracket, f: Coloring, G: UnitSubgroup, x0: int) -> Coset:
-    """Z_beta(f) as a coset of G = scalar_group(beta, x0)[0] in R^x.
+def z_invariant(beta: Bracket, f: Coloring) -> Coset:
+    """Z_beta(f) as a coset of ``beta.G`` in R^x.
 
     Computed from the positive/negative crossing products
-    (prod A_{x,y} A_{x0,x0}^{-1}) (prod B_{x,y}^{-1} B_{x0,x0}); the formal
+    (prod A_{x,y} A_{1,1}^{-1}) (prod B_{x,y}^{-1} B_{1,1}); the formal
     gdim(S) factor is exactly the G-blur absorbed by the coset.
     """
     ring = beta.ring
     colors = dict(f.arc_colors)
-    a00_inv = ring.try_invert(beta.a(x0, x0))
-    b00 = beta.b(x0, x0)
+    a11_inv = ring.try_invert(beta.a(1, 1))
+    b11 = beta.b(1, 1)
     acc = ring.one
     for crossing in f.diagram.crossings:
         x, y = crossing_color_pair(crossing, colors)
         if crossing.sign == 1:
-            acc = ring.mul(acc, ring.mul(beta.a(x, y), a00_inv))
+            acc = ring.mul(acc, ring.mul(beta.a(x, y), a11_inv))
         else:
-            acc = ring.mul(acc, ring.mul(ring.try_invert(beta.b(x, y)), b00))
-    return Coset(G, acc)
+            acc = ring.mul(acc, ring.mul(ring.try_invert(beta.b(x, y)), b11))
+    return Coset(beta.G, acc)
 
 
-def z_invariant_multiset(beta: Bracket, D: OrientedDiagram, x0: int = 1) -> List[tuple]:
+def z_invariant_multiset(beta: Bracket, D: OrientedDiagram) -> List[tuple]:
     """Multiset of Z_beta values, as sorted (coset, multiplicity) pairs."""
-    G, _ = scalar_group(beta, x0)
-    zs = (z_invariant(beta, f, G, x0) for f in enumerate_colorings(beta.biquandle, D))
+    zs = (z_invariant(beta, f) for f in enumerate_colorings(beta.biquandle, D))
     return multiset(zs, lambda z: beta.ring.sort_key(z.canonical))
 
 

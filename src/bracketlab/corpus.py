@@ -6,9 +6,8 @@ Reidemeister-equivalent diagram pairs and negative verification controls.
 guarantee over the whole corpus: axiom verification, invariance of all four
 invariants across equivalent pairs, and the theorem / Euler-identity checks
 on every bracket x diagram x coloring combination.  It computes each value
-once: Khovanov homology per diagram, the scalar group per bracket, and,
-through ``homology.check_colorings``, the bracket value, Z_beta coset and
-direct-cube Bh table per coloring.
+once: Khovanov homology per diagram and, through ``homology.check_colorings``,
+the bracket value, Z_beta coset and direct-cube Bh table per coloring.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Dict, List, Optional
 
 from .biquandle import Biquandle, Report, counting_invariant, enumerate_colorings, multiset, verify_biquandle
 from .bracket import Bracket, decode_bracket, verify_bracket
-from .cocycle import canonical_cocycle, cocycle_from_json, scalar_group, verify_cocycle
+from .cocycle import canonical_cocycle, cocycle_from_json, verify_cocycle
 from .diagram import OrientedDiagram, parse_diagram
 from .homology import check_colorings, khovanov_classical
 
@@ -158,13 +157,12 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
     # (bracket, diagram), the bracket, Z_beta and Bh multisets and each
     # coloring's theorem, Euler and chi(C) = chi(H(C)) outcomes.
     classical = {name: khovanov_classical(D) for name, D in diagrams.items()} if brackets else {}
-    invariants, outcomes, groups = {}, {}, {}
+    invariants, outcomes = {}, {}
     for br_name, beta in brackets.items():
         ring = beta.ring
-        G, q = groups[br_name] = scalar_group(beta)
         for name, D in diagrams.items():
             colorings = enumerate_colorings(beta.biquandle, D)
-            checks = check_colorings(beta, D, colorings, G, q, 1, classical[name])
+            checks = check_colorings(beta, D, colorings, classical[name])
             invariants[br_name, name] = (
                 multiset((c.value for c in checks), ring.sort_key),
                 multiset((c.z for c in checks), lambda coset: ring.sort_key(coset.canonical)),
@@ -180,7 +178,7 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
 
     # Canonical cocycle of every bracket verifies.
     for br_name, beta in brackets.items():
-        phi = canonical_cocycle(beta, groups[br_name][0])
+        phi = canonical_cocycle(beta)
         row(f"canonical-cocycle:{br_name}", verify_cocycle(phi).ok, "")
 
     # Theorem and Euler identity on every bracket x diagram x coloring, and

@@ -24,7 +24,7 @@ from typing import Dict, List, NamedTuple, Tuple
 
 from .biquandle import Coloring, Report, enumerate_colorings, multiset
 from .bracket import Bracket, bracket_values, crossing_color_pair
-from .cocycle import scalar_group, z_invariant
+from .cocycle import z_invariant
 from .diagram import OrientedDiagram, StateCube, smoothing_states, state_cube
 from .graded import (
     FiniteUnitsGrading,
@@ -52,18 +52,16 @@ def _frobenius(letters: Tuple[int, ...]) -> List[Tuple[int, ...]]:
     return [(0, 1), (1, 0)] if letters[0] == 0 else [(1, 1)]
 
 
-def _build_cube_complex(
-    beta: Bracket, colors: dict, G: UnitSubgroup, q, D: OrientedDiagram, cube: StateCube
-) -> GradedComplex:
+def _build_cube_complex(beta: Bracket, colors: dict, D: OrientedDiagram, cube: StateCube) -> GradedComplex:
     """The expanded integer complex C_beta on ``cube = state_cube(D)`` for one coloring.
 
-    ``colors`` maps arcs to biquandle elements and ``G, q`` is the bracket's
-    ``scalar_group``.  A basis element (state, g, word) has degree global
+    ``colors`` maps arcs to biquandle elements; q is ``beta.q11`` and g runs
+    over ``beta.G``.  A basis element (state, g, word) has degree global
     shift * signed state coefficient * g * q^(#1 - #t); an edge at crossing
     (x, y) takes g to g * q * q_{x,y}^{-1}.
     """
-    ring = beta.ring
-    scalars = G.sorted_elements()
+    ring, q = beta.ring, beta.q11
+    scalars = beta.G.sorted_elements()
     global_shift = ring.power(beta.w, D.n_minus - D.n_plus)
     if D.n_minus % 2:
         global_shift = ring.neg(global_shift)
@@ -120,13 +118,10 @@ def _build_cube_complex(
     return GradedComplex(grading=FiniteUnitsGrading(ring), degrees=degrees, differentials=differentials)
 
 
-def build_complex(beta: Bracket, f: Coloring, G: UnitSubgroup, q) -> GradedComplex:
-    """The shifted bracket-cohomology complex C_beta(f) on expanded bases.
-
-    ``G, q`` is the bracket's ``scalar_group``.
-    """
+def build_complex(beta: Bracket, f: Coloring) -> GradedComplex:
+    """The shifted bracket-cohomology complex C_beta(f) on expanded bases."""
     D = f.diagram
-    return _build_cube_complex(beta, dict(f.arc_colors), G, q, D, state_cube(D))
+    return _build_cube_complex(beta, dict(f.arc_colors), D, state_cube(D))
 
 
 def khovanov_classical(D: OrientedDiagram) -> HomologyTable:
@@ -175,21 +170,19 @@ def fold_khovanov(classical: HomologyTable, G: UnitSubgroup, q, z: Coset) -> Hom
     )
 
 
-def bh_invariant(beta: Bracket, f: Coloring, x0: int = 1) -> HomologyTable:
+def bh_invariant(beta: Bracket, f: Coloring) -> HomologyTable:
     """Bh(f): Khovanov homology of the diagram folded by ``fold_khovanov``."""
-    G, q = scalar_group(beta, x0)
-    return fold_khovanov(khovanov_classical(f.diagram), G, q, z_invariant(beta, f, G, x0))
+    return fold_khovanov(khovanov_classical(f.diagram), beta.G, beta.q11, z_invariant(beta, f))
 
 
-def bh_multiset(beta: Bracket, D: OrientedDiagram, G: UnitSubgroup, q, x0: int) -> List[tuple]:
+def bh_multiset(beta: Bracket, D: OrientedDiagram) -> List[tuple]:
     """Multiset of Bh tables over all colorings, as sorted pairs.
 
-    ``G, q`` is ``scalar_group(beta, x0)``.  One Khovanov table of ``D`` is
-    folded by each coloring's Z_beta coset.
+    One Khovanov table of ``D`` is folded by each coloring's Z_beta coset.
     """
     classical = khovanov_classical(D)
-    zs = (z_invariant(beta, f, G, x0) for f in enumerate_colorings(beta.biquandle, D))
-    tables = (fold_khovanov(classical, G, q, z) for z in zs)
+    zs = (z_invariant(beta, f) for f in enumerate_colorings(beta.biquandle, D))
+    tables = (fold_khovanov(classical, beta.G, beta.q11, z) for z in zs)
     return multiset(tables, lambda table: table.entries)
 
 
@@ -229,20 +222,20 @@ class ColoringCheck(NamedTuple):
 
 
 def check_colorings(
-    beta: Bracket, D: OrientedDiagram, colorings: List[Coloring], G: UnitSubgroup, q, x0: int, classical: HomologyTable
+    beta: Bracket, D: OrientedDiagram, colorings: List[Coloring], classical: HomologyTable
 ) -> List[ColoringCheck]:
     """Each coloring's direct Bh cube against its bracket value and the folded Khovanov table.
 
-    ``G, q`` is ``scalar_group(beta, x0)`` and ``classical`` is
-    ``khovanov_classical(D)``.  The state cube of ``D`` is built once and
-    the bracket values come from one scan; each complex lives only for its
-    own coloring's checks.
+    ``classical`` is ``khovanov_classical(D)``.  The state cube of ``D`` is
+    built once and the bracket values come from one scan; each complex
+    lives only for its own coloring's checks.
     """
+    G, q = beta.G, beta.q11
     cube = state_cube(D)
     checks = []
     for f, value in zip(colorings, bracket_values(beta, D, colorings)):
-        z = z_invariant(beta, f, G, x0)
-        c = _build_cube_complex(beta, dict(f.arc_colors), G, q, D, cube)
+        z = z_invariant(beta, f)
+        c = _build_cube_complex(beta, dict(f.arc_colors), D, cube)
         bh = cohomology(c)
         checks.append(ColoringCheck(
             value, z, bh,
@@ -253,16 +246,15 @@ def check_colorings(
     return checks
 
 
-def _check_one(beta: Bracket, f: Coloring, x0: int) -> ColoringCheck:
-    G, q = scalar_group(beta, x0)
-    return check_colorings(beta, f.diagram, [f], G, q, x0, khovanov_classical(f.diagram))[0]
+def _check_one(beta: Bracket, f: Coloring) -> ColoringCheck:
+    return check_colorings(beta, f.diagram, [f], khovanov_classical(f.diagram))[0]
 
 
-def check_theorem(beta: Bracket, f: Coloring, x0: int = 1) -> Report:
+def check_theorem(beta: Bracket, f: Coloring) -> Report:
     """Verify Bh(f) from the direct cube equals classical Khovanov folded into R^x and shifted."""
-    return _check_one(beta, f, x0).theorem
+    return _check_one(beta, f).theorem
 
 
-def check_euler_identity(beta: Bracket, f: Coloring, x0: int = 1) -> Report:
+def check_euler_identity(beta: Bracket, f: Coloring) -> Report:
     """Verify chi(Bh(f)) from the direct cube evaluates in R to (sum of G) * beta(f)."""
-    return _check_one(beta, f, x0).euler
+    return _check_one(beta, f).euler

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from bracketlab.biquandle import Biquandle
-from bracketlab.bracket import bracket_from_json
+from bracketlab.bracket import bracket_from_json, crossing_color_pair
 from bracketlab.cocycle import cocycle_from_json
 from bracketlab.corpus import corpus_path, load_corpus_json
 from bracketlab.diagram import parse_diagram
-from bracketlab.rings import UnitSubgroup, subgroup_generate
+from bracketlab.rings import Coset, UnitSubgroup, subgroup_generate
 
 DIAGRAM_NAMES = [
     "unknot",
@@ -32,6 +32,9 @@ EQUIVALENT_PAIRS = [
     ("trefoil_r2", "trefoil"),
     ("hopf_r2", "hopf"),
 ]
+
+# The diagrams the basepoint witness is checked on: 10 colorings in all.
+WITNESS_DIAGRAMS = ["trefoil", "hopf", "figure_eight", "trefoil_r2"]
 
 BRACKET_NAMES = ["bracket_gf8", "bracket_const_z5", "bracket_const_z7", "bracket_phi", "bracket_z9"]
 
@@ -59,6 +62,46 @@ def brackets():
 @pytest.fixture(scope="session")
 def cocycle_ab():
     return cocycle_from_json(load_corpus_json("cocycle_ab.json"))
+
+
+@pytest.fixture(scope="session")
+def witness():
+    """A bracket whose q_{x,x} moves with x: Z/13 on the trivial 2-element biquandle.
+
+    q_{1,1} = 10, q_{2,2} = 4 and G = {1, 3, 9}.  On the bundled flip
+    biquandle, axiom (iii.1) at x = y = z forces A_{1,1} = A_{2,2}, so no
+    bundled bracket tells the basepoints apart.  Kept out of the corpus
+    manifest, whose check-all output is pinned byte for byte.
+    """
+    return bracket_from_json({
+        "ring": {"kind": "zmod", "n": 13},
+        "biquandle": {"under": [[1, 1], [2, 2]], "over": [[1, 1], [2, 2]]},
+        "A": [[1, 1], [1, 3]],
+        "B": [[3, 3], [9, 1]],
+    })
+
+
+def basepoint_group(beta, x0: int):
+    """G = <q_{x,y}^{-1} q> and q = q_{x0,x0}, taken at basepoint ``x0``."""
+    ring = beta.ring
+    q = beta.q(x0, x0)
+    elements = beta.biquandle.elements()
+    return subgroup_generate(ring, [ring.mul(ring.try_invert(beta.q(x, y)), q) for x in elements for y in elements]), q
+
+
+def basepoint_z(beta, f, G: UnitSubgroup, x0: int) -> Coset:
+    """Z_beta(f) from A_{x0,x0} and B_{x0,x0}, as a coset of ``G``."""
+    ring = beta.ring
+    colors = dict(f.arc_colors)
+    acc = ring.one
+    for crossing in f.diagram.crossings:
+        x, y = crossing_color_pair(crossing, colors)
+        if crossing.sign == 1:
+            ratio = ring.mul(beta.a(x, y), ring.try_invert(beta.a(x0, x0)))
+        else:
+            ratio = ring.mul(ring.try_invert(beta.b(x, y)), beta.b(x0, x0))
+        acc = ring.mul(acc, ratio)
+    return Coset(G, acc)
 
 
 def grading_subgroup(beta) -> UnitSubgroup:
@@ -106,3 +149,24 @@ def braid_closure(word, strands: int) -> dict:
 def random_braid_word(rng: random.Random, strands: int, length: int) -> list:
     """``length`` letters, each generator and sign equally likely."""
     return [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
+
+
+def braid_move_pairs(rng: random.Random, word: list, strands: int) -> list:
+    """``(move, left, right)`` triples: closed braids, as (word, strands), that one move relates.
+
+    Conjugation rotates ``word``; stabilisation adds sigma_m^{+-1} on one
+    more strand (Reidemeister I); insertion puts sigma_i sigma_i^{-1} in
+    (Reidemeister II); the braid relation compares w sigma_i sigma_{i+1}
+    sigma_i with w sigma_{i+1} sigma_i sigma_{i+1}, both signs
+    (Reidemeister III).  ``strands`` is at least 3.
+    """
+    k, pos = rng.randrange(len(word) + 1), rng.randrange(len(word) + 1)
+    g = rng.choice((1, -1)) * rng.randint(1, strands - 1)
+    i, sign = rng.randint(1, strands - 2), rng.choice((1, -1))
+    left, right = [sign * i, sign * (i + 1)], [sign * (i + 1), sign * i]
+    return [
+        ("conjugation", (word, strands), (word[k:] + word[:k], strands)),
+        ("stabilisation", (word, strands), (word + [rng.choice((1, -1)) * strands], strands + 1)),
+        ("insertion", (word, strands), (word[:pos] + [g, -g] + word[pos:], strands)),
+        ("braid relation", (word + left + left[:1], strands), (word + right + right[:1], strands)),
+    ]

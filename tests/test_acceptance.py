@@ -17,8 +17,8 @@ from bracketlab.cocycle import (
     canonical_cocycle,
     cocycle_from_json,
     cocycle_invariant,
-    scalar_group,
     verify_cocycle,
+    z_invariant,
     z_invariant_multiset,
 )
 from bracketlab.corpus import load_corpus_json
@@ -32,8 +32,9 @@ from bracketlab.homology import (
     kauffman_state_sum,
     khovanov_classical,
 )
+from bracketlab.rings import Coset
 
-from conftest import EQUIVALENT_PAIRS, grading_subgroup
+from conftest import EQUIVALENT_PAIRS, WITNESS_DIAGRAMS, basepoint_group, basepoint_z, grading_subgroup
 
 
 class TestCriterion1BundledStructures:
@@ -123,9 +124,8 @@ class TestCriterion4ReidemeisterInvariance:
 
     def test_bh_multiset(self, brackets, diagrams):
         for name, beta in brackets.items():
-            G, q = scalar_group(beta)
             for a, b in EQUIVALENT_PAIRS:
-                assert bh_multiset(beta, diagrams[a], G, q, 1) == bh_multiset(beta, diagrams[b], G, q, 1), (name, a, b)
+                assert bh_multiset(beta, diagrams[a]) == bh_multiset(beta, diagrams[b]), (name, a, b)
 
 
 class TestCriterion5ClassicalKhovanov:
@@ -155,10 +155,8 @@ class TestCriterion6Theorem:
     """check_theorem passes corpus-wide, with trivial and nontrivial G."""
 
     def test_g_triviality_coverage(self, brackets):
-        gf8_G, _ = scalar_group(brackets["bracket_gf8"])
-        z9_G, _ = scalar_group(brackets["bracket_z9"])
-        assert len(gf8_G.elements) == 1
-        assert len(z9_G.elements) == 3
+        assert len(brackets["bracket_gf8"].G) == 1
+        assert len(brackets["bracket_z9"].G) == 3
 
     def test_theorem_corpus_wide(self, brackets, diagrams):
         for bname, beta in brackets.items():
@@ -183,10 +181,9 @@ class TestCriterion7EulerIdentity:
 
     def test_gf8_recovers_bracket_value(self, brackets, diagrams):
         beta = brackets["bracket_gf8"]
-        G, q = scalar_group(beta)
         for f in enumerate_colorings(beta.biquandle, diagrams["trefoil"]):
             chi = evaluate_formal_sum(
-                cohomology(build_complex(beta, f, G, q)).euler_characteristic(), beta.ring
+                cohomology(build_complex(beta, f)).euler_characteristic(), beta.ring
             )
             assert chi == bracket_value(beta, f)
 
@@ -197,24 +194,32 @@ class TestCriterion8CanonicalCocycle:
 
     def test_phi_beta_always_verifies(self, brackets):
         for name, beta in brackets.items():
-            phi = canonical_cocycle(beta, scalar_group(beta)[0])
+            phi = canonical_cocycle(beta)
             assert verify_cocycle(phi).ok, name
 
-    def test_x0_independence(self, brackets):
-        for name, beta in brackets.items():
-            results = []
-            for x0 in beta.biquandle.elements():
-                G, _ = scalar_group(beta, x0)
-                phi = canonical_cocycle(beta, G, x0)
-                results.append(
-                    (G.elements, tuple(tuple(v.canonical for v in row) for row in phi.phi))
-                )
-            assert all(r == results[0] for r in results), name
+    def test_x0_independence(self, brackets, witness, diagrams):
+        # No basepoint matters, because A_{x,x} A_{y,y}^{-1} lies in G.  The
+        # witness's q moves with the basepoint, yet G, phi_beta and Z_beta
+        # taken at x0 = 2 are the ones the bracket reads off at element 1.
+        for name, beta in {**brackets, "witness": witness}.items():
+            ring, X = beta.ring, beta.biquandle
+            for x, y in itertools.product(X.elements(), repeat=2):
+                assert ring.mul(beta.a(x, x), ring.try_invert(beta.a(y, y))) in beta.G, (name, x, y)
+        ring = witness.ring
+        G, q = basepoint_group(witness, 2)
+        assert (witness.q11, q) == (10, 4) and G == witness.G
+        a22_inv = ring.try_invert(witness.a(2, 2))
+        phi = canonical_cocycle(witness)
+        for x, y in itertools.product(witness.biquandle.elements(), repeat=2):
+            assert phi.value(x, y) == Coset(G, ring.mul(witness.a(x, y), a22_inv)), (x, y)
+        for dname in WITNESS_DIAGRAMS:
+            for f in enumerate_colorings(witness.biquandle, diagrams[dname]):
+                assert z_invariant(witness, f) == basepoint_z(witness, f, G, 2), dname
 
     def test_constant_brackets_trivial(self, brackets):
         for name in ("bracket_const_z5", "bracket_const_z7"):
             beta = brackets[name]
-            phi = canonical_cocycle(beta, scalar_group(beta)[0])
+            phi = canonical_cocycle(beta)
             assert all(v == phi.target.identity for row in phi.phi for v in row)
 
     def test_phi_bracket_reproduces_phi(self, brackets, cocycle_ab):
@@ -223,9 +228,8 @@ class TestCriterion8CanonicalCocycle:
         beta = brackets["bracket_phi"]
         ring = beta.ring
         u = ring.element_from_json([0, 1])
-        G, _ = scalar_group(beta)
-        phi_beta = canonical_cocycle(beta, G)
-        assert G.elements == frozenset({ring.one})
+        phi_beta = canonical_cocycle(beta)
+        assert beta.G.elements == frozenset({ring.one})
         for x in (1, 2):
             for y in (1, 2):
                 ea, eb = cocycle_ab.value(x, y)  # exponents of a and b
@@ -241,7 +245,7 @@ class TestCriterion9StructuralSuites:
         for beta in brackets.values():
             for dname in ("unknot_r1_pos", "trefoil", "hopf", "figure_eight"):
                 for f in enumerate_colorings(beta.biquandle, diagrams[dname]):
-                    yield beta, build_complex(beta, f, *scalar_group(beta))
+                    yield beta, build_complex(beta, f)
 
     def test_complex_validity(self, brackets, diagrams):
         for _, c in self._complexes(brackets, diagrams):

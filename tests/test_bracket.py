@@ -107,6 +107,14 @@ class TestVerify:
             with pytest.raises(ValueError, match=rf"{table}\[0\]\[0\] = 3 is not a unit"):
                 bracket_from_json(data, check=False)
 
+    def test_unchecked_non_unit_entry_rejected(self):
+        # q_{x,y} and G need every entry of A and B to be a unit.
+        for table, i, j in (("A", 1, 0), ("B", 0, 1)):
+            data = load_corpus_json("bracket_z9.json")
+            data[table][i][j] = 3  # not a unit of Z/9
+            with pytest.raises(ValueError, match=rf"{table}\[{i}\]\[{j}\] = 3 is not a unit"):
+                bracket_from_json(data, check=False)
+
     def test_nonunit_entry_rejected(self, flip):
         ring = ZModRing(4)
         with pytest.raises(ValueError):

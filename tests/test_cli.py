@@ -1,6 +1,9 @@
 import json
 import random
+import re
+from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -67,7 +70,7 @@ def test_malformed_diagram_exits_2(runner, tmp_path, name):
     _assert_input_error(runner.invoke(main, ["khovanov", str(path)]), "diagram")
 
 
-# (corpus bracket, path to one field, malformed value)
+# (corpus bracket, path to one field, malformed value); () replaces the whole file.
 MALFORMED_BRACKETS = {
     "n_float": ("bracket_z9", ("ring", "n"), 9.7),
     "n_string": ("bracket_z9", ("ring", "n"), "9"),
@@ -92,6 +95,9 @@ MALFORMED_BRACKETS = {
     "element_bool": ("bracket_gf8", ("A", 0, 0), True),
     "biquandle_entry_bool": ("bracket_z9", ("biquandle", "under", 1, 0), True),
     "biquandle_entry_float": ("bracket_z9", ("biquandle", "under", 0, 0), 2.0),
+    "biquandle_empty": (
+        "bracket_z9", (), {"ring": {"kind": "zmod", "n": 5}, "biquandle": {"under": [], "over": []}, "A": [], "B": []}
+    ),
 }
 
 
@@ -99,6 +105,7 @@ MALFORMED_BRACKETS = {
 def test_malformed_bracket_exits_2(runner, tmp_path, name):
     path = _malformed(tmp_path, name, *MALFORMED_BRACKETS[name])
     _assert_input_error(runner.invoke(main, ["bracket-invariant", path, corpus_file("trefoil.json")]), "bracket")
+    _assert_input_error(runner.invoke(main, ["verify-bracket", path]), "bracket")
 
 
 # (path to one field of biquandle_flip, malformed value); () replaces the whole file.
@@ -115,6 +122,7 @@ MALFORMED_BIQUANDLES = {
     "under_empty": (("under",), []),
     "over_not_list": (("over",), 2),
     "top_level_list": ((), [1]),
+    "empty": ((), {"under": [], "over": []}),
 }
 
 
@@ -306,18 +314,6 @@ class TestInvariantCommands:
         out = json.loads(result.output)
         assert out["order_G"] == 3 and out["G"] == [1, 4, 7]
 
-    def test_canonical_cocycle_bad_x0(self, runner):
-        commands = ["canonical-cocycle", "z-invariant", "bh", "check-theorem", "check-euler"]
-        for command in commands:
-            files = [corpus_file("bracket_z9.json")]
-            if command != "canonical-cocycle":
-                files.append(corpus_file("hopf.json"))
-            for x0 in (0, -1, 3):
-                result = runner.invoke(main, [command, *files, f"--x0={x0}"])
-                assert result.exit_code == 2, (command, x0)
-                assert isinstance(result.exception, SystemExit), (command, x0)
-                assert "is not a biquandle element" in result.output, (command, x0)
-
     def test_z_invariant(self, runner):
         result = runner.invoke(
             main,
@@ -366,7 +362,7 @@ class TestCheckCommands:
         # builds one state cube and one cube complex per coloring.
         from bracketlab import homology
 
-        calls = {"khovanov_classical": 0, "scalar_group": 0, "state_cube": 0, "_build_cube_complex": 0}
+        calls = {"khovanov_classical": 0, "state_cube": 0, "_build_cube_complex": 0}
         for name in calls:
             original = getattr(homology, name)
 
@@ -391,7 +387,6 @@ class TestCheckCommands:
             assert colorings == 2, command
             assert calls == {
                 "khovanov_classical": khovanov,
-                "scalar_group": 1,
                 "state_cube": cubes,
                 "_build_cube_complex": complexes,
             }, command
@@ -408,3 +403,22 @@ class TestCheckCommands:
         assert result.exit_code == 0
         out = json.loads(result.output)
         assert out["ok"] is True and out["total"] > 0 and not out["failed"]
+
+
+def test_readme_synopsis_matches_the_cli():
+    # The `bracketlab ...` lines of the README's sh blocks show every command
+    # and, apart from --pretty, every option, and nothing else.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    shown = {}
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.splitlines():
+            words = line.split("#")[0].split()
+            if words[:1] == ["bracketlab"]:
+                flags = {w.strip("[]") for w in words[2:] if w.strip("[]").startswith("--")}
+                shown.setdefault(words[1], set()).update(flags)
+    assert set(shown) == set(main.commands)
+    for name, flags in shown.items():
+        params = main.commands[name].params
+        options = {opt for param in params if isinstance(param, click.Option) for opt in param.opts}
+        assert flags <= options, name
+        assert options - {"--pretty", "--help"} <= flags, name

@@ -7,7 +7,6 @@ from bracketlab.cocycle import (
     cocycle_from_json,
     cocycle_invariant,
     cocycle_value,
-    scalar_group,
     verify_cocycle,
     z_invariant,
     z_invariant_multiset,
@@ -68,14 +67,13 @@ class TestInvariant:
 class TestCanonicalCocycle:
     def test_gf8_group_trivial(self, brackets):
         beta = brackets["bracket_gf8"]
-        G, q = scalar_group(beta)
-        assert G.elements == frozenset({beta.ring.one})
-        assert q == (0, 1, 0)  # q_{x,y} = t for every pair
+        assert beta.G.elements == frozenset({beta.ring.one})
+        assert beta.q11 == (0, 1, 0)  # q_{x,y} = t for every pair
 
     def test_gf8_phi_is_a_ratio(self, brackets):
         beta = brackets["bracket_gf8"]
         ring = beta.ring
-        phi = canonical_cocycle(beta, scalar_group(beta)[0])
+        phi = canonical_cocycle(beta)
         a00_inv = ring.try_invert(beta.a(1, 1))
         for x in (1, 2):
             for y in (1, 2):
@@ -83,44 +81,30 @@ class TestCanonicalCocycle:
 
     def test_z9_group_nontrivial(self, brackets):
         beta = brackets["bracket_z9"]
-        G, _ = scalar_group(beta)
-        assert G.elements == frozenset({1, 4, 7})
+        assert beta.G.elements == frozenset({1, 4, 7})
 
     def test_constant_bracket_phi_trivial(self, brackets):
         for name in ("bracket_const_z5", "bracket_const_z7"):
             beta = brackets[name]
-            phi = canonical_cocycle(beta, scalar_group(beta)[0])
+            phi = canonical_cocycle(beta)
             identity = phi.target.identity
             assert all(v == identity for row in phi.phi for v in row)
-
-    def test_x0_independence(self, brackets):
-        for name, beta in brackets.items():
-            tables = []
-            for x0 in beta.biquandle.elements():
-                G, _ = scalar_group(beta, x0)
-                phi = canonical_cocycle(beta, G, x0)
-                tables.append(
-                    (G.elements, tuple(tuple(v.canonical for v in row) for row in phi.phi))
-                )
-            assert all(t == tables[0] for t in tables), name
 
 
 class TestZInvariant:
     def test_crossingless_diagram_gives_identity(self, brackets, diagrams):
         beta = brackets["bracket_gf8"]
-        G, _ = scalar_group(beta)
         for f in enumerate_colorings(beta.biquandle, diagrams["unknot"]):
-            assert z_invariant(beta, f, G, 1).canonical == beta.ring.one
+            assert z_invariant(beta, f).canonical == beta.ring.one
 
     def test_matches_phi_product(self, brackets, diagrams):
         # Two equivalent formulas: crossing-sign product of A/B ratios
         # versus the product of phi_beta values.
         for name, beta in brackets.items():
-            G, _ = scalar_group(beta)
-            phi = canonical_cocycle(beta, G)
+            phi = canonical_cocycle(beta)
             for dname in ("trefoil", "figure_eight", "hopf"):
                 for f in enumerate_colorings(beta.biquandle, diagrams[dname]):
-                    assert z_invariant(beta, f, G, 1) == cocycle_value(phi, f), (name, dname)
+                    assert z_invariant(beta, f) == cocycle_value(phi, f), (name, dname)
 
     def test_invariance_across_pairs(self, brackets, diagrams):
         from conftest import EQUIVALENT_PAIRS

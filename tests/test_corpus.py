@@ -98,9 +98,9 @@ def test_canonical_cocycle_row_fails_on_a_bad_cocycle(monkeypatch):
 
     original = corpus.canonical_cocycle
 
-    def moved_off_identity(beta, G, x0=1):
-        good = original(beta, G, x0)
-        off = next(c for c in (Coset(G, u) for u in beta.ring.units()) if c != good.target.identity)
+    def moved_off_identity(beta):
+        good = original(beta)
+        off = next(c for c in (Coset(beta.G, u) for u in beta.ring.units()) if c != good.target.identity)
         phi = [list(row) for row in good.phi]
         phi[0][0] = off  # breaks phi(x, x) = 1
         return Cocycle(beta.biquandle, good.target, phi, check=False)

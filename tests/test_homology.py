@@ -4,7 +4,7 @@ import pytest
 
 from bracketlab.biquandle import Biquandle, enumerate_colorings
 from bracketlab.bracket import Bracket
-from bracketlab.cocycle import scalar_group, z_invariant
+from bracketlab.cocycle import z_invariant
 from bracketlab.diagram import OrientedDiagram, parse_diagram
 from bracketlab.graded import HomologyTable, InfiniteCyclicGrading, cohomology, evaluate_formal_sum
 from bracketlab.homology import (
@@ -19,7 +19,15 @@ from bracketlab.homology import (
     theorem_report,
 )
 from bracketlab.rings import Coset, ZModRing
-from conftest import DIAGRAM_NAMES, braid_closure, grading_subgroup, random_braid_word
+from conftest import (
+    DIAGRAM_NAMES,
+    WITNESS_DIAGRAMS,
+    basepoint_group,
+    basepoint_z,
+    braid_closure,
+    grading_subgroup,
+    random_braid_word,
+)
 
 
 # The Kauffman bracket over Z/257 on the one-element biquandle: A = 3 and
@@ -34,16 +42,15 @@ def cube_khovanov(D: OrientedDiagram) -> HomologyTable:
     written as q^j; the degrees are read back as j.  Independent
     cross-check of the tangle scan in ``khovanov_classical``.
     """
-    ring = KAUFFMAN.ring
-    G, q = scalar_group(KAUFFMAN)
-    assert G.elements == {ring.one} and q == 57
+    ring, q = KAUFFMAN.ring, KAUFFMAN.q11
+    assert KAUFFMAN.G.elements == {ring.one} and q == 57
     # j = n_+ - 2 n_- + (1-bits) + (#1 - #t), and a state has at most 2n + free circles.
     n, circles = len(D.crossings), 2 * len(D.crossings) + D.free_circles
     js = range(D.n_plus - 2 * D.n_minus - circles, D.n_plus - 2 * D.n_minus + n + circles + 1)
     exponent = {ring.power(q, j): j for j in js}
     assert len(exponent) == len(js), "q^j does not tell the diagram's q-degrees apart"
     (f,) = enumerate_colorings(KAUFFMAN.biquandle, D)
-    table = cohomology(build_complex(KAUFFMAN, f, G, q))
+    table = cohomology(build_complex(KAUFFMAN, f))
     return HomologyTable.from_dict(
         InfiniteCyclicGrading(), {(i, exponent[h]): (rank, tors) for (i, h), rank, tors in table.entries}
     )
@@ -152,10 +159,9 @@ class TestBracketCohomology:
     def test_unknot_bh_degrees(self, brackets, diagrams):
         # Unknot complex is M in index 0: ranks at degrees q^{+-1} * G.
         beta = brackets["bracket_z9"]
-        ring = beta.ring
-        G, q = scalar_group(beta)
+        ring, G, q = beta.ring, beta.G, beta.q11
         f = enumerate_colorings(beta.biquandle, diagrams["unknot"])[0]
-        table = cohomology(build_complex(beta, f, G, q))
+        table = cohomology(build_complex(beta, f))
         expected = {}
         for e in (1, -1):
             for g in G.sorted_elements():
@@ -167,13 +173,12 @@ class TestBracketCohomology:
         from conftest import EQUIVALENT_PAIRS
 
         for name, beta in brackets.items():
-            G, q = scalar_group(beta)
             for a, b in EQUIVALENT_PAIRS:
-                assert bh_multiset(beta, diagrams[a], G, q, 1) == bh_multiset(beta, diagrams[b], G, q, 1), (name, a, b)
+                assert bh_multiset(beta, diagrams[a]) == bh_multiset(beta, diagrams[b]), (name, a, b)
 
     def test_fold_equals_cube_on_seeded_closures(self, brackets):
         # bh_invariant folds Khovanov homology; the direct cube is built
-        # apart from it, for every coloring and every choice of x0.
+        # apart from it, for every coloring.
         rng = random.Random(8)
         shifted = 0
         for k in range(10):
@@ -182,12 +187,10 @@ class TestBracketCohomology:
             D = parse_diagram(braid_closure(word, strands))
             for name in ("bracket_z9", "bracket_gf8"):
                 beta = brackets[name]
-                for x0 in beta.biquandle.elements():
-                    G, q = scalar_group(beta, x0)
-                    for f in enumerate_colorings(beta.biquandle, D):
-                        shifted += z_invariant(beta, f, G, x0) != Coset(G, beta.ring.one)
-                        cube = cohomology(build_complex(beta, f, G, q))
-                        assert bh_invariant(beta, f, x0) == cube, (word, strands, name, x0)
+                for f in enumerate_colorings(beta.biquandle, D):
+                    shifted += z_invariant(beta, f) != Coset(beta.G, beta.ring.one)
+                    cube = cohomology(build_complex(beta, f))
+                    assert bh_invariant(beta, f) == cube, (word, strands, name)
         assert shifted  # some Z_beta(f) is not G, so the sweep sees the shift
 
     def test_complex_is_valid(self, brackets, diagrams):
@@ -195,14 +198,14 @@ class TestBracketCohomology:
         for name, beta in brackets.items():
             for dname in ("trefoil", "figure_eight", "hopf"):
                 for f in enumerate_colorings(beta.biquandle, diagrams[dname]):
-                    build_complex(beta, f, *scalar_group(beta)).validate()
+                    build_complex(beta, f).validate()
 
     def test_degrees_lie_in_grading_subgroup(self, brackets, diagrams):
         for name, beta in brackets.items():
             H = grading_subgroup(beta)
             for dname in ("trefoil", "figure_eight"):
                 for f in enumerate_colorings(beta.biquandle, diagrams[dname]):
-                    c = build_complex(beta, f, *scalar_group(beta))
+                    c = build_complex(beta, f)
                     for degs in c.degrees.values():
                         assert all(d in H for d in degs), (name, dname)
 
@@ -210,7 +213,7 @@ class TestBracketCohomology:
         for name, beta in brackets.items():
             for dname in ("trefoil", "hopf"):
                 for f in enumerate_colorings(beta.biquandle, diagrams[dname]):
-                    c = build_complex(beta, f, *scalar_group(beta))
+                    c = build_complex(beta, f)
                     assert c.euler_characteristic() == cohomology(c).euler_characteristic()
 
 
@@ -227,20 +230,25 @@ class TestTheoremChecks:
             for f in enumerate_colorings(beta.biquandle, diagrams[dname]):
                 assert check_theorem(beta, f).ok
 
-    def test_theorem_x0_choices(self, brackets, diagrams):
-        beta = brackets["bracket_z9"]
-        f = enumerate_colorings(beta.biquandle, diagrams["trefoil"])[0]
-        for x0 in beta.biquandle.elements():
-            assert check_theorem(beta, f, x0).ok
+    def test_theorem_x0_choices(self, witness, diagrams):
+        # The witness's q moves with the basepoint: Khovanov homology folded
+        # with the constants of x0 = 2 is the Bh read off at element 1.
+        G, q = basepoint_group(witness, 2)
+        assert q != witness.q11
+        for dname in WITNESS_DIAGRAMS:
+            classical = khovanov_classical(diagrams[dname])
+            for f in enumerate_colorings(witness.biquandle, diagrams[dname]):
+                z = basepoint_z(witness, f, G, 2)
+                assert fold_khovanov(classical, G, q, z) == bh_invariant(witness, f), dname
+                assert check_theorem(witness, f).ok and check_euler_identity(witness, f).ok, dname
 
     def test_euler_identity_gf8_recovers_bracket(self, brackets, diagrams):
         # G trivial: evaluated Euler characteristic equals beta(f) exactly.
         from bracketlab.bracket import bracket_value
 
         beta = brackets["bracket_gf8"]
-        G, q = scalar_group(beta)
         for f in enumerate_colorings(beta.biquandle, diagrams["trefoil"]):
-            table = cohomology(build_complex(beta, f, G, q))
+            table = cohomology(build_complex(beta, f))
             chi = evaluate_formal_sum(table.euler_characteristic(), beta.ring)
             assert chi == bracket_value(beta, f)
             assert check_euler_identity(beta, f).ok
@@ -252,11 +260,10 @@ class TestTheoremChecks:
                 assert check_euler_identity(beta, f).ok
 
     def test_library_checks_compute_shared_values_once(self, brackets, diagrams, monkeypatch):
-        # One scalar group and one state cube per call of check_theorem or
-        # check_euler_identity.
+        # One state cube per call of check_theorem or check_euler_identity.
         from bracketlab import homology
 
-        calls = {"scalar_group": 0, "state_cube": 0}
+        calls = {"state_cube": 0}
         for name in calls:
             original = getattr(homology, name)
 
@@ -268,9 +275,9 @@ class TestTheoremChecks:
         beta = brackets["bracket_z9"]
         f = enumerate_colorings(beta.biquandle, diagrams["trefoil_r2"])[0]
         for check in (check_theorem, check_euler_identity):
-            calls.update(scalar_group=0, state_cube=0)
+            calls.update(state_cube=0)
             assert check(beta, f).ok
-            assert calls == {"scalar_group": 1, "state_cube": 1}, check.__name__
+            assert calls == {"state_cube": 1}, check.__name__
 
     def test_checks_read_the_direct_cube(self, brackets, diagrams, monkeypatch):
         # Moving every degree of the direct cube by a unit outside G must
@@ -279,8 +286,7 @@ class TestTheoremChecks:
 
         beta = brackets["bracket_gf8"]
         ring = beta.ring
-        G, _ = scalar_group(beta)
-        off = next(u for u in ring.units() if u not in G.elements)
+        off = next(u for u in ring.units() if u not in beta.G.elements)
         original = homology._build_cube_complex
 
         def moved(*args):
@@ -298,12 +304,11 @@ class TestTheoremChecks:
         # detected.  With gf8, |G| < |R^x|, so a coset other than Z_beta(f)
         # exists and moves the prediction off Bh(f).
         beta = brackets["bracket_gf8"]
-        ring = beta.ring
-        G, q = scalar_group(beta)
+        ring, G, q = beta.ring, beta.G, beta.q11
         f = enumerate_colorings(beta.biquandle, diagrams["trefoil"])[0]
-        z = z_invariant(beta, f, G, 1)
+        z = z_invariant(beta, f)
         assert z.canonical in ring.units()
-        bh = cohomology(build_complex(beta, f, G, q))
+        bh = cohomology(build_complex(beta, f))
         classical = khovanov_classical(f.diagram)
         assert fold_khovanov(classical, G, q, z) == bh
         wrong = [c for c in (Coset(G, u) for u in ring.units()) if c != z]
