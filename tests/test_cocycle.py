@@ -12,6 +12,9 @@ from bracketlab.cocycle import (
     z_invariant_multiset,
 )
 from bracketlab.corpus import load_corpus_json
+from bracketlab.rings import Coset
+
+from conftest import basepoint_group
 
 
 class TestTargets:
@@ -89,6 +92,20 @@ class TestCanonicalCocycle:
             phi = canonical_cocycle(beta)
             identity = phi.target.identity
             assert all(v == identity for row in phi.phi for v in row)
+
+    def test_x0_independence(self, brackets, witness):
+        # G and phi_beta taken at any basepoint x0 are the bracket's own,
+        # including on the witness, whose q_{x0,x0} moves with x0.
+        for name, beta in {**brackets, "witness": witness}.items():
+            ring, elements = beta.ring, beta.biquandle.elements()
+            phi = canonical_cocycle(beta)
+            for x0 in elements:
+                G, _ = basepoint_group(beta, x0)
+                assert G == beta.G, (name, x0)
+                a_inv = ring.try_invert(beta.a(x0, x0))
+                for x in elements:
+                    for y in elements:
+                        assert phi.value(x, y) == Coset(G, ring.mul(beta.a(x, y), a_inv)), (name, x0, x, y)
 
 
 class TestZInvariant:
