@@ -170,24 +170,24 @@ def enumerate_colorings(X: Biquandle, D: OrientedDiagram) -> List[Coloring]:
     arcs = D.arcs()
     results: List[Coloring] = []
     colors: Dict[int, int] = {}
+    under, over = X.under_table, X.over_table
+    # Each edge enters exactly one crossing; a free circle's arc enters none.
+    entering = {arc: c for c in D.crossings for arc in (c.under_in, c.over_in)}
 
     # Propagation rules: once both inputs of a crossing are known, the outputs
     # are forced.
     def propagate(pending: List[int]) -> bool:
         while pending:
-            arc = pending.pop()
-            for c in D.crossings:
-                if arc not in (c.under_in, c.over_in):
-                    continue
-                if c.under_in in colors and c.over_in in colors:
-                    x, y = colors[c.under_in], colors[c.over_in]
-                    for out_arc, val in ((c.under_out, X.under(x, y)), (c.over_out, X.over(y, x))):
-                        if out_arc in colors:
-                            if colors[out_arc] != val:
-                                return False
-                        else:
-                            colors[out_arc] = val
-                            pending.append(out_arc)
+            c = entering.get(pending.pop())
+            if c is not None and c.under_in in colors and c.over_in in colors:
+                x, y = colors[c.under_in], colors[c.over_in]
+                for out_arc, val in ((c.under_out, under[x - 1][y - 1]), (c.over_out, over[y - 1][x - 1])):
+                    if out_arc in colors:
+                        if colors[out_arc] != val:
+                            return False
+                    else:
+                        colors[out_arc] = val
+                        pending.append(out_arc)
         return True
 
     def backtrack(idx: int):

@@ -12,9 +12,15 @@ maps scaled by the group element q*q_{x,y}^{-1}, with alternating signs
 making the faces anti-commute.  Expanding over the scalar group G reduces
 everything to sparse integer matrices; cohomology is computed in ``graded``.
 
-Basis bookkeeping: a tensor word is a tuple over the state's circles (listed
-in their deterministic order) with letter 0 for the generator "1" (degree q)
-and letter 1 for "t" (degree q^{-1}).
+Basis bookkeeping: a tensor word on a state of k circles (listed in their
+deterministic order) is an int below 2^k, with circle 0 as the high bit; bit
+0 is the generator "1" (degree q) and bit 1 is "t" (degree q^{-1}), so words
+count up in ``itertools.product`` order.  A column lists its states in bit
+order, each as |G| blocks of 2^k words (G sorted), so (state, g, word) sits
+at |G| * (state offset) + (position of g) * 2^k + word, where the state's
+offset counts the words of the column's earlier states.  The offsets and
+each edge's (source word, target word) pairs depend only on the diagram and
+are built once by ``_cube_words``; a coloring adds only degrees and g-moves.
 """
 
 from __future__ import annotations
@@ -40,80 +46,108 @@ from .rings import Coset, UnitSubgroup
 from .tangle import khovanov_complex
 
 
-def _frobenius(letters: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-    """Letters on an edge's target circles, from the letters on its sources.
+class _CubeWords(NamedTuple):
+    """The direct cube's bookkeeping that depends only on the diagram.
 
-    Merge m: 1x1 -> 1, 1xt = tx1 -> t, txt -> 0; split Delta: 1 -> 1xt + tx1,
-    t -> txt.  Letter 0 is "1" and letter 1 is "t".
+    ``states`` holds (column, number of circles k) per state in bit order;
+    ``size`` maps each column to its number of words, in the order the
+    columns first occur.  ``edges`` holds, per cube edge, (changed crossing,
+    sign, column, source offset, source k, target offset, target k, pairs),
+    where an offset counts the words of the column's earlier states and
+    ``pairs`` lists the (source word, target word) terms of the edge's merge
+    or split map.  ``t_letters[k]`` is the number of t letters of each word
+    on k circles.
     """
-    if len(letters) == 2:
-        a, b = letters
-        return [] if a and b else [(a | b,)]
-    return [(0, 1), (1, 0)] if letters[0] == 0 else [(1, 1)]
+
+    states: List[Tuple[int, int]]
+    size: Dict[int, int]
+    edges: List[tuple]
+    t_letters: List[Tuple[int, ...]]
 
 
-def _build_cube_complex(beta: Bracket, colors: dict, D: OrientedDiagram, cube: StateCube) -> GradedComplex:
-    """The expanded integer complex C_beta on ``cube = state_cube(D)`` for one coloring.
+def _cube_words(D: OrientedDiagram, cube: StateCube) -> _CubeWords:
+    """The word maps and state offsets of ``cube = state_cube(D)``."""
+    offset: Dict[Tuple[int, ...], int] = {}
+    size: Dict[int, int] = {}
+    states = []
+    for bits, state in cube.states.items():
+        col, k = sum(bits) - D.n_minus, state.num_circles
+        offset[bits] = size.get(col, 0)
+        size[col] = offset[bits] + (1 << k)
+        states.append((col, k))
+    edges = []
+    for edge in cube.edges:
+        a, b = edge.from_state, edge.to_state
+        k1, k2 = a.num_circles, b.num_circles
+        # kept[s]: the carried letters of source word s, at their target bits.
+        carried = dict(edge.carried)
+        kept = [0]
+        for i in reversed(range(k1)):
+            bit = 1 << (k2 - 1 - carried[i]) if i in carried else 0
+            kept += [word + bit for word in kept]
+        src = [1 << (k1 - 1 - i) for i in edge.sources]
+        dst = [1 << (k2 - 1 - j) for j in edge.targets]
+        if edge.kind == "merge":  # m: 1x1 -> 1, 1xt = tx1 -> t, txt -> 0
+            (m1, m2), (t,) = src, dst
+            pairs = [(s, word + (t if s & (m1 | m2) else 0)) for s, word in enumerate(kept) if not (s & m1 and s & m2)]
+        else:  # Delta: 1 -> 1xt + tx1, t -> txt
+            (m,), (t1, t2) = src, dst
+            pairs = []
+            for s, word in enumerate(kept):
+                pairs += [(s, word + t1 + t2)] if s & m else [(s, word + t2), (s, word + t1)]
+        edges.append((
+            edge.changed_crossing, edge.sign, sum(a.resolution) - D.n_minus,
+            offset[a.resolution], k1, offset[b.resolution], k2, pairs,
+        ))
+    most = max(k for _, k in states)
+    t_letters = [tuple(bin(word).count("1") for word in range(1 << k)) for k in range(most + 1)]
+    return _CubeWords(states, size, edges, t_letters)
+
+
+def _build_cube_complex(beta: Bracket, colors: dict, D: OrientedDiagram, words: _CubeWords) -> GradedComplex:
+    """The expanded integer complex C_beta on ``words = _cube_words(D, state_cube(D))`` for one coloring.
 
     ``colors`` maps arcs to biquandle elements; q is ``beta.q11`` and g runs
     over ``beta.G``.  A basis element (state, g, word) has degree global
     shift * signed state coefficient * g * q^(#1 - #t); an edge at crossing
-    (x, y) takes g to g * q * q_{x,y}^{-1}.
+    (x, y) takes g to g * q * q_{x,y}^{-1}.  Its index in its column is
+    |G| * (state offset) + (position of g) * 2^k + word.
     """
     ring, q = beta.ring, beta.q11
     scalars = beta.G.sorted_elements()
     global_shift = ring.power(beta.w, D.n_minus - D.n_plus)
     if D.n_minus % 2:
         global_shift = ring.neg(global_shift)
-    q_power = {}  # #1 - #t -> q^(#1 - #t)
-
-    # Expanded basis per column: (state bits, scalar, word), ordered by state,
-    # then scalar, then word, for deterministic output.
-    basis: Dict[int, List[tuple]] = {}
-    index: Dict[tuple, int] = {}
-    degrees: Dict[int, list] = {}
-    for bits, state in cube.states.items():
-        col = sum(bits) - D.n_minus
-        shift = global_shift
-        for crossing, bit in zip(D.crossings, bits):
-            shift = ring.mul(shift, beta.coefficient(crossing, bit, colors))
-        if sum(bits) % 2:
-            shift = ring.neg(shift)
+    # Signed state coefficients in bit order, the first crossing the high bit.
+    shifts = [global_shift]
+    for crossing in D.crossings:
+        coefficients = beta.coefficient(crossing, 0, colors), ring.neg(beta.coefficient(crossing, 1, colors))
+        shifts = [ring.mul(shift, c) for shift in shifts for c in coefficients]
+    most = len(words.t_letters) - 1
+    q_power = {e: ring.power(q, e) for e in range(-most, most + 1)}  # #1 - #t -> q^(#1 - #t)
+    degrees: Dict[int, list] = {col: [] for col in words.size}
+    for (col, k), shift in zip(words.states, shifts):
         for g in scalars:
             base = ring.mul(shift, g)
-            for word in itertools.product((0, 1), repeat=state.num_circles):
-                key = (bits, g, word)
-                basis.setdefault(col, []).append(key)
-                index[key] = len(basis[col]) - 1
-                e = len(word) - 2 * sum(word)
-                if e not in q_power:
-                    q_power[e] = ring.power(q, e)
-                degrees.setdefault(col, []).append(ring.mul(base, q_power[e]))
+            by_t = [ring.mul(base, q_power[k - 2 * t]) for t in range(k + 1)]
+            degrees[col].extend(map(by_t.__getitem__, words.t_letters[k]))
 
-    differentials: Dict[int, List[Dict[int, int]]] = {
-        col: [{} for _ in basis[col + 1]] for col in basis if col + 1 in basis
-    }
-
-    for edge in cube.edges:
-        from_bits = edge.from_state.resolution
-        to_bits = edge.to_state.resolution
-        matrix = differentials.get(sum(from_bits) - D.n_minus)
-        if matrix is None:
-            continue
-        x, y = crossing_color_pair(D.crossings[edge.changed_crossing], colors)
+    position = {g: i for i, g in enumerate(scalars)}
+    moves = []  # per crossing, the position of g * q * q_{x,y}^{-1} for each g
+    for crossing in D.crossings:
+        x, y = crossing_color_pair(crossing, colors)
         step = ring.mul(q, ring.try_invert(beta.q(x, y)))
-        out = [0] * edge.to_state.num_circles
-        for g in scalars:
-            g2 = ring.mul(g, step)
-            for word in itertools.product((0, 1), repeat=edge.from_state.num_circles):
-                src = index[(from_bits, g, word)]
-                for i, j in edge.carried:
-                    out[j] = word[i]
-                for letters in _frobenius(tuple(word[i] for i in edge.sources)):
-                    for j, letter in zip(edge.targets, letters):
-                        out[j] = letter
-                    row = matrix[index[(to_bits, g2, tuple(out))]]
-                    row[src] = row.get(src, 0) + edge.sign
+        moves.append([position[ring.mul(g, step)] for g in scalars])
+    n = len(scalars)
+    differentials: Dict[int, List[Dict[int, int]]] = {
+        col: [{} for _ in range(n * words.size[col + 1])] for col in words.size if col + 1 in words.size
+    }
+    for crossing, sign, col, src_offset, k1, dst_offset, k2, pairs in words.edges:
+        matrix = differentials[col]
+        for i, j in enumerate(moves[crossing]):
+            src, dst = n * src_offset + (i << k1), n * dst_offset + (j << k2)
+            for s, t in pairs:
+                matrix[dst + t][src + s] = sign
 
     return GradedComplex(grading=FiniteUnitsGrading(ring), degrees=degrees, differentials=differentials)
 
@@ -121,7 +155,7 @@ def _build_cube_complex(beta: Bracket, colors: dict, D: OrientedDiagram, cube: S
 def build_complex(beta: Bracket, f: Coloring) -> GradedComplex:
     """The shifted bracket-cohomology complex C_beta(f) on expanded bases."""
     D = f.diagram
-    return _build_cube_complex(beta, dict(f.arc_colors), D, state_cube(D))
+    return _build_cube_complex(beta, dict(f.arc_colors), D, _cube_words(D, state_cube(D)))
 
 
 def khovanov_classical(D: OrientedDiagram) -> HomologyTable:
@@ -226,16 +260,16 @@ def check_colorings(
 ) -> List[ColoringCheck]:
     """Each coloring's direct Bh cube against its bracket value and the folded Khovanov table.
 
-    ``classical`` is ``khovanov_classical(D)``.  The state cube of ``D`` is
-    built once and the bracket values come from one scan; each complex
-    lives only for its own coloring's checks.
+    ``classical`` is ``khovanov_classical(D)``.  The state cube of ``D`` and
+    its word maps are built once and the bracket values come from one scan;
+    each complex lives only for its own coloring's checks.
     """
     G, q = beta.G, beta.q11
-    cube = state_cube(D)
+    words = _cube_words(D, state_cube(D))
     checks = []
     for f, value in zip(colorings, bracket_values(beta, D, colorings)):
         z = z_invariant(beta, f)
-        c = _build_cube_complex(beta, dict(f.arc_colors), D, cube)
+        c = _build_cube_complex(beta, dict(f.arc_colors), D, words)
         bh = cohomology(c)
         checks.append(ColoringCheck(
             value, z, bh,

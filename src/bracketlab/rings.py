@@ -21,6 +21,11 @@ class RingError(ValueError):
     """Raised for malformed ring descriptors or out-of-ring elements."""
 
 
+# The most elements a quotient ring may have: its product table holds the
+# square of this many entries.
+MAX_ELEMENTS = 1024
+
+
 class Ring:
     """Common interface for the two concrete ring kinds."""
 
@@ -168,17 +173,31 @@ class PolyQuotientRing(Ring):
             raise RingError("leading coefficient of modulus must be a unit")
         self.modulus = tuple(mod)
         self.degree = len(mod) - 1
+        size = base_n ** self.degree
+        if size > MAX_ELEMENTS:
+            raise RingError(f"a quotient ring of {size} elements is too large (at most {MAX_ELEMENTS})")
         self._lead_inv = lead_inv
-        self.zero = (0,) * self.degree
-        self.one = tuple([1 % base_n] + [0] * (self.degree - 1))
-        # One scan per element, done once: try_invert is then a lookup.
-        elements = self.elements()
-        self._inverses = {}
-        for a in elements:
-            for b in elements:
-                if self.mul(a, b) == self.one:
-                    self._inverses[a] = b
-                    break
+        elements = [tuple(c) for c in itertools.product(range(base_n), repeat=self.degree)]
+        self.zero, self.one = elements[0], elements[base_n ** (self.degree - 1)]
+        # The product table, built once: mul and try_invert are then lookups.
+        # Rows hold the shared element tuples, indexed by position in
+        # elements().  Row a is filled up to the diagonal and copied into
+        # column a (a*b = b*a), walking b in elements() order: the next b
+        # adds t^k for each digit k that changes (n-1 -> 0 is +1 mod n), so
+        # a*b moves by the sum of those a*t^k.
+        code = {a: i for i, a in enumerate(elements)}
+        changed = [sum(x != y for x, y in zip(b, c)) for b, c in zip(elements, elements[1:])] + [0]
+        table = [[None] * size for _ in range(size)]
+        for i, a in enumerate(elements):
+            steps = [self.zero]
+            for k in reversed(range(self.degree)):
+                steps.append(self.add(steps[-1], self._product(a, elements[base_n ** (self.degree - 1 - k)])))
+            row, p = table[i], self.zero
+            for j in range(i + 1):
+                row[j] = table[j][i] = elements[code[p]]
+                p = tuple([(x + y) % base_n for x, y in zip(p, steps[changed[j]])])
+        self._elements, self._code, self._table = elements, code, table
+        self._inverses = {a: elements[row.index(self.one)] for a, row in zip(elements, table) if self.one in row}
 
     def _reduce(self, coeffs: list) -> tuple:
         n = self.base.n
@@ -198,7 +217,7 @@ class PolyQuotientRing(Ring):
         n = self.base.n
         return tuple((x + y) % n for x, y in zip(a, b))
 
-    def mul(self, a, b):
+    def _product(self, a, b) -> tuple:
         prod = [0] * (2 * self.degree - 1)
         for i, x in enumerate(a):
             if x == 0:
@@ -207,12 +226,15 @@ class PolyQuotientRing(Ring):
                 prod[i + j] += x * y
         return self._reduce(prod)
 
+    def mul(self, a, b):
+        return self._table[self._code[a]][self._code[b]]
+
     def neg(self, a):
         n = self.base.n
         return tuple((-x) % n for x in a)
 
     def elements(self):
-        return [tuple(c) for c in itertools.product(range(self.base.n), repeat=self.degree)]
+        return list(self._elements)
 
     def try_invert(self, a):
         return self._inverses.get(a)

@@ -1,16 +1,42 @@
+import itertools
+import random
+
 import pytest
 
 from bracketlab.biquandle import (
     Biquandle,
+    Coloring,
     counting_invariant,
     enumerate_colorings,
     verify_biquandle,
 )
 from bracketlab.corpus import load_corpus_json
+from bracketlab.diagram import parse_diagram
+from conftest import braid_closure, random_braid_word
 
 # Dihedral quandle R_3: x under y = 2y - x (mod 3), x over y = x.
 R3_UNDER = [[1, 3, 2], [3, 2, 1], [2, 1, 3]]
 R3_OVER = [[1, 1, 1], [2, 2, 2], [3, 3, 3]]
+
+
+def brute_force_colorings(X: Biquandle, D) -> list:
+    """The colorings of ``D`` found by trying all |X|^arcs assignments in lexicographic order.
+
+    An assignment is kept when every crossing has under_out = under_in
+    (under) over_in and over_out = over_in (over) under_in, the rule that
+    ``enumerate_colorings`` states.
+    """
+    arcs = D.arcs()
+    found = []
+    for values in itertools.product(X.elements(), repeat=len(arcs)):
+        colors = dict(zip(arcs, values))
+        if all(
+            colors[c.under_out] == X.under(colors[c.under_in], colors[c.over_in])
+            and colors[c.over_out] == X.over(colors[c.over_in], colors[c.under_in])
+            for c in D.crossings
+        ):
+            found.append(Coloring(D, tuple(sorted(colors.items()))))
+    return found
 
 
 class TestVerify:
@@ -88,3 +114,17 @@ class TestColorings:
         again = Biquandle.from_json(threeel.to_json())
         assert again.under_table == threeel.under_table
         assert again.over_table == threeel.over_table
+
+
+@pytest.mark.parametrize("name", ["flip", "threeel", "r3"])
+def test_colorings_equal_brute_force(flip, threeel, name):
+    X = {"flip": flip, "threeel": threeel, "r3": Biquandle(R3_UNDER, R3_OVER)}[name]
+    rng = random.Random(5)
+    checked = 0
+    while checked < 12:
+        strands = rng.randint(2, 4)
+        D = parse_diagram(braid_closure(random_braid_word(rng, strands, rng.randint(1, 6)), strands))
+        if X.n ** len(D.arcs()) > 20_000:
+            continue
+        assert enumerate_colorings(X, D) == brute_force_colorings(X, D)
+        checked += 1

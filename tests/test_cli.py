@@ -108,6 +108,15 @@ def test_malformed_bracket_exits_2(runner, tmp_path, name):
     _assert_input_error(runner.invoke(main, ["verify-bracket", path]), "bracket")
 
 
+def test_oversized_quotient_ring_exits_2(runner, tmp_path):
+    # GF(2^16): 65,536 elements, past the bound, refused before any is listed.
+    modulus = [1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1]
+    path = _malformed(tmp_path, "gf65536", "bracket_gf8", ("ring", "modulus"), modulus)
+    result = runner.invoke(main, ["verify-bracket", path])
+    _assert_input_error(result, "bracket")
+    assert "65536 elements is too large" in result.output
+
+
 # (path to one field of biquandle_flip, malformed value); () replaces the whole file.
 MALFORMED_BIQUANDLES = {
     "entry_zero": (("under", 0, 0), 0),

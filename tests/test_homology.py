@@ -1,12 +1,20 @@
+import itertools
 import random
 
 import pytest
 
 from bracketlab.biquandle import Biquandle, enumerate_colorings
-from bracketlab.bracket import Bracket
+from bracketlab.bracket import Bracket, crossing_color_pair
 from bracketlab.cocycle import z_invariant
-from bracketlab.diagram import OrientedDiagram, parse_diagram
-from bracketlab.graded import HomologyTable, InfiniteCyclicGrading, cohomology, evaluate_formal_sum
+from bracketlab.diagram import OrientedDiagram, StateCube, parse_diagram, state_cube
+from bracketlab.graded import (
+    FiniteUnitsGrading,
+    GradedComplex,
+    HomologyTable,
+    InfiniteCyclicGrading,
+    cohomology,
+    evaluate_formal_sum,
+)
 from bracketlab.homology import (
     bh_invariant,
     bh_multiset,
@@ -54,6 +62,64 @@ def cube_khovanov(D: OrientedDiagram) -> HomologyTable:
     return HomologyTable.from_dict(
         InfiniteCyclicGrading(), {(i, exponent[h]): (rank, tors) for (i, h), rank, tors in table.entries}
     )
+
+
+def reference_cube_complex(beta: Bracket, colors: dict, D: OrientedDiagram, cube: StateCube) -> GradedComplex:
+    """The direct cube C_beta built word by word, keyed by (state bits, g, letter tuple).
+
+    The reference for ``homology.build_complex``: every basis element gets
+    its own index entry and degree, and every edge term is looked up by
+    its key.  Words are tuples over the state's circles in
+    ``itertools.product`` order; the Frobenius maps are written out here.
+    """
+
+    def frobenius(letters):
+        # Merge: 1x1 -> 1, 1xt = tx1 -> t, txt -> 0; split: 1 -> 1xt + tx1, t -> txt.
+        if len(letters) == 2:
+            a, b = letters
+            return [] if a and b else [(a | b,)]
+        return [(0, 1), (1, 0)] if letters[0] == 0 else [(1, 1)]
+
+    ring, q = beta.ring, beta.q11
+    scalars = beta.G.sorted_elements()
+    global_shift = ring.power(beta.w, D.n_minus - D.n_plus)
+    if D.n_minus % 2:
+        global_shift = ring.neg(global_shift)
+    basis, index, degrees = {}, {}, {}
+    for bits, state in cube.states.items():
+        col = sum(bits) - D.n_minus
+        shift = global_shift
+        for crossing, bit in zip(D.crossings, bits):
+            shift = ring.mul(shift, beta.coefficient(crossing, bit, colors))
+        if sum(bits) % 2:
+            shift = ring.neg(shift)
+        for g in scalars:
+            base = ring.mul(shift, g)
+            for word in itertools.product((0, 1), repeat=state.num_circles):
+                key = (bits, g, word)
+                basis.setdefault(col, []).append(key)
+                index[key] = len(basis[col]) - 1
+                e = len(word) - 2 * sum(word)
+                degrees.setdefault(col, []).append(ring.mul(base, ring.power(q, e)))
+    differentials = {col: [{} for _ in basis[col + 1]] for col in basis if col + 1 in basis}
+    for edge in cube.edges:
+        from_bits, to_bits = edge.from_state.resolution, edge.to_state.resolution
+        matrix = differentials[sum(from_bits) - D.n_minus]
+        x, y = crossing_color_pair(D.crossings[edge.changed_crossing], colors)
+        step = ring.mul(q, ring.try_invert(beta.q(x, y)))
+        out = [0] * edge.to_state.num_circles
+        for g in scalars:
+            g2 = ring.mul(g, step)
+            for word in itertools.product((0, 1), repeat=edge.from_state.num_circles):
+                src = index[(from_bits, g, word)]
+                for i, j in edge.carried:
+                    out[j] = word[i]
+                for letters in frobenius(tuple(word[i] for i in edge.sources)):
+                    for j, letter in zip(edge.targets, letters):
+                        out[j] = letter
+                    row = matrix[index[(to_bits, g2, tuple(out))]]
+                    row[src] = row.get(src, 0) + edge.sign
+    return GradedComplex(grading=FiniteUnitsGrading(ring), degrees=degrees, differentials=differentials)
 
 
 def torus_khovanov(n: int) -> dict:
@@ -192,6 +258,29 @@ class TestBracketCohomology:
                     cube = cohomology(build_complex(beta, f))
                     assert bh_invariant(beta, f) == cube, (word, strands, name)
         assert shifted  # some Z_beta(f) is not G, so the sweep sees the shift
+
+    @pytest.mark.parametrize("name", ["bracket_z9", "bracket_gf8", "bracket_phi", "bracket_const_z5", "kauffman"])
+    def test_cube_equals_reference_builder(self, brackets, diagrams, name):
+        # Same columns, degrees and rows, each row's entries inserted in the
+        # same order, so the cohomology's pivots are the same too.
+        beta = KAUFFMAN if name == "kauffman" else brackets[name]
+        rng = random.Random(11)
+        cases = [diagrams[d] for d in DIAGRAM_NAMES]
+        for k in range(12):
+            strands, crossings = 2 + k % 3, 1 + k % 6
+            cases.append(parse_diagram(braid_closure(random_braid_word(rng, strands, crossings), strands)))
+        built = 0
+        for D in cases:
+            cube = state_cube(D)
+            for f in enumerate_colorings(beta.biquandle, D):
+                c = build_complex(beta, f)
+                ref = reference_cube_complex(beta, dict(f.arc_colors), D, cube)
+                assert list(c.degrees.items()) == list(ref.degrees.items())
+                assert list(c.differentials) == list(ref.differentials)
+                for col, rows in ref.differentials.items():
+                    assert [list(row.items()) for row in c.differentials[col]] == [list(row.items()) for row in rows]
+                built += 1
+        assert built >= len(cases)
 
     def test_complex_is_valid(self, brackets, diagrams):
         # d compose d = 0 and degree preservation on every built complex.

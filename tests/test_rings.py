@@ -1,6 +1,10 @@
+import itertools
+import random
+
 import pytest
 
 from bracketlab.rings import (
+    MAX_ELEMENTS,
     Coset,
     PolyQuotientRing,
     RingError,
@@ -9,6 +13,25 @@ from bracketlab.rings import (
     ring_make,
     subgroup_generate,
 )
+
+
+def schoolbook(r: PolyQuotientRing, a: tuple, b: tuple) -> tuple:
+    """a*b in (Z/n)[t]/(p): the coefficient convolution, then long division by p."""
+    n, p, d = r.base.n, r.modulus, r.degree
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    lead_inv = pow(p[-1], -1, n)
+    for top in range(2 * d - 2, d - 1, -1):
+        factor = prod[top] * lead_inv % n
+        for j, c in enumerate(p):
+            prod[top - d + j] -= factor * c
+    return tuple(c % n for c in prod[:d])
+
+
+def coefficient_tuples(r: PolyQuotientRing) -> list:
+    return list(itertools.product(range(r.base.n), repeat=r.degree))
 
 
 def quotient_cosets(group: UnitSubgroup) -> list:
@@ -94,9 +117,37 @@ class TestPolyQuotient:
     @pytest.mark.parametrize("base_n", [2, 4])
     def test_inverse_table_matches_full_scan(self, base_n, modulus):
         r = PolyQuotientRing(base_n, modulus)
-        for a in r.elements():
-            inverses = [b for b in r.elements() if r.mul(a, b) == r.one]
+        for a in coefficient_tuples(r):
+            inverses = [b for b in coefficient_tuples(r) if schoolbook(r, a, b) == r.one]
             assert r.try_invert(a) == (inverses[0] if inverses else None)
+
+    @pytest.mark.parametrize(
+        "base_n, modulus",
+        [(2, [1, 1, 0, 1]), (2, [1, 0, 0, 0, 1]), (4, [3, 0, 1])],
+        ids=["gf8", "phi", "z4_u2_minus_1"],
+    )
+    def test_product_table_matches_schoolbook(self, base_n, modulus):
+        r = PolyQuotientRing(base_n, modulus)
+        for a in coefficient_tuples(r):
+            for b in coefficient_tuples(r):
+                assert r.mul(a, b) == schoolbook(r, a, b), (a, b)
+
+    def test_ring_size_is_bounded(self):
+        # GF(2^16) would need a 65,536^2 product table; 2^11 is past the bound.
+        for modulus in ([1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1], [1, 0, 1] + [0] * 8 + [1]):
+            with pytest.raises(RingError, match="too large"):
+                PolyQuotientRing(2, modulus)
+
+    def test_largest_ring_is_accepted(self):
+        # GF(2^10) = F_2[t]/(t^10 + t^3 + 1): every nonzero element is a unit.
+        r = PolyQuotientRing(2, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1])
+        assert len(r.elements()) == MAX_ELEMENTS
+        assert len(r.units()) == MAX_ELEMENTS - 1
+        rng = random.Random(3)
+        elements = coefficient_tuples(r)
+        for _ in range(2000):
+            a, b = rng.choice(elements), rng.choice(elements)
+            assert r.mul(a, b) == schoolbook(r, a, b), (a, b)
 
 
 @pytest.mark.parametrize(
