@@ -50,7 +50,6 @@ from .homology import (
     build_complex,
     check_euler_identity,
     check_theorem,
-    kauffman_state_sum,
     khovanov_classical,
 )
 from .rings import (

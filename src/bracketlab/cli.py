@@ -25,7 +25,7 @@ from .bracket import (
 from .cocycle import canonical_cocycle, cocycle_from_json, verify_cocycle, z_invariant_multiset
 from .corpus import check_all, load_manifest, report_to_json
 from .diagram import parse_diagram
-from .homology import bh_multiset, check_colorings, khovanov_classical
+from .homology import bh_multiset, check_colorings, cube_words, khovanov_classical
 
 INPUT_ERROR = 2
 CHECK_FAILED = 1
@@ -279,7 +279,7 @@ def _run_checks(bracket_file, diagram_file, pretty, field, label):
     beta = _parse(bracket_file, "bracket", bracket_from_json)
     D = _parse(diagram_file, "diagram", parse_diagram)
     colorings = enumerate_colorings(beta.biquandle, D)
-    checks = check_colorings(beta, D, colorings, khovanov_classical(D))
+    checks = check_colorings(beta, D, colorings, khovanov_classical(D), cube_words(D))
     reports = [
         {"coloring": f.to_json(), **getattr(check, field).to_json()}
         for f, check in zip(colorings, checks)

@@ -6,8 +6,9 @@ Reidemeister-equivalent diagram pairs and negative verification controls.
 guarantee over the whole corpus: axiom verification, invariance of all four
 invariants across equivalent pairs, and the theorem / Euler-identity checks
 on every bracket x diagram x coloring combination.  It computes each value
-once: Khovanov homology per diagram and, through ``homology.check_colorings``,
-the bracket value, Z_beta coset and direct-cube Bh table per coloring.
+once: Khovanov homology and the direct cube's word maps per diagram and,
+through ``homology.check_colorings``, the bracket value, Z_beta coset and
+direct-cube Bh table per coloring.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .biquandle import Biquandle, Report, counting_invariant, enumerate_coloring
 from .bracket import Bracket, decode_bracket, verify_bracket
 from .cocycle import canonical_cocycle, cocycle_from_json, verify_cocycle
 from .diagram import OrientedDiagram, parse_diagram
-from .homology import check_colorings, khovanov_classical
+from .homology import check_colorings, cube_words, khovanov_classical
 
 
 @dataclass
@@ -153,16 +154,17 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
             same = counting_invariant(X, diagrams[a]) == counting_invariant(X, diagrams[b])
             row(f"counting-invariance:{bq_name}:{a}~{b}", same, "")
 
-    # One pass over every bracket x diagram x coloring.  The pass keeps, per
+    # One pass over every diagram x bracket x coloring.  Khovanov homology and
+    # the cube's word maps are built once per diagram.  The pass keeps, per
     # (bracket, diagram), the bracket, Z_beta and Bh multisets and each
     # coloring's theorem, Euler and chi(C) = chi(H(C)) outcomes.
-    classical = {name: khovanov_classical(D) for name, D in diagrams.items()} if brackets else {}
     invariants, outcomes = {}, {}
-    for br_name, beta in brackets.items():
-        ring = beta.ring
-        for name, D in diagrams.items():
+    for name, D in diagrams.items() if brackets else ():
+        classical, words = khovanov_classical(D), cube_words(D)
+        for br_name, beta in brackets.items():
+            ring = beta.ring
             colorings = enumerate_colorings(beta.biquandle, D)
-            checks = check_colorings(beta, D, colorings, classical[name])
+            checks = check_colorings(beta, D, colorings, classical, words)
             invariants[br_name, name] = (
                 multiset((c.value for c in checks), ring.sort_key),
                 multiset((c.z for c in checks), lambda coset: ring.sort_key(coset.canonical)),
@@ -183,10 +185,11 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
 
     # Theorem and Euler identity on every bracket x diagram x coloring, and
     # chi(C) = chi(H(C)) on the built complex.
-    for (br_name, name), checks in outcomes.items():
-        for idx, oks in enumerate(checks):
-            for kind, ok in zip(("theorem", "euler", "euler-complex"), oks):
-                row(f"{kind}:{br_name}:{name}:{idx}", ok, "")
+    for br_name in brackets:
+        for name in diagrams:
+            for idx, oks in enumerate(outcomes[br_name, name]):
+                for kind, ok in zip(("theorem", "euler", "euler-complex"), oks):
+                    row(f"{kind}:{br_name}:{name}:{idx}", ok, "")
     return results
 
 

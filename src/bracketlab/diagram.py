@@ -297,61 +297,3 @@ def smoothing_states(D: OrientedDiagram) -> Iterator[SmoothingState]:
     for bits in itertools.product((0, 1), repeat=len(D.crossings)):
         yield resolve_state(D, bits)
 
-
-@dataclass(frozen=True)
-class CubeEdge:
-    """An edge of the smoothing cube: two states differing in one bit (0->1).
-
-    Circles are named by their index in each state.  ``carried`` holds an
-    (index in ``from_state``, index in ``to_state``) pair per unchanged
-    circle; ``sources`` are the circles of ``from_state`` that change and
-    ``targets`` the circles of ``to_state`` they become: two into one for a
-    merge, one into two for a split.
-    """
-
-    from_state: SmoothingState
-    to_state: SmoothingState
-    changed_crossing: int
-    sign: int  # (-1)^(number of 1-bits before the changed position)
-    carried: Tuple[Tuple[int, int], ...]
-    sources: Tuple[int, ...]
-    targets: Tuple[int, ...]
-
-    @property
-    def kind(self) -> str:
-        return "merge" if len(self.sources) == 2 else "split"
-
-
-@dataclass(frozen=True)
-class StateCube:
-    """All 2^n smoothing states by bit vector, in bit order, and the cube edges."""
-
-    states: Dict[Tuple[int, ...], SmoothingState]
-    edges: List[CubeEdge]
-
-
-def _cube_edge(a: SmoothingState, b: SmoothingState, pos: int) -> CubeEdge:
-    """The edge a -> b; an unchanged circle has the same edge labels in both."""
-    position = {circle: j for j, circle in enumerate(b.circles)}
-    carried = tuple((i, position[c]) for i, c in enumerate(a.circles) if c in position)
-    sources = tuple(i for i, c in enumerate(a.circles) if c not in position)
-    kept = {j for _, j in carried}
-    targets = tuple(j for j in range(b.num_circles) if j not in kept)
-    if (len(sources), len(targets)) not in ((2, 1), (1, 2)):
-        raise DiagramError(
-            f"adjacent states {a.resolution}->{b.resolution} are neither a merge nor a split"
-        )
-    sign = -1 if sum(a.resolution[:pos]) % 2 else 1
-    return CubeEdge(a, b, pos, sign, carried, sources, targets)
-
-
-def state_cube(D: OrientedDiagram) -> StateCube:
-    """The 2^n states and n * 2^(n-1) edges of the smoothing cube."""
-    states = {state.resolution: state for state in smoothing_states(D)}
-    edges = [
-        _cube_edge(state, states[bits[:pos] + (1,) + bits[pos + 1 :]], pos)
-        for bits, state in states.items()
-        for pos, bit in enumerate(bits)
-        if bit == 0
-    ]
-    return StateCube(states, edges)

@@ -19,25 +19,23 @@ count up in ``itertools.product`` order.  A column lists its states in bit
 order, each as |G| blocks of 2^k words (G sorted), so (state, g, word) sits
 at |G| * (state offset) + (position of g) * 2^k + word, where the state's
 offset counts the words of the column's earlier states.  The offsets and
-each edge's (source word, target word) pairs depend only on the diagram and
-are built once by ``_cube_words``; a coloring adds only degrees and g-moves.
+each edge's (source word, target word) pairs depend only on the diagram:
+``cube_words`` builds them from one walk of the resolved states, and a
+coloring adds only degrees and g-moves.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, NamedTuple, Tuple
 
 from .biquandle import Coloring, Report, enumerate_colorings, multiset
 from .bracket import Bracket, bracket_values, crossing_color_pair
 from .cocycle import z_invariant
-from .diagram import OrientedDiagram, StateCube, smoothing_states, state_cube
+from .diagram import OrientedDiagram, smoothing_states
 from .graded import (
     FiniteUnitsGrading,
-    FormalSum,
     GradedComplex,
     HomologyTable,
-    InfiniteCyclicGrading,
     cohomology,
     evaluate_formal_sum,
     merge_invariant_factors,
@@ -65,47 +63,55 @@ class _CubeWords(NamedTuple):
     t_letters: List[Tuple[int, ...]]
 
 
-def _cube_words(D: OrientedDiagram, cube: StateCube) -> _CubeWords:
-    """The word maps and state offsets of ``cube = state_cube(D)``."""
-    offset: Dict[Tuple[int, ...], int] = {}
-    size: Dict[int, int] = {}
-    states = []
-    for bits, state in cube.states.items():
-        col, k = sum(bits) - D.n_minus, state.num_circles
-        offset[bits] = size.get(col, 0)
-        size[col] = offset[bits] + (1 << k)
+def cube_words(D: OrientedDiagram) -> _CubeWords:
+    """The direct cube's word maps and state offsets, from one walk of the smoothing states.
+
+    State a, its bits read as a number with the first crossing the high bit,
+    has an edge to a | bit for each of its 0-bits.  A circle with the same
+    edge labels in both states is carried; the others are merged two into
+    one or split one into two.  The edge's sign is (-1)^(1-bits before the
+    changed one), which makes the faces anti-commute.
+    """
+    n = len(D.crossings)
+    position, offsets, states, size = [], [], [], {}
+    for state in smoothing_states(D):
+        col, k = state.weight - D.n_minus, state.num_circles
+        offsets.append(size.get(col, 0))
+        size[col] = offsets[-1] + (1 << k)
         states.append((col, k))
+        position.append({circle: j for j, circle in enumerate(state.circles)})
     edges = []
-    for edge in cube.edges:
-        a, b = edge.from_state, edge.to_state
-        k1, k2 = a.num_circles, b.num_circles
-        # kept[s]: the carried letters of source word s, at their target bits.
-        carried = dict(edge.carried)
-        kept = [0]
-        for i in reversed(range(k1)):
-            bit = 1 << (k2 - 1 - carried[i]) if i in carried else 0
-            kept += [word + bit for word in kept]
-        src = [1 << (k1 - 1 - i) for i in edge.sources]
-        dst = [1 << (k2 - 1 - j) for j in edge.targets]
-        if edge.kind == "merge":  # m: 1x1 -> 1, 1xt = tx1 -> t, txt -> 0
-            (m1, m2), (t,) = src, dst
-            pairs = [(s, word + (t if s & (m1 | m2) else 0)) for s, word in enumerate(kept) if not (s & m1 and s & m2)]
-        else:  # Delta: 1 -> 1xt + tx1, t -> txt
-            (m,), (t1, t2) = src, dst
-            pairs = []
-            for s, word in enumerate(kept):
-                pairs += [(s, word + t1 + t2)] if s & m else [(s, word + t2), (s, word + t1)]
-        edges.append((
-            edge.changed_crossing, edge.sign, sum(a.resolution) - D.n_minus,
-            offset[a.resolution], k1, offset[b.resolution], k2, pairs,
-        ))
+    for a, (col, k1) in enumerate(states):
+        for pos in range(n):
+            b = a | 1 << (n - 1 - pos)
+            if b == a:
+                continue
+            k2 = states[b][1]
+            moved = [position[b].get(circle) for circle in position[a]]  # None for a changed circle
+            # kept[s]: the carried letters of source word s, at their target bits.
+            kept = [0]
+            for j in reversed(moved):
+                bit = 0 if j is None else 1 << (k2 - 1 - j)
+                kept += [word + bit for word in kept]
+            src = [1 << (k1 - 1 - i) for i, j in enumerate(moved) if j is None]
+            dst = [1 << (k2 - 1 - j) for j in range(k2) if j not in moved]
+            if len(src) == 2:  # m: 1x1 -> 1, 1xt = tx1 -> t, txt -> 0
+                (m1, m2), (t,) = src, dst
+                pairs = [(s, word + (t if s & (m1 | m2) else 0)) for s, word in enumerate(kept) if not (s & m1 and s & m2)]
+            else:  # Delta: 1 -> 1xt + tx1, t -> txt
+                (m,), (t1, t2) = src, dst
+                pairs = []
+                for s, word in enumerate(kept):
+                    pairs += [(s, word + t1 + t2)] if s & m else [(s, word + t2), (s, word + t1)]
+            sign = -1 if bin(a >> (n - pos)).count("1") % 2 else 1
+            edges.append((pos, sign, col, offsets[a], k1, offsets[b], k2, pairs))
     most = max(k for _, k in states)
     t_letters = [tuple(bin(word).count("1") for word in range(1 << k)) for k in range(most + 1)]
     return _CubeWords(states, size, edges, t_letters)
 
 
 def _build_cube_complex(beta: Bracket, colors: dict, D: OrientedDiagram, words: _CubeWords) -> GradedComplex:
-    """The expanded integer complex C_beta on ``words = _cube_words(D, state_cube(D))`` for one coloring.
+    """The expanded integer complex C_beta on ``words = cube_words(D)`` for one coloring.
 
     ``colors`` maps arcs to biquandle elements; q is ``beta.q11`` and g runs
     over ``beta.G``.  A basis element (state, g, word) has degree global
@@ -155,31 +161,12 @@ def _build_cube_complex(beta: Bracket, colors: dict, D: OrientedDiagram, words: 
 def build_complex(beta: Bracket, f: Coloring) -> GradedComplex:
     """The shifted bracket-cohomology complex C_beta(f) on expanded bases."""
     D = f.diagram
-    return _build_cube_complex(beta, dict(f.arc_colors), D, _cube_words(D, state_cube(D)))
+    return _build_cube_complex(beta, dict(f.arc_colors), D, cube_words(D))
 
 
 def khovanov_classical(D: OrientedDiagram) -> HomologyTable:
     """Classical integer-graded Khovanov homology of the diagram, by the tangle scan."""
     return cohomology(khovanov_complex(D))
-
-
-def kauffman_state_sum(D: OrientedDiagram) -> FormalSum:
-    """Unnormalized Jones polynomial by direct state-sum enumeration.
-
-    chi = (-1)^{n_-} q^{n_+ - 2 n_-} sum_s (-q)^{|s|} (q + q^{-1})^{circles(s)},
-    computed on exponents without any homological machinery.
-    """
-    grading = InfiniteCyclicGrading()
-    total: Dict[int, int] = {}
-    shift = D.n_plus - 2 * D.n_minus
-    for state in smoothing_states(D):
-        w = state.weight
-        sign = -1 if (w + D.n_minus) % 2 else 1
-        # (q + q^{-1})^c expanded by binomial enumeration.
-        for letters in itertools.product((1, -1), repeat=state.num_circles):
-            e = shift + w + sum(letters)
-            total[e] = total.get(e, 0) + sign
-    return FormalSum(grading, total)
 
 
 def fold_khovanov(classical: HomologyTable, G: UnitSubgroup, q, z: Coset) -> HomologyTable:
@@ -256,16 +243,16 @@ class ColoringCheck(NamedTuple):
 
 
 def check_colorings(
-    beta: Bracket, D: OrientedDiagram, colorings: List[Coloring], classical: HomologyTable
+    beta: Bracket, D: OrientedDiagram, colorings: List[Coloring], classical: HomologyTable, words: _CubeWords
 ) -> List[ColoringCheck]:
     """Each coloring's direct Bh cube against its bracket value and the folded Khovanov table.
 
-    ``classical`` is ``khovanov_classical(D)``.  The state cube of ``D`` and
-    its word maps are built once and the bracket values come from one scan;
-    each complex lives only for its own coloring's checks.
+    ``classical`` is ``khovanov_classical(D)`` and ``words`` is
+    ``cube_words(D)``, both built once per diagram by the caller.  The
+    bracket values come from one scan; each complex lives only for its own
+    coloring's checks.
     """
     G, q = beta.G, beta.q11
-    words = _cube_words(D, state_cube(D))
     checks = []
     for f, value in zip(colorings, bracket_values(beta, D, colorings)):
         z = z_invariant(beta, f)
@@ -281,7 +268,8 @@ def check_colorings(
 
 
 def _check_one(beta: Bracket, f: Coloring) -> ColoringCheck:
-    return check_colorings(beta, f.diagram, [f], khovanov_classical(f.diagram))[0]
+    D = f.diagram
+    return check_colorings(beta, D, [f], khovanov_classical(D), cube_words(D))[0]
 
 
 def check_theorem(beta: Bracket, f: Coloring) -> Report:

@@ -1,5 +1,6 @@
-"""Shared fixtures (corpus objects loaded once per session) and a seeded closed-braid generator."""
+"""Shared fixtures (corpus objects loaded once per session), a seeded closed-braid generator and test oracles."""
 
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,9 @@ from bracketlab.biquandle import Biquandle
 from bracketlab.bracket import bracket_from_json, crossing_color_pair
 from bracketlab.cocycle import cocycle_from_json
 from bracketlab.corpus import corpus_path, load_corpus_json
-from bracketlab.diagram import parse_diagram
+from bracketlab.diagram import OrientedDiagram, parse_diagram, smoothing_states
+from bracketlab.graded import FormalSum, InfiniteCyclicGrading
+from bracketlab.homology import cube_words
 from bracketlab.rings import Coset, UnitSubgroup, subgroup_generate
 
 DIAGRAM_NAMES = [
@@ -113,6 +116,37 @@ def grading_subgroup(beta) -> UnitSubgroup:
             gens.append(beta.a(x, y))
             gens.append(ring.neg(beta.b(x, y)))
     return subgroup_generate(ring, sorted(set(gens), key=ring.sort_key))
+
+
+def kauffman_state_sum(D: OrientedDiagram) -> FormalSum:
+    """Unnormalized Jones polynomial by direct state-sum enumeration.
+
+    chi = (-1)^{n_-} q^{n_+ - 2 n_-} sum_s (-q)^{|s|} (q + q^{-1})^{circles(s)},
+    computed on exponents without any homological machinery.
+    """
+    total = {}
+    shift = D.n_plus - 2 * D.n_minus
+    for state in smoothing_states(D):
+        w = state.weight
+        sign = -1 if (w + D.n_minus) % 2 else 1
+        # (q + q^{-1})^c expanded by binomial enumeration.
+        for letters in itertools.product((1, -1), repeat=state.num_circles):
+            e = shift + w + sum(letters)
+            total[e] = total.get(e, 0) + sign
+    return FormalSum(InfiniteCyclicGrading(), total)
+
+
+def keyed_cube_edges(D: OrientedDiagram) -> dict:
+    """``cube_words(D).edges`` keyed by (source state bits, changed crossing).
+
+    The edges come in that order: source states in bit order, each with its
+    0-bits in crossing order.
+    """
+    n = len(D.crossings)
+    keys = [(bits, pos) for bits in itertools.product((0, 1), repeat=n) for pos in range(n) if not bits[pos]]
+    edges = cube_words(D).edges
+    assert [(pos, sum(bits) - D.n_minus) for bits, pos in keys] == [(edge[0], edge[2]) for edge in edges]
+    return dict(zip(keys, edges))
 
 
 def corpus_file(name: str) -> str:

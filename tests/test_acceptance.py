@@ -22,19 +22,25 @@ from bracketlab.cocycle import (
     z_invariant_multiset,
 )
 from bracketlab.corpus import load_corpus_json
-from bracketlab.diagram import state_cube
 from bracketlab.graded import cohomology, evaluate_formal_sum
 from bracketlab.homology import (
     bh_multiset,
     build_complex,
     check_euler_identity,
     check_theorem,
-    kauffman_state_sum,
     khovanov_classical,
 )
 from bracketlab.rings import Coset
 
-from conftest import EQUIVALENT_PAIRS, WITNESS_DIAGRAMS, basepoint_group, basepoint_z, grading_subgroup
+from conftest import (
+    EQUIVALENT_PAIRS,
+    WITNESS_DIAGRAMS,
+    basepoint_group,
+    basepoint_z,
+    grading_subgroup,
+    kauffman_state_sum,
+    keyed_cube_edges,
+)
 
 
 class TestCriterion1BundledStructures:
@@ -262,20 +268,14 @@ class TestCriterion9StructuralSuites:
             assert c.euler_characteristic() == cohomology(c).euler_characteristic()
 
     def test_anticommuting_faces(self, diagrams):
-        for name in ("trefoil", "figure_eight"):
+        # On every square face of the cube, the two paths from its bottom
+        # state to its top state have edge signs of opposite product.
+        for name in ("trefoil", "figure_eight", "trefoil_r2"):
             D = diagrams[name]
-            n = len(D.crossings)
-            sign = {
-                (e.from_state.resolution, e.to_state.resolution): e.sign
-                for e in state_cube(D).edges
-            }
-            for bits in itertools.product((0, 1), repeat=n):
+            sign = {key: edge[1] for key, edge in keyed_cube_edges(D).items()}
+            for bits in itertools.product((0, 1), repeat=len(D.crossings)):
                 zeros = [i for i, b in enumerate(bits) if b == 0]
                 for i, j in itertools.combinations(zeros, 2):
                     mid_i = tuple(1 if k == i else b for k, b in enumerate(bits))
                     mid_j = tuple(1 if k == j else b for k, b in enumerate(bits))
-                    top = tuple(1 if k in (i, j) else b for k, b in enumerate(bits))
-                    assert (
-                        sign[(bits, mid_i)] * sign[(mid_i, top)]
-                        == -sign[(bits, mid_j)] * sign[(mid_j, top)]
-                    )
+                    assert sign[bits, i] * sign[mid_i, j] == -sign[bits, j] * sign[mid_j, i], (name, bits, i, j)

@@ -368,10 +368,10 @@ class TestCheckCommands:
         import bracketlab
 
         # bh folds one Khovanov table and builds no cube; check-theorem
-        # builds one state cube and one cube complex per coloring.
+        # builds the cube's word maps once and one cube complex per coloring.
         from bracketlab import homology
 
-        calls = {"khovanov_classical": 0, "state_cube": 0, "_build_cube_complex": 0}
+        calls = {"khovanov_classical": 0, "cube_words": 0, "_build_cube_complex": 0}
         for name in calls:
             original = getattr(homology, name)
 
@@ -396,7 +396,7 @@ class TestCheckCommands:
             assert colorings == 2, command
             assert calls == {
                 "khovanov_classical": khovanov,
-                "state_cube": cubes,
+                "cube_words": cubes,
                 "_build_cube_complex": complexes,
             }, command
 

@@ -64,12 +64,12 @@ class TestManifest:
 
 
 def test_check_all_builds_each_complex_once(monkeypatch):
-    # One cube complex per coloring (120 over 5 brackets x 10 diagrams), one
-    # state cube per (bracket, diagram), and one Khovanov tangle scan per
-    # diagram, which builds no cube.
+    # One cube complex per coloring (120 over 5 brackets x 10 diagrams), and
+    # per diagram one build of the cube's word maps, shared by the 5
+    # brackets, and one Khovanov tangle scan, which builds no cube.
     from bracketlab import corpus, homology
 
-    calls = {"build": 0, "khovanov": 0, "state_cube": 0}
+    calls = {"build": 0, "khovanov": 0, "cube_words": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -79,7 +79,9 @@ def test_check_all_builds_each_complex_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(homology, "_build_cube_complex", counted("build", homology._build_cube_complex))
-    monkeypatch.setattr(homology, "state_cube", counted("state_cube", homology.state_cube))
+    cube_words = counted("cube_words", homology.cube_words)
+    monkeypatch.setattr(homology, "cube_words", cube_words)
+    monkeypatch.setattr(corpus, "cube_words", cube_words)
     khovanov = counted("khovanov", homology.khovanov_classical)
     monkeypatch.setattr(homology, "khovanov_classical", khovanov)
     monkeypatch.setattr(corpus, "khovanov_classical", khovanov)
@@ -87,7 +89,7 @@ def test_check_all_builds_each_complex_once(monkeypatch):
     assert report["ok"] and report["total"] == 478
     assert calls["build"] == 120
     assert calls["khovanov"] <= 10
-    assert calls["state_cube"] == 50
+    assert calls["cube_words"] == 10
 
 
 def test_canonical_cocycle_row_fails_on_a_bad_cocycle(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from typing import Dict, List, Tuple
@@ -15,10 +16,9 @@ from bracketlab.diagram import (
     parse_diagram,
     resolve_state,
     smoothing_states,
-    state_cube,
 )
-from bracketlab.homology import khovanov_classical
-from conftest import DIAGRAM_NAMES, braid_closure, random_braid_word
+from bracketlab.homology import cube_words, khovanov_classical
+from conftest import DIAGRAM_NAMES, braid_closure, keyed_cube_edges, random_braid_word
 
 
 def trace_circles(D: OrientedDiagram, bits) -> int:
@@ -167,35 +167,27 @@ class TestSmoothings:
         assert state.num_circles == 1
 
     def test_cube_edge_count(self, diagrams):
-        t = diagrams["trefoil"]
-        edges = state_cube(t).edges
-        assert len(edges) == 3 * 2 ** 2  # n * 2^(n-1)
+        assert len(cube_words(diagrams["trefoil"]).edges) == 3 * 2 ** 2  # n * 2^(n-1)
 
     def test_cube_edges_change_circles_by_one(self, diagrams):
+        # A merge sends every word but the 2^(k-2) with t on both merged
+        # circles to one word; a split sends 1 to two words and t to one.
         for name in ("trefoil", "figure_eight", "hopf_r2", "trefoil_r2"):
-            for edge in state_cube(diagrams[name]).edges:
-                delta = edge.to_state.num_circles - edge.from_state.num_circles
-                assert abs(delta) == 1
-                assert edge.kind == ("split" if delta == 1 else "merge")
+            for _, _, _, _, k1, _, k2, pairs in cube_words(diagrams[name]).edges:
+                assert abs(k2 - k1) == 1
+                assert len(pairs) == (3 << (k1 - 2) if k2 < k1 else 3 << (k1 - 1))
 
     def test_faces_anticommute(self, diagrams):
         for name in ("trefoil", "figure_eight"):
             D = diagrams[name]
-            n = len(D.crossings)
-            sign = {
-                (e.from_state.resolution, e.to_state.resolution): e.sign
-                for e in state_cube(D).edges
-            }
-            for bits in itertools.product((0, 1), repeat=n):
+            sign = {key: edge[1] for key, edge in keyed_cube_edges(D).items()}
+            for bits in itertools.product((0, 1), repeat=len(D.crossings)):
                 zeros = [i for i, b in enumerate(bits) if b == 0]
                 for i, j in itertools.combinations(zeros, 2):
                     mid_i = tuple(b if k != i else 1 for k, b in enumerate(bits))
                     mid_j = tuple(b if k != j else 1 for k, b in enumerate(bits))
-                    top = tuple(
-                        b if k not in (i, j) else 1 for k, b in enumerate(bits)
-                    )
-                    path_a = sign[(bits, mid_i)] * sign[(mid_i, top)]
-                    path_b = sign[(bits, mid_j)] * sign[(mid_j, top)]
+                    path_a = sign[bits, i] * sign[mid_i, j]
+                    path_b = sign[bits, j] * sign[mid_j, i]
                     assert path_a == -path_b
 
     def test_circle_counts_match_trace_oracle(self, diagrams):
@@ -206,26 +198,29 @@ class TestSmoothings:
 
     def test_cube_states_in_bit_order(self, diagrams):
         D = diagrams["figure_eight"]
-        states = state_cube(D).states
-        assert list(states) == list(itertools.product((0, 1), repeat=len(D.crossings)))
-        assert all(state.resolution == bits for bits, state in states.items())
+        states = [resolve_state(D, bits) for bits in itertools.product((0, 1), repeat=len(D.crossings))]
+        assert cube_words(D).states == [(state.weight - D.n_minus, state.num_circles) for state in states]
+        keyed_cube_edges(D)  # the edges follow their source states in bit order
 
     def test_edge_correspondence_matches_circle_edge_sets(self, diagrams):
+        # Source circle i goes to the target circles set in every image of
+        # the word with t on circle i alone: the same circle if carried, the
+        # merged circle, or the two it splits into.  Each side must lie in
+        # the other's edges.
         for name in DIAGRAM_NAMES:
-            for edge in state_cube(diagrams[name]).edges:
-                src = [set(c) for c in edge.from_state.circles]
-                dst = [set(c) for c in edge.to_state.circles]
-                for i, j in edge.carried:
-                    assert src[i] == dst[j]
-                froms = sorted([i for i, _ in edge.carried] + list(edge.sources))
-                tos = sorted([j for _, j in edge.carried] + list(edge.targets))
-                assert froms == list(range(len(src))) and tos == list(range(len(dst)))
-                if edge.kind == "merge":
-                    (s1, s2), (t,) = edge.sources, edge.targets
-                    assert dst[t] == src[s1] | src[s2]
-                else:
-                    (s,), (t1, t2) = edge.sources, edge.targets
-                    assert src[s] == dst[t1] | dst[t2] and not dst[t1] & dst[t2]
+            D = diagrams[name]
+            for (bits, pos), (_, _, _, _, k1, _, k2, pairs) in keyed_cube_edges(D).items():
+                src = [set(c) for c in resolve_state(D, bits).circles]
+                dst = [set(c) for c in resolve_state(D, bits[:pos] + (1,) + bits[pos + 1 :]).circles]
+                image = {}
+                for i in range(k1):
+                    hits = [t for s, t in pairs if s == 1 << (k1 - 1 - i)]
+                    common = functools.reduce(int.__and__, hits)
+                    image[i] = [j for j in range(k2) if common >> (k2 - 1 - j) & 1]
+                for i, js in image.items():
+                    assert src[i] <= set().union(*(dst[j] for j in js)), (name, bits, pos)
+                for j in range(k2):
+                    assert dst[j] <= set().union(*(src[i] for i, js in image.items() if j in js)), (name, bits, pos)
 
 
 class TestTransferScan:

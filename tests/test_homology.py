@@ -6,7 +6,7 @@ import pytest
 from bracketlab.biquandle import Biquandle, enumerate_colorings
 from bracketlab.bracket import Bracket, crossing_color_pair
 from bracketlab.cocycle import z_invariant
-from bracketlab.diagram import OrientedDiagram, StateCube, parse_diagram, state_cube
+from bracketlab.diagram import OrientedDiagram, parse_diagram, resolve_state
 from bracketlab.graded import (
     FiniteUnitsGrading,
     GradedComplex,
@@ -22,7 +22,6 @@ from bracketlab.homology import (
     check_euler_identity,
     check_theorem,
     fold_khovanov,
-    kauffman_state_sum,
     khovanov_classical,
     theorem_report,
 )
@@ -34,6 +33,7 @@ from conftest import (
     basepoint_z,
     braid_closure,
     grading_subgroup,
+    kauffman_state_sum,
     random_braid_word,
 )
 
@@ -64,13 +64,16 @@ def cube_khovanov(D: OrientedDiagram) -> HomologyTable:
     )
 
 
-def reference_cube_complex(beta: Bracket, colors: dict, D: OrientedDiagram, cube: StateCube) -> GradedComplex:
+def reference_cube_complex(beta: Bracket, colors: dict, D: OrientedDiagram) -> GradedComplex:
     """The direct cube C_beta built word by word, keyed by (state bits, g, letter tuple).
 
     The reference for ``homology.build_complex``: every basis element gets
     its own index entry and degree, and every edge term is looked up by
     its key.  Words are tuples over the state's circles in
     ``itertools.product`` order; the Frobenius maps are written out here.
+    Each state is resolved by ``resolve_state``; an edge carries each
+    circle with the same edge labels in both states, and the circles left
+    over are the ones it merges or splits.
     """
 
     def frobenius(letters):
@@ -85,8 +88,9 @@ def reference_cube_complex(beta: Bracket, colors: dict, D: OrientedDiagram, cube
     global_shift = ring.power(beta.w, D.n_minus - D.n_plus)
     if D.n_minus % 2:
         global_shift = ring.neg(global_shift)
+    states = {bits: resolve_state(D, bits) for bits in itertools.product((0, 1), repeat=len(D.crossings))}
     basis, index, degrees = {}, {}, {}
-    for bits, state in cube.states.items():
+    for bits, state in states.items():
         col = sum(bits) - D.n_minus
         shift = global_shift
         for crossing, bit in zip(D.crossings, bits):
@@ -102,23 +106,29 @@ def reference_cube_complex(beta: Bracket, colors: dict, D: OrientedDiagram, cube
                 e = len(word) - 2 * sum(word)
                 degrees.setdefault(col, []).append(ring.mul(base, ring.power(q, e)))
     differentials = {col: [{} for _ in basis[col + 1]] for col in basis if col + 1 in basis}
-    for edge in cube.edges:
-        from_bits, to_bits = edge.from_state.resolution, edge.to_state.resolution
-        matrix = differentials[sum(from_bits) - D.n_minus]
-        x, y = crossing_color_pair(D.crossings[edge.changed_crossing], colors)
-        step = ring.mul(q, ring.try_invert(beta.q(x, y)))
-        out = [0] * edge.to_state.num_circles
-        for g in scalars:
-            g2 = ring.mul(g, step)
-            for word in itertools.product((0, 1), repeat=edge.from_state.num_circles):
-                src = index[(from_bits, g, word)]
-                for i, j in edge.carried:
-                    out[j] = word[i]
-                for letters in frobenius(tuple(word[i] for i in edge.sources)):
-                    for j, letter in zip(edge.targets, letters):
-                        out[j] = letter
-                    row = matrix[index[(to_bits, g2, tuple(out))]]
-                    row[src] = row.get(src, 0) + edge.sign
+    for from_bits, a in states.items():
+        for pos in (pos for pos, bit in enumerate(from_bits) if bit == 0):
+            to_bits = from_bits[:pos] + (1,) + from_bits[pos + 1 :]
+            b = states[to_bits]
+            carried = [(i, b.circles.index(c)) for i, c in enumerate(a.circles) if c in b.circles]
+            sources = [i for i, c in enumerate(a.circles) if c not in b.circles]
+            targets = [j for j, c in enumerate(b.circles) if c not in a.circles]
+            sign = (-1) ** sum(from_bits[:pos])
+            matrix = differentials[sum(from_bits) - D.n_minus]
+            x, y = crossing_color_pair(D.crossings[pos], colors)
+            step = ring.mul(q, ring.try_invert(beta.q(x, y)))
+            out = [0] * b.num_circles
+            for g in scalars:
+                g2 = ring.mul(g, step)
+                for word in itertools.product((0, 1), repeat=a.num_circles):
+                    src = index[(from_bits, g, word)]
+                    for i, j in carried:
+                        out[j] = word[i]
+                    for letters in frobenius(tuple(word[i] for i in sources)):
+                        for j, letter in zip(targets, letters):
+                            out[j] = letter
+                        row = matrix[index[(to_bits, g2, tuple(out))]]
+                        row[src] = row.get(src, 0) + sign
     return GradedComplex(grading=FiniteUnitsGrading(ring), degrees=degrees, differentials=differentials)
 
 
@@ -271,10 +281,9 @@ class TestBracketCohomology:
             cases.append(parse_diagram(braid_closure(random_braid_word(rng, strands, crossings), strands)))
         built = 0
         for D in cases:
-            cube = state_cube(D)
             for f in enumerate_colorings(beta.biquandle, D):
                 c = build_complex(beta, f)
-                ref = reference_cube_complex(beta, dict(f.arc_colors), D, cube)
+                ref = reference_cube_complex(beta, dict(f.arc_colors), D)
                 assert list(c.degrees.items()) == list(ref.degrees.items())
                 assert list(c.differentials) == list(ref.differentials)
                 for col, rows in ref.differentials.items():
@@ -349,10 +358,11 @@ class TestTheoremChecks:
                 assert check_euler_identity(beta, f).ok
 
     def test_library_checks_compute_shared_values_once(self, brackets, diagrams, monkeypatch):
-        # One state cube per call of check_theorem or check_euler_identity.
+        # One build of the cube's word maps per call of check_theorem or
+        # check_euler_identity.
         from bracketlab import homology
 
-        calls = {"state_cube": 0}
+        calls = {"cube_words": 0}
         for name in calls:
             original = getattr(homology, name)
 
@@ -364,9 +374,9 @@ class TestTheoremChecks:
         beta = brackets["bracket_z9"]
         f = enumerate_colorings(beta.biquandle, diagrams["trefoil_r2"])[0]
         for check in (check_theorem, check_euler_identity):
-            calls.update(state_cube=0)
+            calls.update(cube_words=0)
             assert check(beta, f).ok
-            assert calls == {"state_cube": 1}, check.__name__
+            assert calls == {"cube_words": 1}, check.__name__
 
     def test_checks_read_the_direct_cube(self, brackets, diagrams, monkeypatch):
         # Moving every degree of the direct cube by a unit outside G must
