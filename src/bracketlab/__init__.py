@@ -38,7 +38,6 @@ from .diagram import (
     resolve_state,
 )
 from .graded import (
-    FormalSum,
     GradedComplex,
     HomologyTable,
     cohomology,

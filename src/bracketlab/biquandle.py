@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List
+from typing import Dict, Iterable, List
 
 from .diagram import OrientedDiagram, _is_int
 
@@ -47,9 +47,9 @@ class Report:
         return {"ok": self.ok, **self.details}
 
 
-def multiset(values: Iterable, key: Callable) -> List[tuple]:
-    """(value, multiplicity) pairs, sorted by ``key`` of the value."""
-    return sorted(Counter(values).items(), key=lambda kv: key(kv[0]))
+def multiset(values: Iterable) -> List[tuple]:
+    """(value, multiplicity) pairs, sorted by value."""
+    return sorted(Counter(values).items())
 
 
 class Biquandle:

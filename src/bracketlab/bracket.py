@@ -69,7 +69,7 @@ class Bracket:
         self.q11 = self.q(1, 1)
         elements = biquandle.elements()
         gens = {ring.mul(ring.try_invert(self.q(x, y)), self.q11) for x in elements for y in elements}
-        self.G = subgroup_generate(ring, sorted(gens, key=ring.sort_key))
+        self.G = subgroup_generate(ring, sorted(gens))
 
     def a(self, x: int, y: int):
         return self.A[x - 1][y - 1]
@@ -249,7 +249,7 @@ def bracket_value(beta: Bracket, f: Coloring):
 
 def bracket_invariant(beta: Bracket, D: OrientedDiagram) -> List[tuple]:
     """Multiset of bracket values, as sorted (element, multiplicity) pairs."""
-    return multiset(bracket_values(beta, D, enumerate_colorings(beta.biquandle, D)), beta.ring.sort_key)
+    return multiset(bracket_values(beta, D, enumerate_colorings(beta.biquandle, D)))
 
 
 def decode_bracket(data: dict, check: bool = True) -> Tuple[Biquandle, Ring, list, list]:

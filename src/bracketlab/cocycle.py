@@ -15,7 +15,7 @@ from typing import List, Tuple
 from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset
 from .bracket import Bracket, crossing_color_pair
 from .diagram import OrientedDiagram
-from .rings import Coset, UnitSubgroup, subgroup_generate
+from .rings import Coset, RingError, UnitSubgroup, ring_make, subgroup_generate
 
 
 class FreeAbelianTarget:
@@ -65,9 +65,6 @@ class FreeAbelianTarget:
             parts.append(sym if e == 1 else f"{sym}^{e}")
         return "*".join(parts) if parts else "1"
 
-    def sort_key(self, a):
-        return a
-
     def element_to_json(self, a):
         return self.element_str(a)
 
@@ -103,9 +100,6 @@ class UnitQuotientTarget:
 
     def element_str(self, a: Coset) -> str:
         return self.ring.element_str(a.canonical) + "*G"
-
-    def sort_key(self, a: Coset):
-        return self.ring.sort_key(a.canonical)
 
     def element_to_json(self, a: Coset):
         return a.to_json()
@@ -171,7 +165,7 @@ def cocycle_value(c: Cocycle, f: Coloring):
 
 def cocycle_invariant(c: Cocycle, D: OrientedDiagram) -> List[tuple]:
     """Multiset of cocycle values, as sorted (element, multiplicity) pairs."""
-    return multiset((cocycle_value(c, f) for f in enumerate_colorings(c.biquandle, D)), c.target.sort_key)
+    return multiset(cocycle_value(c, f) for f in enumerate_colorings(c.biquandle, D))
 
 
 def canonical_cocycle(beta: Bracket) -> Cocycle:
@@ -213,7 +207,7 @@ def z_invariant(beta: Bracket, f: Coloring) -> Coset:
 def z_invariant_multiset(beta: Bracket, D: OrientedDiagram) -> List[tuple]:
     """Multiset of Z_beta values, as sorted (coset, multiplicity) pairs."""
     zs = (z_invariant(beta, f) for f in enumerate_colorings(beta.biquandle, D))
-    return multiset(zs, lambda z: beta.ring.sort_key(z.canonical))
+    return multiset(zs)
 
 
 def cocycle_from_json(data: dict, check: bool = True) -> Cocycle:
@@ -223,13 +217,15 @@ def cocycle_from_json(data: dict, check: bool = True) -> Cocycle:
         target = FreeAbelianTarget(tuple(tgt["symbols"]))
         phi = [[target.parse(w) for w in row] for row in data["phi"]]
     elif tgt["kind"] == "unit_quotient":
-        from .rings import ring_make
-
         ring = ring_make(tgt["ring"])
         gens = [ring.element_from_json(g) for g in tgt["G"]]
         G = subgroup_generate(ring, gens)
         target = UnitQuotientTarget(G)
-        phi = [[Coset(G, ring.element_from_json(w)) for w in row] for row in data["phi"]]
+        values = [[ring.element_from_json(w) for w in row] for row in data["phi"]]
+        for v in (v for row in values for v in row):
+            if not ring.is_unit(v):
+                raise RingError(f"phi value {ring.element_str(v)} is not a unit")
+        phi = [[Coset(G, v) for v in row] for row in values]
     else:
         raise ValueError(f"unknown cocycle target kind {tgt['kind']!r}")
     return Cocycle(X, target, phi, check=check)

@@ -162,13 +162,12 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
     for name, D in diagrams.items() if brackets else ():
         classical, words = khovanov_classical(D), cube_words(D)
         for br_name, beta in brackets.items():
-            ring = beta.ring
             colorings = enumerate_colorings(beta.biquandle, D)
             checks = check_colorings(beta, D, colorings, classical, words)
             invariants[br_name, name] = (
-                multiset((c.value for c in checks), ring.sort_key),
-                multiset((c.z for c in checks), lambda coset: ring.sort_key(coset.canonical)),
-                multiset((c.bh for c in checks), lambda table: table.entries),
+                multiset(c.value for c in checks),
+                multiset(c.z for c in checks),
+                multiset(c.bh for c in checks),
             )
             outcomes[br_name, name] = [(c.theorem.ok, c.euler.ok, c.euler_complex) for c in checks]
 

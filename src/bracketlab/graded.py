@@ -1,10 +1,11 @@
 """Graded free modules, cochain complexes, and integer cohomology.
 
-Complexes live over a grading group that is either the unit group of a
-finite ring (degrees are ring units) or the infinite cyclic group (degrees
-are integer exponents).  Differentials are sparse integer matrices on
-expanded Z-bases; cohomology is computed degreewise from invariant factors
-found by sparse elimination over Z with arbitrary-precision integers.
+Degrees are plain values that order and compare as themselves: units of a
+finite ring (ints for Z/n, coefficient tuples for quotient rings) for Bh,
+or integer q-exponents for Khovanov homology.  Differentials are sparse
+integer matrices on expanded Z-bases; cohomology is computed degreewise
+from invariant factors found by sparse elimination over Z with
+arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -119,82 +120,21 @@ def merge_invariant_factors(lists: List[List[int]]) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# Grading groups and formal sums
+# Euler characteristics: {degree: coefficient} dicts
 
 
-class GradingGroup:
-    """Degrees: either ring units or integer exponents."""
-
-    def sort_key(self, a):
-        raise NotImplementedError
-
-    def degree_to_json(self, a):
-        raise NotImplementedError
+def _euler(terms) -> dict:
+    """{degree: sum of (-1)^i n} over (i, degree, n) triples, without zero terms."""
+    chi: Dict[object, int] = {}
+    for i, d, n in terms:
+        chi[d] = chi.get(d, 0) + (-n if i % 2 else n)
+    return {d: c for d, c in chi.items() if c}
 
 
-class FiniteUnitsGrading(GradingGroup):
-    def __init__(self, ring: Ring):
-        self.ring = ring
-
-    def sort_key(self, a):
-        return self.ring.sort_key(a)
-
-    def degree_to_json(self, a):
-        return self.ring.element_str(a)
-
-
-class InfiniteCyclicGrading(GradingGroup):
-    """Written multiplicatively as powers of q; elements are integer exponents."""
-
-    def sort_key(self, a: int):
-        return a
-
-    def degree_to_json(self, a: int):
-        return a
-
-
-class FormalSum:
-    """Finite formal integer combination of grading elements."""
-
-    def __init__(self, grading: GradingGroup, terms: Optional[dict] = None):
-        self.grading = grading
-        self.terms = {d: c for d, c in (terms or {}).items() if c}
-
-    def add_term(self, degree, coeff: int):
-        c = self.terms.get(degree, 0) + coeff
-        if c:
-            self.terms[degree] = c
-        else:
-            self.terms.pop(degree, None)
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        out = FormalSum(self.grading, dict(self.terms))
-        for d, c in other.terms.items():
-            out.add_term(d, c)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, FormalSum) and self.terms == other.terms
-
-    def __neg__(self):
-        return FormalSum(self.grading, {d: -c for d, c in self.terms.items()})
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: self.grading.sort_key(kv[0]))
-
-    def to_json(self):
-        return [[self.grading.degree_to_json(d), c] for d, c in self.sorted_terms()]
-
-    def __repr__(self):
-        return f"FormalSum({dict(self.sorted_terms())!r})"
-
-
-def evaluate_formal_sum(s: FormalSum, ring: Ring):
-    """Collapse a formal sum of ring units to a single ring element."""
-    if not isinstance(s.grading, FiniteUnitsGrading) or s.grading.ring != ring:
-        raise ValueError("formal sum is not graded by the units of this ring")
+def evaluate_formal_sum(chi: dict, ring: Ring):
+    """Collapse a formal sum {unit: coefficient} of ring units to a single ring element."""
     total = ring.zero
-    for d, c in s.terms.items():
+    for d, c in chi.items():
         total = ring.add(total, ring.int_mul(c, d))
     return total
 
@@ -211,10 +151,12 @@ class GradedComplex:
     including any global grading shift).  ``differentials[i]`` is d^i: C^i ->
     C^{i+1} as sparse rows, one ``{column: nonzero entry}`` dict per basis
     element of C^{i+1}; a missing index means d^i = 0.
-    Indices are the shifted (cohomological) indices.
+    Indices are the shifted (cohomological) indices.  ``ring`` is the ring
+    whose units the degrees are, or ``None`` when the degrees are integer
+    q-exponents.
     """
 
-    grading: GradingGroup
+    ring: Optional[Ring]
     degrees: Dict[int, list]
     differentials: Dict[int, List[Dict[int, int]]]
 
@@ -243,52 +185,45 @@ class GradedComplex:
                 if nonzero:
                     raise ValueError(f"d o d != 0 at index {i}, entry ({r},{min(nonzero)})")
 
-    def gdim(self, i: int) -> FormalSum:
-        s = FormalSum(self.grading)
-        for deg in self.degrees.get(i, []):
-            s.add_term(deg, 1)
-        return s
-
-    def euler_characteristic(self) -> FormalSum:
-        total = FormalSum(self.grading)
-        for i in self.indices():
-            g = self.gdim(i)
-            total = total + (g if i % 2 == 0 else -g)
-        return total
+    def euler_characteristic(self) -> dict:
+        """{degree: sum over i of (-1)^i dim C^i in that degree}, without zero terms."""
+        return _euler((i, d, 1) for i, degs in self.degrees.items() for d in degs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class HomologyTable:
-    """Per-(index, degree) cohomology: free rank plus torsion invariant factors."""
+    """Per-(index, degree) cohomology: free rank plus torsion invariant factors.
 
-    grading: GradingGroup = field(compare=False)
+    ``ring`` is the ring whose units the degrees are, printed by its
+    ``element_str``, or ``None`` when the degrees are integer q-exponents,
+    printed as ints.  Tables compare and order by their entries alone.
+    """
+
+    ring: Optional[Ring] = field(compare=False)
     entries: tuple  # sorted tuple of ((i, degree), rank, torsion-tuple)
 
     @classmethod
-    def from_dict(cls, grading, data: dict) -> "HomologyTable":
+    def from_dict(cls, ring: Optional[Ring], data: dict) -> "HomologyTable":
         items = [
             ((i, d), rank, tuple(tors))
             for (i, d), (rank, tors) in data.items()
             if rank or tors
         ]
-        items.sort(key=lambda e: (e[0][0], grading.sort_key(e[0][1])))
-        return cls(grading, tuple(items))
+        return cls(ring, tuple(sorted(items)))
 
     def as_dict(self) -> dict:
         return {key: (rank, tors) for key, rank, tors in self.entries}
 
-    def euler_characteristic(self) -> FormalSum:
-        s = FormalSum(self.grading)
-        for (i, d), rank, _ in self.entries:
-            s.add_term(d, rank if i % 2 == 0 else -rank)
-        return s
+    def euler_characteristic(self) -> dict:
+        """{degree: sum over i of (-1)^i rank at (i, degree)}, without zero terms."""
+        return _euler((i, d, rank) for (i, d), rank, _ in self.entries)
 
     def to_json(self):
         return {
             "entries": [
                 {
                     "i": i,
-                    "degree": self.grading.degree_to_json(d),
+                    "degree": d if self.ring is None else self.ring.element_str(d),
                     "rank": rank,
                     "torsion": list(tors),
                 }
@@ -323,4 +258,4 @@ def cohomology(c: GradedComplex) -> HomologyTable:
             free_rank = size - rank_out - rank_in
             if free_rank or torsion:
                 entries[(i, h)] = (free_rank, tuple(torsion))
-    return HomologyTable.from_dict(c.grading, entries)
+    return HomologyTable.from_dict(c.ring, entries)

@@ -32,14 +32,7 @@ from .biquandle import Coloring, Report, enumerate_colorings, multiset
 from .bracket import Bracket, bracket_values, crossing_color_pair
 from .cocycle import z_invariant
 from .diagram import OrientedDiagram, smoothing_states
-from .graded import (
-    FiniteUnitsGrading,
-    GradedComplex,
-    HomologyTable,
-    cohomology,
-    evaluate_formal_sum,
-    merge_invariant_factors,
-)
+from .graded import GradedComplex, HomologyTable, cohomology, evaluate_formal_sum, merge_invariant_factors
 from .rings import Coset, UnitSubgroup
 from .tangle import khovanov_complex
 
@@ -155,7 +148,7 @@ def _build_cube_complex(beta: Bracket, colors: dict, D: OrientedDiagram, words: 
             for s, t in pairs:
                 matrix[dst + t][src + s] = sign
 
-    return GradedComplex(grading=FiniteUnitsGrading(ring), degrees=degrees, differentials=differentials)
+    return GradedComplex(ring=ring, degrees=degrees, differentials=differentials)
 
 
 def build_complex(beta: Bracket, f: Coloring) -> GradedComplex:
@@ -186,8 +179,7 @@ def fold_khovanov(classical: HomologyTable, G: UnitSubgroup, q, z: Coset) -> Hom
             if tors:
                 bucket[1].append(list(tors))
     return HomologyTable.from_dict(
-        FiniteUnitsGrading(ring),
-        {key: (rank, merge_invariant_factors(tlists)) for key, (rank, tlists) in predicted.items()},
+        ring, {key: (rank, merge_invariant_factors(tlists)) for key, (rank, tlists) in predicted.items()}
     )
 
 
@@ -204,7 +196,7 @@ def bh_multiset(beta: Bracket, D: OrientedDiagram) -> List[tuple]:
     classical = khovanov_classical(D)
     zs = (z_invariant(beta, f) for f in enumerate_colorings(beta.biquandle, D))
     tables = (fold_khovanov(classical, beta.G, beta.q11, z) for z in zs)
-    return multiset(tables, lambda table: table.entries)
+    return multiset(tables)
 
 
 def theorem_report(bh: HomologyTable, classical: HomologyTable, G: UnitSubgroup, q, z: Coset) -> Report:

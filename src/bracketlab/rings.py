@@ -50,10 +50,6 @@ class Ring:
     def try_invert(self, a):
         raise NotImplementedError
 
-    def sort_key(self, a):
-        """Total order on canonical representations (for deterministic output)."""
-        raise NotImplementedError
-
     def power(self, a, k: int):
         """a**k for any integer k; negative k requires a to be a unit."""
         if k < 0:
@@ -123,9 +119,6 @@ class ZModRing(Ring):
         if gcd(a, self.n) != 1:
             return None
         return pow(a, -1, self.n)
-
-    def sort_key(self, a):
-        return a
 
     def element_to_json(self, a):
         return a
@@ -239,9 +232,6 @@ class PolyQuotientRing(Ring):
     def try_invert(self, a):
         return self._inverses.get(a)
 
-    def sort_key(self, a):
-        return a
-
     def element_to_json(self, a):
         return list(a)
 
@@ -312,7 +302,7 @@ class UnitSubgroup:
         return len(self.elements)
 
     def sorted_elements(self) -> list:
-        return sorted(self.elements, key=self.ring.sort_key)
+        return sorted(self.elements)
 
     def to_json(self):
         return [self.ring.element_to_json(g) for g in self.sorted_elements()]
@@ -350,7 +340,7 @@ class Coset:
     def __post_init__(self):
         ring = self.subgroup.ring
         products = (ring.mul(self.representative, g) for g in self.subgroup.elements)
-        object.__setattr__(self, "_canonical", min(products, key=ring.sort_key))
+        object.__setattr__(self, "_canonical", min(products))
 
     @property
     def canonical(self):
@@ -365,6 +355,9 @@ class Coset:
 
     def __hash__(self):
         return hash(self._canonical)
+
+    def __lt__(self, other: "Coset") -> bool:
+        return self._canonical < other._canonical
 
     def mul(self, other: "Coset") -> "Coset":
         ring = self.subgroup.ring

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .diagram import CrossingRecord, OrientedDiagram, _pairings, _smooth, frontier_order
-from .graded import GradedComplex, InfiniteCyclicGrading
+from .graded import GradedComplex
 
 Matching = Tuple[Tuple[int, int], ...]
 Morphism = Dict[int, int]
@@ -309,4 +309,4 @@ def _integer_complex(complex_: _Complex, D: OrientedDiagram) -> GradedComplex:
     for src, targets in complex_.out.items():
         for tgt, morphism in targets.items():
             differentials[complex_.objects[src][1] - D.n_minus][position[tgt]][position[src]] = morphism[0]
-    return GradedComplex(grading=InfiniteCyclicGrading(), degrees=degrees, differentials=differentials)
+    return GradedComplex(ring=None, degrees=degrees, differentials=differentials)

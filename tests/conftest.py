@@ -10,7 +10,6 @@ from bracketlab.bracket import bracket_from_json, crossing_color_pair
 from bracketlab.cocycle import cocycle_from_json
 from bracketlab.corpus import corpus_path, load_corpus_json
 from bracketlab.diagram import OrientedDiagram, parse_diagram, smoothing_states
-from bracketlab.graded import FormalSum, InfiniteCyclicGrading
 from bracketlab.homology import cube_words
 from bracketlab.rings import Coset, UnitSubgroup, subgroup_generate
 
@@ -115,14 +114,15 @@ def grading_subgroup(beta) -> UnitSubgroup:
         for y in beta.biquandle.elements():
             gens.append(beta.a(x, y))
             gens.append(ring.neg(beta.b(x, y)))
-    return subgroup_generate(ring, sorted(set(gens), key=ring.sort_key))
+    return subgroup_generate(ring, sorted(set(gens)))
 
 
-def kauffman_state_sum(D: OrientedDiagram) -> FormalSum:
+def kauffman_state_sum(D: OrientedDiagram) -> dict:
     """Unnormalized Jones polynomial by direct state-sum enumeration.
 
     chi = (-1)^{n_-} q^{n_+ - 2 n_-} sum_s (-q)^{|s|} (q + q^{-1})^{circles(s)},
-    computed on exponents without any homological machinery.
+    computed on exponents without any homological machinery, as
+    {exponent: coefficient} without zero terms.
     """
     total = {}
     shift = D.n_plus - 2 * D.n_minus
@@ -133,7 +133,7 @@ def kauffman_state_sum(D: OrientedDiagram) -> FormalSum:
         for letters in itertools.product((1, -1), repeat=state.num_circles):
             e = shift + w + sum(letters)
             total[e] = total.get(e, 0) + sign
-    return FormalSum(InfiniteCyclicGrading(), total)
+    return {e: c for e, c in total.items() if c}
 
 
 def keyed_cube_edges(D: OrientedDiagram) -> dict:

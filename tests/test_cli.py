@@ -18,7 +18,7 @@ def runner():
 
 def _malformed(tmp_path, name, base, keys, value):
     """A copy of corpus file ``base`` with the field at path ``keys`` set to ``value``."""
-    data = json.loads(open(corpus_file(f"{base}.json")).read())
+    data = json.loads(Path(corpus_file(f"{base}.json")).read_text())
     if keys:
         *parents, last = keys
         field = data
@@ -158,6 +158,11 @@ MALFORMED_COCYCLES = {
     "quotient_modulus_float": (("target",), {"kind": "unit_quotient", "ring": {"kind": "zmod", "n": 9.5}, "G": [1]}),
     "quotient_generator_bool": (("target",), {"kind": "unit_quotient", "ring": {"kind": "zmod", "n": 9}, "G": [True]}),
     "quotient_generator_not_unit": (("target",), {"kind": "unit_quotient", "ring": {"kind": "zmod", "n": 9}, "G": [3]}),
+    "quotient_value_not_unit": ((), {
+        "biquandle": {"under": [[2, 2], [1, 1]], "over": [[2, 2], [1, 1]]},
+        "target": {"kind": "unit_quotient", "ring": {"kind": "zmod", "n": 9}, "G": [1]},
+        "phi": [[1, 3], [3, 1]],
+    }),
 }
 
 
@@ -206,7 +211,7 @@ MALFORMED_MANIFESTS = {
 def _manifest(tmp_path, data):
     """``data`` as a manifest beside copies of the corpus files ``MANIFEST`` lists."""
     for entry in (FLIP, BROKEN, UNKNOT):
-        (tmp_path / entry["file"]).write_text(open(corpus_file(entry["file"])).read())
+        (tmp_path / entry["file"]).write_text(Path(corpus_file(entry["file"])).read_text())
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(data))
     return str(path)
@@ -259,7 +264,7 @@ class TestVerifyCommands:
 
     def test_verify_bracket_non_unit_corner(self, runner, tmp_path):
         for table in ("A", "B"):
-            data = json.loads(open(corpus_file("bracket_z9.json")).read())
+            data = json.loads(Path(corpus_file("bracket_z9.json")).read_text())
             data[table][0][0] = 3  # not a unit of Z/9
             path = tmp_path / f"{table}.json"
             path.write_text(json.dumps(data))

@@ -116,12 +116,15 @@ class TestZInvariant:
 
     def test_matches_phi_product(self, brackets, diagrams):
         # Two equivalent formulas: crossing-sign product of A/B ratios
-        # versus the product of phi_beta values.
+        # versus the product of phi_beta values.  The multisets agree as
+        # lists, so the cocycle target orders cosets as Z_beta does.
         for name, beta in brackets.items():
             phi = canonical_cocycle(beta)
             for dname in ("trefoil", "figure_eight", "hopf"):
                 for f in enumerate_colorings(beta.biquandle, diagrams[dname]):
                     assert z_invariant(beta, f) == cocycle_value(phi, f), (name, dname)
+                D = diagrams[dname]
+                assert cocycle_invariant(phi, D) == z_invariant_multiset(beta, D), (name, dname)
 
     def test_invariance_across_pairs(self, brackets, diagrams):
         from conftest import EQUIVALENT_PAIRS

@@ -7,14 +7,7 @@ from bracketlab.biquandle import Biquandle, enumerate_colorings
 from bracketlab.bracket import Bracket, crossing_color_pair
 from bracketlab.cocycle import z_invariant
 from bracketlab.diagram import OrientedDiagram, parse_diagram, resolve_state
-from bracketlab.graded import (
-    FiniteUnitsGrading,
-    GradedComplex,
-    HomologyTable,
-    InfiniteCyclicGrading,
-    cohomology,
-    evaluate_formal_sum,
-)
+from bracketlab.graded import GradedComplex, HomologyTable, cohomology, evaluate_formal_sum
 from bracketlab.homology import (
     bh_invariant,
     bh_multiset,
@@ -60,7 +53,7 @@ def cube_khovanov(D: OrientedDiagram) -> HomologyTable:
     (f,) = enumerate_colorings(KAUFFMAN.biquandle, D)
     table = cohomology(build_complex(KAUFFMAN, f))
     return HomologyTable.from_dict(
-        InfiniteCyclicGrading(), {(i, exponent[h]): (rank, tors) for (i, h), rank, tors in table.entries}
+        None, {(i, exponent[h]): (rank, tors) for (i, h), rank, tors in table.entries}
     )
 
 
@@ -129,7 +122,7 @@ def reference_cube_complex(beta: Bracket, colors: dict, D: OrientedDiagram) -> G
                             out[j] = letter
                         row = matrix[index[(to_bits, g2, tuple(out))]]
                         row[src] = row.get(src, 0) + sign
-    return GradedComplex(grading=FiniteUnitsGrading(ring), degrees=degrees, differentials=differentials)
+    return GradedComplex(ring=ring, degrees=degrees, differentials=differentials)
 
 
 def torus_khovanov(n: int) -> dict:

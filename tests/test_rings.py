@@ -39,7 +39,7 @@ def quotient_cosets(group: UnitSubgroup) -> list:
     ring = group.ring
     seen = set()
     cosets = []
-    for u in sorted(ring.units(), key=ring.sort_key):
+    for u in sorted(ring.units()):
         if u in seen:
             continue
         coset = Coset(group, u)
