@@ -6,9 +6,11 @@ Reidemeister-equivalent diagram pairs and negative verification controls.
 guarantee over the whole corpus: axiom verification, invariance of all four
 invariants across equivalent pairs, and the theorem / Euler-identity checks
 on every bracket x diagram x coloring combination.  It computes each value
-once: Khovanov homology and the direct cube's word maps per diagram and,
-through ``homology.check_colorings``, the bracket value, Z_beta coset and
-direct-cube Bh table per coloring.
+once: the colorings per (biquandle tables, diagram), Khovanov homology and
+the direct cube's word maps per diagram and, through
+``homology.check_colorings``, the bracket value and Z_beta coset per
+coloring and one direct-cube Bh table per set of colorings with equal
+crossing coefficients.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Dict, List, Optional
 
-from .biquandle import Biquandle, Report, counting_invariant, enumerate_colorings, multiset, verify_biquandle
+from .biquandle import Biquandle, Coloring, Report, enumerate_colorings, multiset, verify_biquandle
 from .bracket import Bracket, decode_bracket, verify_bracket
 from .cocycle import canonical_cocycle, cocycle_from_json, verify_cocycle
 from .diagram import OrientedDiagram, parse_diagram
@@ -148,10 +150,20 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
         (e.name, e.equivalent_to) for e in manifest.diagrams if e.equivalent_to is not None
     ]
 
+    # The colorings of each diagram, enumerated once per pair of operation
+    # tables and shared by every biquandle and bracket on those tables.
+    coloring_lists: Dict[tuple, List[Coloring]] = {}
+
+    def colorings(X: Biquandle, name: str) -> List[Coloring]:
+        key = X.under_table, X.over_table, name
+        if key not in coloring_lists:
+            coloring_lists[key] = enumerate_colorings(X, diagrams[name])
+        return coloring_lists[key]
+
     # Invariance of the counting invariant across equivalent pairs.
     for bq_name, X in biquandles.items():
         for a, b in pairs:
-            same = counting_invariant(X, diagrams[a]) == counting_invariant(X, diagrams[b])
+            same = len(colorings(X, a)) == len(colorings(X, b))
             row(f"counting-invariance:{bq_name}:{a}~{b}", same, "")
 
     # One pass over every diagram x bracket x coloring.  Khovanov homology and
@@ -162,8 +174,7 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
     for name, D in diagrams.items() if brackets else ():
         classical, words = khovanov_classical(D), cube_words(D)
         for br_name, beta in brackets.items():
-            colorings = enumerate_colorings(beta.biquandle, D)
-            checks = check_colorings(beta, D, colorings, classical, words)
+            checks = check_colorings(beta, D, colorings(beta.biquandle, name), classical, words)
             invariants[br_name, name] = (
                 multiset(c.value for c in checks),
                 multiset(c.z for c in checks),

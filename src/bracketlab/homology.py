@@ -21,7 +21,9 @@ at |G| * (state offset) + (position of g) * 2^k + word, where the state's
 offset counts the words of the column's earlier states.  The offsets and
 each edge's (source word, target word) pairs depend only on the diagram:
 ``cube_words`` builds them from one walk of the resolved states, and a
-coloring adds only degrees and g-moves.
+coloring adds only degrees and g-moves.  Those come from the bracket
+coefficients (A_{x,y}, B_{x,y}) at each crossing alone, so colorings with
+equal crossing coefficients share one complex and one Bh table.
 """
 
 from __future__ import annotations
@@ -234,6 +236,17 @@ class ColoringCheck(NamedTuple):
     euler_complex: bool  # chi(C) = chi(H(C)) on the built complex
 
 
+def _coefficient_signature(beta: Bracket, D: OrientedDiagram, colors: dict) -> tuple:
+    """(A_{x,y}, B_{x,y}) at each crossing's (x, y): all the direct cube reads of a coloring.
+
+    The signed state coefficients and the edge scalars q * q_{x,y}^{-1} of
+    ``_build_cube_complex`` come from these alone, so colorings with equal
+    signatures have equal complexes.
+    """
+    pairs = (crossing_color_pair(crossing, colors) for crossing in D.crossings)
+    return tuple((beta.a(x, y), beta.b(x, y)) for x, y in pairs)
+
+
 def check_colorings(
     beta: Bracket, D: OrientedDiagram, colorings: List[Coloring], classical: HomologyTable, words: _CubeWords
 ) -> List[ColoringCheck]:
@@ -241,20 +254,28 @@ def check_colorings(
 
     ``classical`` is ``khovanov_classical(D)`` and ``words`` is
     ``cube_words(D)``, both built once per diagram by the caller.  The
-    bracket values come from one scan; each complex lives only for its own
-    coloring's checks.
+    bracket values come from one scan.  Colorings with equal crossing
+    coefficients (``_coefficient_signature``) share one complex, built and
+    reduced once; its Bh table and chi(C) = chi(H(C)) outcome are kept for
+    the call, and each coloring checks them against its own Z_beta and value.
     """
     G, q = beta.G, beta.q11
+    shared = {}  # signature -> (Bh table, chi(C) = chi(H(C)))
     checks = []
     for f, value in zip(colorings, bracket_values(beta, D, colorings)):
+        colors = dict(f.arc_colors)
+        signature = _coefficient_signature(beta, D, colors)
+        if signature not in shared:
+            c = _build_cube_complex(beta, colors, D, words)
+            bh = cohomology(c)
+            shared[signature] = bh, c.euler_characteristic() == bh.euler_characteristic()
+        bh, euler_complex = shared[signature]
         z = z_invariant(beta, f)
-        c = _build_cube_complex(beta, dict(f.arc_colors), D, words)
-        bh = cohomology(c)
         checks.append(ColoringCheck(
             value, z, bh,
             theorem_report(bh, classical, G, q, z),
             euler_report(bh, G, value),
-            c.euler_characteristic() == bh.euler_characteristic(),
+            euler_complex,
         ))
     return checks
 

@@ -373,7 +373,9 @@ class TestCheckCommands:
         import bracketlab
 
         # bh folds one Khovanov table and builds no cube; check-theorem
-        # builds the cube's word maps once and one cube complex per coloring.
+        # builds the cube's word maps once and one cube complex per distinct
+        # coefficient signature: z9's 2 colorings of trefoil_r2 share one,
+        # and gf8's 4 colorings of hopf have 3 signatures, none merged.
         from bracketlab import homology
 
         calls = {"khovanov_classical": 0, "cube_words": 0, "_build_cube_complex": 0}
@@ -387,18 +389,18 @@ class TestCheckCommands:
             for module in vars(bracketlab).values():
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
-        files = [corpus_file("bracket_z9.json"), corpus_file("trefoil_r2.json")]
-        for command, khovanov, cubes, complexes in (
-            ("check-theorem", 1, 1, 2),
-            ("bh", 1, 0, 0),
-            ("z-invariant", 0, 0, 0),
+        for command, bracket, diagram, checked, khovanov, cubes, complexes in (
+            ("check-theorem", "bracket_z9.json", "trefoil_r2.json", 2, 1, 1, 1),
+            ("check-theorem", "bracket_gf8.json", "hopf.json", 4, 1, 1, 3),
+            ("bh", "bracket_z9.json", "trefoil_r2.json", 2, 1, 0, 0),
+            ("z-invariant", "bracket_z9.json", "trefoil_r2.json", 2, 0, 0, 0),
         ):
             calls.update(dict.fromkeys(calls, 0))
-            result = runner.invoke(main, [command, *files])
+            result = runner.invoke(main, [command, corpus_file(bracket), corpus_file(diagram)])
             assert result.exit_code == 0, command
             out = json.loads(result.output)
             colorings = out["checked"] if command == "check-theorem" else sum(e["multiplicity"] for e in out["multiset"])
-            assert colorings == 2, command
+            assert colorings == checked, command
             assert calls == {
                 "khovanov_classical": khovanov,
                 "cube_words": cubes,

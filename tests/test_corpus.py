@@ -64,9 +64,10 @@ class TestManifest:
 
 
 def test_check_all_builds_each_complex_once(monkeypatch):
-    # One cube complex per coloring (120 over 5 brackets x 10 diagrams), and
-    # per diagram one build of the cube's word maps, shared by the 5
-    # brackets, and one Khovanov tangle scan, which builds no cube.
+    # One cube complex per distinct coefficient signature of a (bracket,
+    # diagram): 58 over 5 brackets x 10 diagrams, where one per coloring
+    # would be 120.  Per diagram one build of the cube's word maps, shared by
+    # the 5 brackets, and one Khovanov tangle scan, which builds no cube.
     from bracketlab import corpus, homology
 
     calls = {"build": 0, "khovanov": 0, "cube_words": 0}
@@ -87,9 +88,31 @@ def test_check_all_builds_each_complex_once(monkeypatch):
     monkeypatch.setattr(corpus, "khovanov_classical", khovanov)
     report = report_to_json(check_all(default_manifest()))
     assert report["ok"] and report["total"] == 478
-    assert calls["build"] == 120
+    assert calls["build"] == 58
     assert calls["khovanov"] <= 10
     assert calls["cube_words"] == 10
+
+
+def test_check_all_enumerates_colorings_once_per_tables_and_diagram(monkeypatch):
+    # The counting rows and every bracket on the same operation tables share
+    # one coloring list per diagram: 19 distinct (tables, diagram) pairs on
+    # the default manifest, where recounting per row and per bracket made 74.
+    import bracketlab
+    from bracketlab import biquandle
+
+    calls = []
+    original = biquandle.enumerate_colorings
+
+    def counted(X, D):
+        calls.append((X.under_table, X.over_table, D))
+        return original(X, D)
+
+    for module in vars(bracketlab).values():
+        if getattr(module, "enumerate_colorings", None) is original:
+            monkeypatch.setattr(module, "enumerate_colorings", counted)
+    assert report_to_json(check_all(default_manifest()))["ok"]
+    assert len(calls) == 19
+    assert len({(under, over, id(D)) for under, over, D in calls}) == 19
 
 
 def test_canonical_cocycle_row_fails_on_a_bad_cocycle(monkeypatch):

@@ -9,6 +9,7 @@ from bracketlab.cocycle import z_invariant
 from bracketlab.diagram import OrientedDiagram, parse_diagram, resolve_state
 from bracketlab.graded import GradedComplex, HomologyTable, cohomology, evaluate_formal_sum
 from bracketlab.homology import (
+    _coefficient_signature,
     bh_invariant,
     bh_multiset,
     build_complex,
@@ -283,6 +284,28 @@ class TestBracketCohomology:
                     assert [list(row.items()) for row in c.differentials[col]] == [list(row.items()) for row in rows]
                 built += 1
         assert built >= len(cases)
+
+    def test_equal_signatures_build_equal_complexes(self, brackets, diagrams, witness):
+        # check_colorings builds one complex per coefficient signature, so
+        # the signature must fix everything the builder reads of a coloring.
+        rng = random.Random(14)
+        cases = [diagrams[d] for d in DIAGRAM_NAMES]
+        for k in range(10):
+            cases.append(parse_diagram(braid_closure(random_braid_word(rng, 3, 2 + k % 5), 3)))
+        shared = split = 0
+        for beta in (*brackets.values(), witness):
+            for D in cases:
+                groups = {}
+                for f in enumerate_colorings(beta.biquandle, D):
+                    groups.setdefault(_coefficient_signature(beta, D, dict(f.arc_colors)), []).append(f)
+                split += len(groups) > 1
+                for group in groups.values():
+                    first = build_complex(beta, group[0])
+                    for f in group[1:]:
+                        c = build_complex(beta, f)
+                        assert (c.degrees, c.differentials) == (first.degrees, first.differentials)
+                        shared += 1
+        assert shared and split  # some colorings share a complex, and some diagrams need several
 
     def test_complex_is_valid(self, brackets, diagrams):
         # d compose d = 0 and degree preservation on every built complex.
