@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 from .diagram import OrientedDiagram, _is_int
 
@@ -162,48 +162,56 @@ class Coloring:
 
 
 def enumerate_colorings(X: Biquandle, D: OrientedDiagram) -> List[Coloring]:
-    """All valid X-colorings, by backtracking with eager constraint propagation.
+    """All valid X-colorings, by backtracking over a propagation plan.
 
     At every crossing: under_out = under_in (under) over_in and
-    over_out = over_in (over) under_in.  Deterministic output order.
+    over_out = over_in (over) under_in.  The plan, built once, makes each arc
+    not yet known a free choice; for each crossing whose inputs then become
+    known it records one step per output: assign it, or compare with it.
+    Which arcs a choice forces depends only on which are known, so one list
+    of values serves every branch; each choice tries the elements in order.
     """
     arcs = D.arcs()
-    results: List[Coloring] = []
-    colors: Dict[int, int] = {}
-    under, over = X.under_table, X.over_table
+    slot = {arc: i for i, arc in enumerate(arcs)}
     # Each edge enters exactly one crossing; a free circle's arc enters none.
     entering = {arc: c for c in D.crossings for arc in (c.under_in, c.over_in)}
-
-    # Propagation rules: once both inputs of a crossing are known, the outputs
-    # are forced.
-    def propagate(pending: List[int]) -> bool:
+    known = set()
+    plan = []  # (choice slot, steps) per free choice
+    for arc in arcs:
+        if arc in known:
+            continue
+        known.add(arc)
+        steps, pending = [], [arc]
         while pending:
             c = entering.get(pending.pop())
-            if c is not None and c.under_in in colors and c.over_in in colors:
-                x, y = colors[c.under_in], colors[c.over_in]
-                for out_arc, val in ((c.under_out, under[x - 1][y - 1]), (c.over_out, over[y - 1][x - 1])):
-                    if out_arc in colors:
-                        if colors[out_arc] != val:
-                            return False
-                    else:
-                        colors[out_arc] = val
-                        pending.append(out_arc)
-        return True
+            if c is None or c.under_in not in known or c.over_in not in known:
+                continue
+            del entering[c.under_in], entering[c.over_in]  # each crossing's steps are recorded once
+            x, y = slot[c.under_in], slot[c.over_in]
+            for out, table, a, b in ((c.under_out, X.under_table, x, y), (c.over_out, X.over_table, y, x)):
+                steps.append((slot[out], table, a, b, out not in known))
+                if out not in known:
+                    known.add(out)
+                    pending.append(out)
+        plan.append((slot[arc], steps))
+    results, values = [], [0] * len(arcs)
 
-    def backtrack(idx: int):
-        while idx < len(arcs) and arcs[idx] in colors:
-            idx += 1
-        if idx == len(arcs):
-            results.append(Coloring(D, tuple(sorted(colors.items()))))
+    def backtrack(level: int):
+        if level == len(plan):
+            # Through a list, so the kept tuple is allocated once at its final size.
+            results.append(Coloring(D, tuple(list(zip(arcs, values)))))
             return
-        arc = arcs[idx]
+        choice, steps = plan[level]
         for value in X.elements():
-            snapshot = dict(colors)
-            colors[arc] = value
-            if propagate([arc]):
-                backtrack(idx + 1)
-            colors.clear()
-            colors.update(snapshot)
+            values[choice] = value
+            for out, table, a, b, assign in steps:
+                v = table[values[a] - 1][values[b] - 1]
+                if assign:
+                    values[out] = v
+                elif values[out] != v:
+                    break
+            else:
+                backtrack(level + 1)
 
     backtrack(0)
     return results

@@ -21,7 +21,7 @@ import itertools
 from typing import List, Tuple
 
 from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset
-from .diagram import CrossingRecord, OrientedDiagram, _smooth, frontier_order
+from .diagram import CrossingRecord, OrientedDiagram, _smoothings, frontier_order
 from .rings import Ring, ring_make, subgroup_generate
 
 
@@ -214,11 +214,11 @@ def bracket_values(beta: Bracket, D: OrientedDiagram, colorings: List[Coloring])
 
     One value per coloring of ``D``, by a crossing-by-crossing scan.
     Crossings are taken in ``frontier_order``; the smoothed crossings taken
-    so far join the open edges in pairs (a matching, see ``_smooth``) and
-    close some loops.  States that leave the same matching close the same
-    loops from then on, so each matching carries one partial sum per
-    coloring, multiplied at each crossing by that crossing's coefficient and
-    by delta once per closed loop.  Free circles are counted at the end.
+    so far join the open edges in pairs (a matching, carried on by each
+    crossing's ``_smoothings`` maps) and close some loops.  States that leave
+    the same matching close the same loops from then on, so each matching
+    carries one partial sum per coloring, multiplied at each crossing by its
+    coefficient and by delta once per closed loop.  Free circles come last.
     """
     ring = beta.ring
     colors = [dict(f.arc_colors) for f in colorings]
@@ -227,13 +227,14 @@ def bracket_values(beta: Bracket, D: OrientedDiagram, colorings: List[Coloring])
     sums = {(): [ring.one] * len(colors)}
     for index in frontier_order(D):
         crossing = D.crossings[index]
+        smoothings = _smoothings(crossing)
         coefficients = [[beta.coefficient(crossing, bit, c) for c in colors] for bit in (0, 1)]
         # factors[bit][loops][k]: coloring k's coefficient times delta^loops.
         factors = [[[ring.mul(a, d) for a in row] for d in delta_powers] for row in coefficients]
         after = {}
         for matching, partial in sums.items():
             for bit in (0, 1):
-                smoothed, loops = _smooth(matching, crossing, bit)
+                smoothed, loops = smoothings[bit](matching)
                 row = after.setdefault(smoothed, [ring.zero] * len(colors))
                 for k, (s, f) in enumerate(zip(partial, factors[bit][len(loops)])):
                     row[k] = ring.add(row[k], ring.mul(s, f))

@@ -223,31 +223,42 @@ def frontier_order(D: OrientedDiagram) -> List[int]:
     return pd_order if _width(D, pd_order) < _width(D, order) else order
 
 
-def _smooth(matching: Tuple[Tuple[int, int], ...], crossing: CrossingRecord, bit: int):
-    """The matching after smoothing one more crossing, and the loops it closes.
+def _smoothings(crossing: CrossingRecord):
+    """Per bit, a map from a matching to the matching after this crossing and the loops it closes.
 
     An end is keyed by its edge label.  An edge whose far end is not yet
     taken (a new edge, or the second end of a kink) has that far end keyed
     by the negated label, and the edge itself joins the two keys.  Each
-    closed loop is named by the label of one edge on it.
+    closed loop is named by the label of one edge on it.  The crossing's
+    labels and each bit's joins are found once, when the maps are built.
     """
-    partner: Dict[int, int] = {}
-    for a, b in matching:
-        partner[a], partner[b] = b, a
-    for label in set(OrientedDiagram._edge_labels(crossing)):
-        if label not in partner:
-            partner[label], partner[-label] = -label, label
-    ends = [e for arc in _pairings(crossing, bit) for e in arc]
-    keys = [-e if e in ends[:i] else e for i, e in enumerate(ends)]
-    loops = []
-    for a, b in zip(keys[::2], keys[1::2]):
-        if partner[a] == b:
-            del partner[a], partner[b]
-            loops.append(abs(a))
-        else:
-            pa, pb = partner.pop(a), partner.pop(b)
-            partner[pa], partner[pb] = pb, pa
-    return tuple(sorted((abs(a), abs(b)) for a, b in partner.items() if abs(a) < abs(b))), loops
+    labels = set(OrientedDiagram._edge_labels(crossing))
+
+    def smoothing(bit: int):
+        ends = [e for arc in _pairings(crossing, bit) for e in arc]
+        keys = [-e if e in ends[:i] else e for i, e in enumerate(ends)]
+        joins = tuple(zip(keys[::2], keys[1::2]))
+
+        def smooth(matching: Tuple[Tuple[int, int], ...]):
+            partner: Dict[int, int] = {}
+            for a, b in matching:
+                partner[a], partner[b] = b, a
+            for label in labels:
+                if label not in partner:
+                    partner[label], partner[-label] = -label, label
+            loops = []
+            for a, b in joins:
+                if partner[a] == b:
+                    del partner[a], partner[b]
+                    loops.append(abs(a))
+                else:
+                    pa, pb = partner.pop(a), partner.pop(b)
+                    partner[pa], partner[pb] = pb, pa
+            return tuple(sorted((abs(a), abs(b)) for a, b in partner.items() if abs(a) < abs(b))), loops
+
+        return smooth
+
+    return smoothing(0), smoothing(1)
 
 
 @dataclass(frozen=True)

@@ -201,9 +201,8 @@ def bh_multiset(beta: Bracket, D: OrientedDiagram) -> List[tuple]:
     return multiset(tables)
 
 
-def theorem_report(bh: HomologyTable, classical: HomologyTable, G: UnitSubgroup, q, z: Coset) -> Report:
-    """Bh(f) against classical Khovanov homology folded by ``fold_khovanov``."""
-    predicted = fold_khovanov(classical, G, q, z)
+def theorem_report(bh: HomologyTable, predicted: HomologyTable, G: UnitSubgroup, z: Coset) -> Report:
+    """Bh(f) against ``predicted``, classical Khovanov homology folded by ``fold_khovanov`` at ``z``."""
     details = {
         "bh": bh.to_json(),
         "predicted_from_classical": predicted.to_json(),
@@ -257,10 +256,12 @@ def check_colorings(
     bracket values come from one scan.  Colorings with equal crossing
     coefficients (``_coefficient_signature``) share one complex, built and
     reduced once; its Bh table and chi(C) = chi(H(C)) outcome are kept for
-    the call, and each coloring checks them against its own Z_beta and value.
+    the call, and each coloring checks them against its own Z_beta and value;
+    the Khovanov table is folded once per Z_beta coset.
     """
     G, q = beta.G, beta.q11
     shared = {}  # signature -> (Bh table, chi(C) = chi(H(C)))
+    folded = {}  # Z_beta coset -> the folded Khovanov table
     checks = []
     for f, value in zip(colorings, bracket_values(beta, D, colorings)):
         colors = dict(f.arc_colors)
@@ -271,9 +272,11 @@ def check_colorings(
             shared[signature] = bh, c.euler_characteristic() == bh.euler_characteristic()
         bh, euler_complex = shared[signature]
         z = z_invariant(beta, f)
+        if z not in folded:
+            folded[z] = fold_khovanov(classical, G, q, z)
         checks.append(ColoringCheck(
             value, z, bh,
-            theorem_report(bh, classical, G, q, z),
+            theorem_report(bh, folded[z], G, z),
             euler_report(bh, G, value),
             euler_complex,
         ))

@@ -3,7 +3,7 @@
 Bar-Natan, "Fast Khovanov homology computations" (arXiv math/0606318).
 Crossings are added one at a time in ``frontier_order``.  After each one the
 complex is that of the tangle of the crossings taken so far: an object is a
-matching of the open edges (as ``diagram._smooth`` builds it) with a
+matching of the open edges (as ``diagram._smoothings`` builds it) with a
 homological weight and a q-shift, and an entry of the differential is a
 dotted cobordism between two matchings.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .diagram import CrossingRecord, OrientedDiagram, _pairings, _smooth, frontier_order
+from .diagram import CrossingRecord, OrientedDiagram, _pairings, _smoothings, frontier_order
 from .graded import GradedComplex
 
 Matching = Tuple[Tuple[int, int], ...]
@@ -249,9 +249,10 @@ def _add_crossing(old: _Complex, crossing: CrossingRecord, cycles_of) -> _Comple
     """
     new = _Complex()
     copies = {}
+    smoothings = _smoothings(crossing)
     for i, (matching, weight, q) in old.objects.items():
         for bit in (0, 1):
-            smoothed, loops = _smooth(matching, crossing, bit)
+            smoothed, loops = smoothings[bit](matching)
             ids = [
                 new.add(smoothed, weight + bit, q + bit + len(loops) - 2 * bin(e).count("1"))
                 for e in range(1 << len(loops))

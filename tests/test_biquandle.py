@@ -117,8 +117,11 @@ class TestColorings:
 
 
 @pytest.mark.parametrize("name", ["flip", "threeel", "r3"])
-def test_colorings_equal_brute_force(flip, threeel, name):
+def test_colorings_equal_brute_force(flip, threeel, diagrams, name):
+    # The corpus has free circles and R1 kinks, which braid closures lack.
     X = {"flip": flip, "threeel": threeel, "r3": Biquandle(R3_UNDER, R3_OVER)}[name]
+    for D in diagrams.values():
+        assert enumerate_colorings(X, D) == brute_force_colorings(X, D)
     rng = random.Random(5)
     checked = 0
     while checked < 12:

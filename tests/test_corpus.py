@@ -139,3 +139,21 @@ def test_canonical_cocycle_row_fails_on_a_bad_cocycle(monkeypatch):
     assert rows["canonical-cocycle:bracket_z9"] is False
     assert rows["canonical-cocycle:bracket_gf8"] is False
     assert all(ok for name, ok in rows.items() if not name.startswith("canonical-cocycle:"))
+
+
+def test_check_all_folds_khovanov_once_per_coset(monkeypatch):
+    # Each check_colorings call folds its Khovanov table once per Z_beta
+    # coset: 54 distinct (call, coset) pairs on the default manifest, where
+    # one fold per coloring made 120.
+    from bracketlab import homology
+
+    calls = []
+    original = homology.fold_khovanov
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(homology, "fold_khovanov", counted)
+    assert report_to_json(check_all(default_manifest()))["ok"]
+    assert len(calls) == 54

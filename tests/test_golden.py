@@ -33,6 +33,11 @@ CASES += [("bh", "bracket_z9", "trefoil_r2"), ("check-all",), ("check-all", "--p
 CASES += [("verify-biquandle", b) for b in ("biquandle_flip", "biquandle_3el", "biquandle_3el_broken")]
 CASES += [("verify-cocycle", "cocycle_ab"), ("verify-cocycle", "cocycle_ab_broken")]
 CASES += [("verify-bracket", "bracket_gf8_broken")]
+CASES += [
+    ("colorings", biquandle, diagram)
+    for biquandle in ("biquandle_flip", "biquandle_3el")
+    for diagram in ("trefoil", "hopf", "unknot", "trefoil_r1")
+]
 
 # The negative controls fail verification, so their commands exit 1.
 EXIT_1 = {

@@ -430,4 +430,4 @@ class TestTheoremChecks:
         assert wrong and len(G) < len(ring.units())
         for c in wrong:
             assert fold_khovanov(classical, G, q, c) != bh
-            assert not theorem_report(bh, classical, G, q, c).ok
+            assert not theorem_report(bh, fold_khovanov(classical, G, q, c), G, c).ok
