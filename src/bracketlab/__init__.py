@@ -33,9 +33,7 @@ from .diagram import (
     CrossingRecord,
     DiagramError,
     OrientedDiagram,
-    SmoothingState,
     parse_diagram,
-    resolve_state,
 )
 from .graded import (
     GradedComplex,
@@ -46,7 +44,6 @@ from .graded import (
 from .homology import (
     bh_invariant,
     bh_multiset,
-    build_complex,
     check_euler_identity,
     check_theorem,
     khovanov_classical,

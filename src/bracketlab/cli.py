@@ -25,7 +25,7 @@ from .bracket import (
 from .cocycle import canonical_cocycle, cocycle_from_json, verify_cocycle, z_invariant_multiset
 from .corpus import check_all, load_manifest, report_to_json
 from .diagram import parse_diagram
-from .homology import bh_multiset, check_colorings, cube_words, khovanov_classical
+from .homology import bh_multiset, check_colorings, euler_report, khovanov_classical, theorem_report
 
 INPUT_ERROR = 2
 CHECK_FAILED = 1
@@ -274,14 +274,14 @@ def bh_cmd(bracket_file, diagram_file, pretty):
     _emit(out, lines, pretty)
 
 
-def _run_checks(bracket_file, diagram_file, pretty, field, label):
-    """One report per coloring: the ``field`` report of ``check_colorings``."""
+def _run_checks(bracket_file, diagram_file, pretty, report, label):
+    """One report per coloring: ``report`` of its ``check_colorings`` entry, with the details it prints."""
     beta = _parse(bracket_file, "bracket", bracket_from_json)
     D = _parse(diagram_file, "diagram", parse_diagram)
     colorings = enumerate_colorings(beta.biquandle, D)
-    checks = check_colorings(beta, D, colorings, khovanov_classical(D), cube_words(D))
+    checks = check_colorings(beta, D, colorings, khovanov_classical(D))
     reports = [
-        {"coloring": f.to_json(), **getattr(check, field).to_json()}
+        {"coloring": f.to_json(), **report(check).to_json()}
         for f, check in zip(colorings, checks)
     ]
     ok = all(r["ok"] for r in reports)
@@ -297,7 +297,7 @@ def _run_checks(bracket_file, diagram_file, pretty, field, label):
 @pretty_option
 def check_theorem_cmd(bracket_file, diagram_file, pretty):
     """Check Bh(f) = classical Khovanov folded into R^x and shifted by Z_beta(f)."""
-    _run_checks(bracket_file, diagram_file, pretty, "theorem", "theorem")
+    _run_checks(bracket_file, diagram_file, pretty, theorem_report, "theorem")
 
 
 @main.command("check-euler")
@@ -306,7 +306,7 @@ def check_theorem_cmd(bracket_file, diagram_file, pretty):
 @pretty_option
 def check_euler_cmd(bracket_file, diagram_file, pretty):
     """Check chi(Bh(f)) evaluates to (sum over G) * bracket value."""
-    _run_checks(bracket_file, diagram_file, pretty, "euler", "euler identity")
+    _run_checks(bracket_file, diagram_file, pretty, euler_report, "euler identity")
 
 
 @main.command("check-all")

@@ -6,11 +6,10 @@ Reidemeister-equivalent diagram pairs and negative verification controls.
 guarantee over the whole corpus: axiom verification, invariance of all four
 invariants across equivalent pairs, and the theorem / Euler-identity checks
 on every bracket x diagram x coloring combination.  It computes each value
-once: the colorings per (biquandle tables, diagram), Khovanov homology and
-the direct cube's word maps per diagram and, through
-``homology.check_colorings``, the bracket value and Z_beta coset per
-coloring and one direct-cube Bh table per set of colorings with equal
-crossing coefficients.
+once: the colorings per (biquandle tables, diagram), the Khovanov complex,
+its homology and chi(C) = chi(H(C)) per diagram and, through
+``homology.check_colorings``, the bracket value, Z_beta coset and cube unit
+u(f) per coloring.  No check builds the 2^n cube of smoothings.
 """
 
 from __future__ import annotations
@@ -24,7 +23,9 @@ from .biquandle import Biquandle, Coloring, Report, enumerate_colorings, multise
 from .bracket import Bracket, decode_bracket, verify_bracket
 from .cocycle import canonical_cocycle, cocycle_from_json, verify_cocycle
 from .diagram import OrientedDiagram, parse_diagram
-from .homology import check_colorings, cube_words, khovanov_classical
+from .graded import cohomology
+from .homology import check_colorings
+from .tangle import khovanov_complex
 
 
 @dataclass
@@ -166,21 +167,23 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
             same = len(colorings(X, a)) == len(colorings(X, b))
             row(f"counting-invariance:{bq_name}:{a}~{b}", same, "")
 
-    # One pass over every diagram x bracket x coloring.  Khovanov homology and
-    # the cube's word maps are built once per diagram.  The pass keeps, per
-    # (bracket, diagram), the bracket, Z_beta and Bh multisets and each
-    # coloring's theorem, Euler and chi(C) = chi(H(C)) outcomes.
+    # One pass over every diagram x bracket x coloring.  The Khovanov complex,
+    # its homology and chi(C) = chi(H(C)) are computed once per diagram.  The
+    # pass keeps, per (bracket, diagram), the bracket, Z_beta and Bh multisets
+    # and each coloring's theorem, Euler and chi(C) = chi(H(C)) outcomes.
     invariants, outcomes = {}, {}
     for name, D in diagrams.items() if brackets else ():
-        classical, words = khovanov_classical(D), cube_words(D)
+        complex_ = khovanov_complex(D)
+        classical = cohomology(complex_)
+        same_chi = complex_.euler_characteristic() == classical.euler_characteristic()
         for br_name, beta in brackets.items():
-            checks = check_colorings(beta, D, colorings(beta.biquandle, name), classical, words)
+            checks = check_colorings(beta, D, colorings(beta.biquandle, name), classical)
             invariants[br_name, name] = (
                 multiset(c.value for c in checks),
                 multiset(c.z for c in checks),
                 multiset(c.bh for c in checks),
             )
-            outcomes[br_name, name] = [(c.theorem.ok, c.euler.ok, c.euler_complex) for c in checks]
+            outcomes[br_name, name] = [(c.theorem, c.euler, same_chi) for c in checks]
 
     # Invariance of the bracket, Z_beta, and Bh multisets across pairs.
     for br_name in brackets:
@@ -194,7 +197,7 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
         row(f"canonical-cocycle:{br_name}", verify_cocycle(phi).ok, "")
 
     # Theorem and Euler identity on every bracket x diagram x coloring, and
-    # chi(C) = chi(H(C)) on the built complex.
+    # chi(C) = chi(H(C)) on the diagram's Khovanov complex, one row each.
     for br_name in brackets:
         for name in diagrams:
             for idx, oks in enumerate(outcomes[br_name, name]):

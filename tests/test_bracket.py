@@ -13,9 +13,9 @@ from bracketlab.bracket import (
     verify_bracket,
 )
 from bracketlab.corpus import load_corpus_json
-from bracketlab.diagram import OrientedDiagram, parse_diagram, smoothing_states
+from bracketlab.diagram import OrientedDiagram, parse_diagram
 from bracketlab.rings import ZModRing
-from conftest import DIAGRAM_NAMES, braid_closure, random_braid_word
+from conftest import DIAGRAM_NAMES, braid_closure, random_braid_word, smoothing_states
 
 
 def walk_bracket_values(beta, D, colorings, states=None) -> list:

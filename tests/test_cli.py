@@ -372,13 +372,11 @@ class TestCheckCommands:
     def test_check_theorem_computes_shared_values_once(self, runner, monkeypatch):
         import bracketlab
 
-        # bh folds one Khovanov table and builds no cube; check-theorem
-        # builds the cube's word maps once and one cube complex per distinct
-        # coefficient signature: z9's 2 colorings of trefoil_r2 share one,
-        # and gf8's 4 colorings of hopf have 3 signatures, none merged.
+        # check-theorem and bh each fold one Khovanov table, built by one
+        # tangle scan; z-invariant builds none.
         from bracketlab import homology
 
-        calls = {"khovanov_classical": 0, "cube_words": 0, "_build_cube_complex": 0}
+        calls = {"khovanov_classical": 0}
         for name in calls:
             original = getattr(homology, name)
 
@@ -389,11 +387,11 @@ class TestCheckCommands:
             for module in vars(bracketlab).values():
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
-        for command, bracket, diagram, checked, khovanov, cubes, complexes in (
-            ("check-theorem", "bracket_z9.json", "trefoil_r2.json", 2, 1, 1, 1),
-            ("check-theorem", "bracket_gf8.json", "hopf.json", 4, 1, 1, 3),
-            ("bh", "bracket_z9.json", "trefoil_r2.json", 2, 1, 0, 0),
-            ("z-invariant", "bracket_z9.json", "trefoil_r2.json", 2, 0, 0, 0),
+        for command, bracket, diagram, checked, khovanov in (
+            ("check-theorem", "bracket_z9.json", "trefoil_r2.json", 2, 1),
+            ("check-theorem", "bracket_gf8.json", "hopf.json", 4, 1),
+            ("bh", "bracket_z9.json", "trefoil_r2.json", 2, 1),
+            ("z-invariant", "bracket_z9.json", "trefoil_r2.json", 2, 0),
         ):
             calls.update(dict.fromkeys(calls, 0))
             result = runner.invoke(main, [command, corpus_file(bracket), corpus_file(diagram)])
@@ -401,11 +399,7 @@ class TestCheckCommands:
             out = json.loads(result.output)
             colorings = out["checked"] if command == "check-theorem" else sum(e["multiplicity"] for e in out["multiset"])
             assert colorings == checked, command
-            assert calls == {
-                "khovanov_classical": khovanov,
-                "cube_words": cubes,
-                "_build_cube_complex": complexes,
-            }, command
+            assert calls == {"khovanov_classical": khovanov}, command
 
     def test_check_euler(self, runner):
         result = runner.invoke(

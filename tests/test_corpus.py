@@ -64,33 +64,21 @@ class TestManifest:
 
 
 def test_check_all_builds_each_complex_once(monkeypatch):
-    # One cube complex per distinct coefficient signature of a (bracket,
-    # diagram): 58 over 5 brackets x 10 diagrams, where one per coloring
-    # would be 120.  Per diagram one build of the cube's word maps, shared by
-    # the 5 brackets, and one Khovanov tangle scan, which builds no cube.
-    from bracketlab import corpus, homology
+    # One Khovanov complex per diagram, by the tangle scan, shared by the 5
+    # brackets and reduced once; no check builds a cube of smoothings.
+    from bracketlab import corpus
 
-    calls = {"build": 0, "khovanov": 0, "cube_words": 0}
+    calls = []
+    original = corpus.khovanov_complex
 
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
+    def counted(D):
+        calls.append(D)
+        return original(D)
 
-        return wrapper
-
-    monkeypatch.setattr(homology, "_build_cube_complex", counted("build", homology._build_cube_complex))
-    cube_words = counted("cube_words", homology.cube_words)
-    monkeypatch.setattr(homology, "cube_words", cube_words)
-    monkeypatch.setattr(corpus, "cube_words", cube_words)
-    khovanov = counted("khovanov", homology.khovanov_classical)
-    monkeypatch.setattr(homology, "khovanov_classical", khovanov)
-    monkeypatch.setattr(corpus, "khovanov_classical", khovanov)
+    monkeypatch.setattr(corpus, "khovanov_complex", counted)
     report = report_to_json(check_all(default_manifest()))
     assert report["ok"] and report["total"] == 478
-    assert calls["build"] == 58
-    assert calls["khovanov"] <= 10
-    assert calls["cube_words"] == 10
+    assert len(calls) == len({id(D) for D in calls}) == 10
 
 
 def test_check_all_enumerates_colorings_once_per_tables_and_diagram(monkeypatch):

