@@ -25,7 +25,7 @@ from .cocycle import canonical_cocycle, cocycle_from_json, verify_cocycle
 from .diagram import OrientedDiagram, parse_diagram
 from .graded import cohomology
 from .homology import check_colorings
-from .tangle import khovanov_complex
+from .tangle import khovanov_complex, tensor_free_circles
 
 
 @dataclass
@@ -168,14 +168,18 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
             row(f"counting-invariance:{bq_name}:{a}~{b}", same, "")
 
     # One pass over every diagram x bracket x coloring.  The Khovanov complex,
-    # its homology and chi(C) = chi(H(C)) are computed once per diagram.  The
-    # pass keeps, per (bracket, diagram), the bracket, Z_beta and Bh multisets
-    # and each coloring's theorem, Euler and chi(C) = chi(H(C)) outcomes.
+    # its homology and chi(C) = chi(H(C)) are computed once per diagram.  C is
+    # the complex of the crossings: free circles multiply both sides by
+    # (q + q^-1)^k, which is not a zero divisor, and join the homology at the
+    # table.  The pass keeps, per (bracket, diagram), the bracket, Z_beta and
+    # Bh multisets and each coloring's theorem, Euler and chi(C) = chi(H(C))
+    # outcomes.
     invariants, outcomes = {}, {}
     for name, D in diagrams.items() if brackets else ():
         complex_ = khovanov_complex(D)
-        classical = cohomology(complex_)
-        same_chi = complex_.euler_characteristic() == classical.euler_characteristic()
+        crossings_only = cohomology(complex_)
+        same_chi = complex_.euler_characteristic() == crossings_only.euler_characteristic()
+        classical = tensor_free_circles(crossings_only, D.free_circles)
         for br_name, beta in brackets.items():
             checks = check_colorings(beta, D, colorings(beta.biquandle, name), classical)
             invariants[br_name, name] = (

@@ -33,12 +33,12 @@ from .cocycle import z_invariant
 from .diagram import OrientedDiagram
 from .graded import HomologyTable, cohomology, evaluate_formal_sum, merge_invariant_factors
 from .rings import Coset, UnitSubgroup
-from .tangle import khovanov_complex
+from .tangle import khovanov_complex, tensor_free_circles
 
 
 def khovanov_classical(D: OrientedDiagram) -> HomologyTable:
     """Classical integer-graded Khovanov homology of the diagram, by the tangle scan."""
-    return cohomology(khovanov_complex(D))
+    return tensor_free_circles(cohomology(khovanov_complex(D)), D.free_circles)
 
 
 def fold_khovanov(classical: HomologyTable, G: UnitSubgroup, q, z: Coset) -> HomologyTable:

@@ -21,14 +21,20 @@ Gaussian elimination, so the complex stays near the size of the tangle's
 homology instead of 2^n.  After the last crossing every matching is empty
 and every entry an integer; ``homology.khovanov_classical`` takes the
 cohomology of what is left.
+
+The scan covers the crossings alone.  Each free circle (a component without
+crossings) would double every object of it, so the circles are put in at
+the table instead: ``tensor_free_circles`` tensors the homology with one
+copy of V = Z{q, q^-1} per circle.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Dict, List, Tuple
 
 from .diagram import CrossingRecord, OrientedDiagram, _pairings, _smoothings, frontier_order
-from .graded import GradedComplex
+from .graded import GradedComplex, HomologyTable, merge_invariant_factors
 
 Matching = Tuple[Tuple[int, int], ...]
 Morphism = Dict[int, int]
@@ -64,7 +70,12 @@ class _Surface:
     so the surface is connected where they connect.  ``disks`` names one end
     on each disk the surface is glued from, ``seams`` one end on each
     interval along which two disk sides are glued, and ``cycles`` one end on
-    each cycle of the result's boundary; mask bit i is cycle i.
+    each cycle of the result's boundary.  A set of dotted disks is a mask
+    with bit i for disk i, as a morphism's mask has bit i for cycle i.
+
+    Each component keeps the mask of its disks, and ``reduce`` keeps its
+    result per dot mask.  A surface lives for one crossing of the scan, or
+    for one call of ``khovanov_complex``, and its memo with it.
     """
 
     def __init__(self, arcs, disks, seams, cycles):
@@ -80,10 +91,11 @@ class _Surface:
         for a, b in arcs:
             parent[find(a)] = find(b)
         component: Dict[int, int] = {}
-        self.disk = [component.setdefault(find(e), len(component)) for e in disks]
-        euler = [0] * len(component)
-        for k in self.disk:
-            euler[k] += 1
+        disk = [component.setdefault(find(e), len(component)) for e in disks]
+        disk_masks = [0] * len(component)
+        for i, k in enumerate(disk):
+            disk_masks[k] |= 1 << i
+        euler = [m.bit_count() for m in disk_masks]
         for e in seams:
             euler[component[find(e)]] -= 1
         own: List[List[int]] = [[] for _ in component]
@@ -91,38 +103,41 @@ class _Surface:
             own[component[find(e)]].append(1 << i)
         # Per component: genus (from chi = 2 - 2 genus - boundary cycles; a
         # link diagram is planar, so every surface is orientable), the mask
-        # of all its boundary cycles, and each cycle's bit.
-        self.components = [((2 - len(bits) - chi) // 2, sum(bits), bits) for chi, bits in zip(euler, own)]
+        # of its disks, the mask of all its boundary cycles, and each cycle's bit.
+        self.components = [
+            ((2 - len(bits) - chi) // 2, disks_of, sum(bits), bits)
+            for chi, disks_of, bits in zip(euler, disk_masks, own)
+        ]
+        self.reduced: Dict[int, Morphism] = {}
 
-    def reduce(self, dotted) -> Morphism:
-        """The surface with a dot on each disk in ``dotted``, as dotted disks.
+    def reduce(self, dotted: int) -> Morphism:
+        """The surface with a dot on each disk in the mask ``dotted``, as dotted disks.
 
         A component of genus g with d dots is 2^g times itself with g + d
         dots.  With two or more it is 0; with one, every boundary cycle gets
         a dot; with none, it is the sum over its boundary cycles of dotting
-        all but that one (and a closed one is 0).
+        all but that one (and a closed one is 0).  Each mask is reduced once;
+        callers read the result and do not change it.
         """
-        dots = [genus for genus, _, _ in self.components]
-        for i in dotted:
-            dots[self.disk[i]] += 1
+        if dotted in self.reduced:
+            return self.reduced[dotted]
         coefficient, mask, choices = 1, 0, []
-        for d, (genus, full, bits) in zip(dots, self.components):
+        result: Morphism = {}
+        for genus, disks, full, bits in self.components:
+            d = genus + (dotted & disks).bit_count()
             if d > 1 or not (d or bits):
-                return {}
+                break
             coefficient <<= genus
             if d:
                 mask |= full
             else:
                 choices.append([full ^ bit for bit in bits])
-        result = {mask: coefficient}
-        for options in choices:
-            result = {m | o: c for m, c in result.items() for o in options}
+        else:
+            result = {mask: coefficient}
+            for options in choices:
+                result = {m | o: c for m, c in result.items() for o in options}
+        self.reduced[dotted] = result
         return result
-
-
-def _dotted(mask: int, count: int, first: int = 0) -> List[int]:
-    """Disks ``first``, ``first + 1``, ... whose bit is set in ``mask``, of ``count``."""
-    return [first + i for i in range(count) if mask >> i & 1]
 
 
 def _add(total: Morphism, morphism: Morphism, scale: int):
@@ -197,10 +212,11 @@ class _Complex:
 
 
 def khovanov_complex(D: OrientedDiagram) -> GradedComplex:
-    """The Khovanov complex of ``D`` up to homotopy, by the tangle scan.
+    """The Khovanov complex of ``D``'s crossings up to homotopy, by the tangle scan.
 
-    Its homology is classical Khovanov homology; every cache lives for this
-    call only.
+    Its homology, tensored with ``D.free_circles`` copies of V by
+    ``tensor_free_circles``, is classical Khovanov homology; every cache
+    lives for this call only.
     """
     cycles: Dict[Tuple[Matching, Matching], List[Tuple[int, ...]]] = {}
     compositions: Dict[Tuple[Matching, Matching, Matching], _Surface] = {}
@@ -225,12 +241,11 @@ def khovanov_complex(D: OrientedDiagram) -> GradedComplex:
         total: Morphism = {}
         for m1, c1 in delta.items():
             for m2, c2 in gamma.items():
-                _add(total, surface.reduce(_dotted(m1, shift) + _dotted(m2, len(upper), shift)), c1 * c2)
+                _add(total, surface.reduce(m1 | m2 << shift), c1 * c2)
         return total
 
     complex_ = _Complex()
-    for e in range(1 << D.free_circles):
-        complex_.add((), 0, D.free_circles - 2 * bin(e).count("1"))
+    complex_.add((), 0, 0)
     for index in frontier_order(D):
         complex_ = _add_crossing(complex_, D.crossings[index], cycles_of)
         complex_.eliminate(compose)
@@ -282,10 +297,10 @@ def _add_crossing(old: _Complex, crossing: CrossingRecord, cycles_of) -> _Comple
         plus = (1 << len(loops_b)) - 1
         for e_a, a in enumerate(ids_a):
             for e_b, b in enumerate(ids_b):
-                dotted = _dotted(e_a, len(loops_a), first_cup) + _dotted(plus ^ e_b, len(loops_b), first_cap)
+                dotted = e_a << first_cup | (plus ^ e_b) << first_cap
                 total: Morphism = {}
                 for mask, c in morphism.items():
-                    _add(total, surface.reduce(_dotted(mask, n_old) + dotted), c)
+                    _add(total, surface.reduce(mask | dotted), c)
                 new.put(a, b, total)
 
     for src, targets in old.out.items():
@@ -311,3 +326,25 @@ def _integer_complex(complex_: _Complex, D: OrientedDiagram) -> GradedComplex:
         for tgt, morphism in targets.items():
             differentials[complex_.objects[src][1] - D.n_minus][position[tgt]][position[src]] = morphism[0]
     return GradedComplex(ring=None, degrees=degrees, differentials=differentials)
+
+
+def tensor_free_circles(table: HomologyTable, k: int) -> HomologyTable:
+    """``table`` tensored with V^{(x)k}, V = Z{q, q^-1}: the homology with k more free circles.
+
+    Exact over Z because V is free: the entry at (i, j) with rank r and
+    torsion T adds, for e = 0..k, rank C(k, e) r and C(k, e) copies of T at
+    (i, j + k - 2e).
+    """
+    if not k:
+        return table
+    entries: Dict[tuple, list] = {}
+    for (i, j), rank, torsion in table.entries:
+        for e in range(k + 1):
+            copies = comb(k, e)
+            bucket = entries.setdefault((i, j + k - 2 * e), [0, []])
+            bucket[0] += copies * rank
+            if torsion:
+                bucket[1] += [torsion] * copies
+    return HomologyTable.from_dict(
+        None, {key: (rank, merge_invariant_factors(torsions)) for key, (rank, torsions) in entries.items()}
+    )

@@ -47,6 +47,20 @@ WITNESS_DIAGRAMS = ["trefoil", "hopf", "figure_eight", "trefoil_r2"]
 
 BRACKET_NAMES = ["bracket_gf8", "bracket_const_z5", "bracket_const_z7", "bracket_phi", "bracket_z9"]
 
+# Six 4-strand braid words of 20-28 crossings, from random_braid_word with
+# random.Random(17), whose closures' Khovanov tables are pinned in
+# golden/khovanov_4_strand_closures.json.  CI writes the closure of the
+# 24-crossing one with bench/braids.py and compares its `bracketlab
+# khovanov` output with golden/khovanov_braid_closure_24.json.
+PINNED_WORDS = [
+    [-2, -2, 3, -1, 1, -3, -2, -3, -1, 1, 1, 2, 3, 2, -1, -3, 3, -3, -1, -2, 3, -1, -2, 2, 1, 1, -1, -1],
+    [3, 2, -2, -1, -1, -2, 1, -1, -3, -2, 3, 2, -1, -1, 2, -3, -1, 2, 3, 1, 3, -2, -1, 2],
+    [-3, 3, 2, 2, 3, 1, -2, -2, -2, 3, -1, 3, -2, -1, -1, 2, -2, 2, 1, -2],
+    [-2, 1, 2, 2, -3, -3, 3, 1, -2, -2, 3, 1, 1, -3, -3, -3, 2, 2, -3, 2, 3, 2],
+    [2, 3, -1, 1, -1, -2, -2, 1, -2, -2, 2, 3, -1, 1, -3, -2, -1, -2, 2, 1, 2, -2, -3, -3, -2, 2],
+    [1, -3, 1, -1, -3, 2, 3, -3, -3, 1, 2, -1, -2, -2, 2, -1, 2, 2, 2, -1, 2, 2],
+]
+
 
 @pytest.fixture(scope="session")
 def diagrams():

@@ -7,9 +7,11 @@ interpreters under three hash seeds.  To rewrite the files after an
 intended change of output, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from click.testing import CliRunner
 
 import bracketlab
 from bracketlab.cli import main
-from conftest import BRACKET_NAMES, DIAGRAM_NAMES, corpus_file
+from conftest import BRACKET_NAMES, DIAGRAM_NAMES, PINNED_WORDS, braid_closure, corpus_file
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -69,6 +71,20 @@ def test_cli_output_is_unchanged(case):
     assert _run(case) == _golden(case).read_text()
 
 
+def _run_closure_24(tmp: Path) -> str:
+    word = PINNED_WORDS[1]
+    assert len(word) == 24
+    diagram = tmp / "closure_24.json"
+    diagram.write_text(json.dumps(braid_closure(word, 4)))
+    result = CliRunner().invoke(main, ["khovanov", str(diagram)])
+    assert result.exit_code == 0, result.output
+    return result.output
+
+
+def test_khovanov_of_a_24_crossing_closure_is_unchanged(tmp_path):
+    assert _run_closure_24(tmp_path) == (GOLDEN / "khovanov_braid_closure_24.json").read_text()
+
+
 @pytest.mark.parametrize("seed", ["0", "1", "2"])
 def test_check_all_is_independent_of_hash_seed(seed):
     src = str(Path(bracketlab.__file__).resolve().parents[1])
@@ -86,3 +102,5 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in CASES:
         _golden(case).write_text(_run(case))
+    with tempfile.TemporaryDirectory() as tmp:
+        (GOLDEN / "khovanov_braid_closure_24.json").write_text(_run_closure_24(Path(tmp)))

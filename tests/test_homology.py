@@ -1,4 +1,7 @@
+import json
 import random
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from bracketlab.homology import (
 from bracketlab.rings import Coset, ZModRing
 from conftest import (
     DIAGRAM_NAMES,
+    PINNED_WORDS,
     WITNESS_DIAGRAMS,
     basepoint_group,
     basepoint_z,
@@ -107,6 +111,9 @@ KH_FIGURE_EIGHT = {
 KH_HOPF = {(0, 0): (1, ()), (0, 2): (1, ()), (2, 4): (1, ()), (2, 6): (1, ())}
 
 
+CLOSURES = Path(__file__).resolve().parent / "golden" / "khovanov_4_strand_closures.json"
+
+
 class TestClassicalKhovanov:
     @pytest.mark.parametrize(
         "name,expected",
@@ -148,6 +155,51 @@ class TestClassicalKhovanov:
         assert table == torus_khovanov(n)
         mirror = khovanov_classical(parse_diagram(braid_closure([-1] * n, 2))).as_dict()
         assert mirror == mirror_khovanov(table)
+
+    def test_pinned_4_strand_closures_and_mirrors(self):
+        # Too large for the cube: the tables were written by this module's
+        # __main__ before the scan's dot sets became bitmasks.
+        cases = json.loads(CLOSURES.read_text())
+        assert [case["word"] for case in cases] == PINNED_WORDS
+        for case in cases:
+            word, strands = case["word"], case["strands"]
+            table = khovanov_classical(parse_diagram(braid_closure(word, strands)))
+            assert table.to_json() == case["khovanov"], word
+            mirror = khovanov_classical(parse_diagram(braid_closure([-x for x in word], strands)))
+            assert mirror.as_dict() == mirror_khovanov(table.as_dict()), word
+
+    def test_free_circles_equal_kinked_circles(self):
+        # A free circle is an unknot: a disjoint R1 kink has the same
+        # homology, and the scan crosses it instead of tensoring at the table.
+        rng = random.Random(6)
+        for k in range(12):
+            strands = 3 + k % 2
+            word = random_braid_word(rng, strands, 4 + k)
+            data = braid_closure(word, strands)
+            free = data["free_circles"]
+            top = max(max(c.values()) for c in data["crossings"])
+            for extra in range(3):
+                kinks = [
+                    {"sign": 1 - 2 * (t % 2), "under_in": top + 2 * t + 2, "over_in": top + 2 * t + 1,
+                     "under_out": top + 2 * t + 1, "over_out": top + 2 * t + 2}
+                    for t in range(free + extra)
+                ]
+                tensored = khovanov_classical(parse_diagram({**data, "free_circles": free + extra}))
+                kinked = khovanov_classical(parse_diagram({"crossings": data["crossings"] + kinks, "free_circles": 0}))
+                assert tensored == kinked, (word, strands, extra)
+
+    def test_free_circles_equal_cube(self):
+        rng = random.Random(7)
+        for k in range(6):
+            word = random_braid_word(rng, 3, 2 + k % 4)
+            for extra in range(1, 3):
+                data = braid_closure(word, 3)
+                D = parse_diagram({**data, "free_circles": data["free_circles"] + extra})
+                assert khovanov_classical(D) == cube_khovanov(D), (word, extra)
+
+    def test_forty_free_circles_are_binomial(self):
+        table = khovanov_classical(parse_diagram({"crossings": [], "free_circles": 40}))
+        assert table.as_dict() == {(0, 40 - 2 * e): (comb(40, e), ()) for e in range(41)}
 
     def test_euler_equals_kauffman_oracle(self, diagrams):
         for name in ("unknot", "trefoil", "figure_eight", "hopf", "trefoil_r2"):
@@ -402,3 +454,12 @@ class TestChecksAtScale:
                     assert check.theorem and check.euler, (name, word, strands)
                     checked += 1
         assert checked == 570
+
+
+if __name__ == "__main__":
+    # Rewrite the pinned closures' tables: PYTHONPATH=src python tests/test_homology.py
+    cases = [
+        {"strands": 4, "word": word, "khovanov": khovanov_classical(parse_diagram(braid_closure(word, 4))).to_json()}
+        for word in PINNED_WORDS
+    ]
+    CLOSURES.write_text("[\n" + ",\n".join(json.dumps(case) for case in cases) + "\n]\n")
