@@ -46,6 +46,11 @@ class Report:
     def to_json(self):
         return {"ok": self.ok, **self.details}
 
+    def require(self, structure: str):
+        """Raise ``ValueError("not a <structure>: <the first three failures>")`` unless ok."""
+        if not self.ok:
+            raise ValueError(f"not a {structure}: {self.details['failures'][:3]}")
+
 
 def multiset(values: Iterable) -> List[tuple]:
     """(value, multiplicity) pairs, sorted by value."""
@@ -53,17 +58,13 @@ def multiset(values: Iterable) -> List[tuple]:
 
 
 class Biquandle:
-    """A verified biquandle on {1..n} given by two operation tables."""
+    """Two operation tables on {1..n}, checked for shape and range; ``from_json`` also checks the axioms."""
 
-    def __init__(self, under, over, check: bool = True):
+    def __init__(self, under, over):
         self.n = len(under)
         self.under_table = tuple(tuple(row) for row in under)
         self.over_table = tuple(tuple(row) for row in over)
         _check_shape(self.under_table, self.over_table, self.n)
-        if check:
-            report = verify_biquandle(under, over)
-            if not report.ok:
-                raise ValueError(f"not a biquandle: {report.to_json()['failures'][:3]}")
 
     def under(self, x: int, y: int) -> int:
         """x passing under y."""
@@ -84,8 +85,11 @@ class Biquandle:
         }
 
     @classmethod
-    def from_json(cls, data: dict, check: bool = True) -> "Biquandle":
-        return cls(data["under"], data["over"], check=check)
+    def from_json(cls, data: dict) -> "Biquandle":
+        """The biquandle of JSON tables; ``ValueError`` unless they satisfy the biquandle axioms."""
+        X = cls(data["under"], data["over"])
+        verify_biquandle(X.under_table, X.over_table).require("biquandle")
+        return X
 
     def __eq__(self, other):
         return (

@@ -20,8 +20,8 @@ from __future__ import annotations
 import itertools
 from typing import List, Tuple
 
-from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset
-from .diagram import CrossingRecord, OrientedDiagram, _smoothings, frontier_order
+from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset, verify_biquandle
+from .diagram import CrossingRecord, OrientedDiagram, _smoothings
 from .rings import Ring, ring_make, subgroup_generate
 
 
@@ -38,24 +38,20 @@ def _check_shape(n: int, A, B):
 
 
 class Bracket:
-    """A verified biquandle bracket (A, B) with cached delta, w, q = q_{1,1} and G.
+    """Unit tables (A, B), not checked against the axioms, with cached delta, w, q = q_{1,1} and G.
 
     G = <q_{x,y}^{-1} q> is the scalar group.  Element 1 serves as the
-    basepoint of q, the canonical cocycle and Z_beta; any other element
-    gives the same G, cocycle, Z_beta cosets and Bh tables, because
+    basepoint of q, the canonical cocycle and Z_beta; for a bracket any other
+    element gives the same G, cocycle, Z_beta cosets and Bh tables, because
     A_{x,x} A_{y,y}^{-1} = q_{x,x} q_{y,y}^{-1} lies in G by axiom (i).
     """
 
-    def __init__(self, biquandle: Biquandle, ring: Ring, A, B, check: bool = True):
+    def __init__(self, biquandle: Biquandle, ring: Ring, A, B):
         self.biquandle = biquandle
         self.ring = ring
         self.A = tuple(tuple(row) for row in A)
         self.B = tuple(tuple(row) for row in B)
         _check_shape(biquandle.n, self.A, self.B)
-        if check:
-            report = verify_bracket(biquandle, ring, A, B)
-            if not report.ok:
-                raise ValueError(f"not a bracket: {report.to_json()['failures'][:3]}")
         for name, table in (("A", self.A), ("B", self.B)):
             for i, row in enumerate(table):
                 for j, v in enumerate(row):
@@ -213,7 +209,7 @@ def bracket_values(beta: Bracket, D: OrientedDiagram, colorings: List[Coloring])
     """The skein state sum w^{n_- - n_+} * sum_s delta^{circles(s)} prod coeff.
 
     One value per coloring of ``D``, by a crossing-by-crossing scan.
-    Crossings are taken in ``frontier_order``; the smoothed crossings taken
+    Crossings are taken in ``D.scan_order``; the smoothed crossings taken
     so far join the open edges in pairs (a matching, carried on by each
     crossing's ``_smoothings`` maps) and close some loops.  States that leave
     the same matching close the same loops from then on, so each matching
@@ -225,7 +221,7 @@ def bracket_values(beta: Bracket, D: OrientedDiagram, colorings: List[Coloring])
     # Each of a crossing's two arcs closes at most one loop.
     delta_powers = [ring.one, beta.delta, ring.mul(beta.delta, beta.delta)]
     sums = {(): [ring.one] * len(colors)}
-    for index in frontier_order(D):
+    for index in D.scan_order:
         crossing = D.crossings[index]
         smoothings = _smoothings(crossing)
         coefficients = [[beta.coefficient(crossing, bit, c) for c in colors] for bit in (0, 1)]
@@ -253,18 +249,19 @@ def bracket_invariant(beta: Bracket, D: OrientedDiagram) -> List[tuple]:
     return multiset(bracket_values(beta, D, enumerate_colorings(beta.biquandle, D)))
 
 
-def decode_bracket(data: dict, check: bool = True) -> Tuple[Biquandle, Ring, list, list]:
-    """The (biquandle, ring, A, B) of bracket JSON; the bracket axioms are not checked.
-
-    ``check`` verifies the biquandle.
-    """
+def decode_bracket(data: dict) -> Tuple[Biquandle, Ring, list, list]:
+    """The (biquandle, ring, A, B) of bracket JSON, checked for shape and range, not against any axioms."""
     ring = ring_make(data["ring"])
-    X = Biquandle.from_json(data["biquandle"], check=check)
+    X = Biquandle(data["biquandle"]["under"], data["biquandle"]["over"])
     A = [[ring.element_from_json(v) for v in row] for row in data["A"]]
     B = [[ring.element_from_json(v) for v in row] for row in data["B"]]
     _check_shape(X.n, A, B)
     return X, ring, A, B
 
 
-def bracket_from_json(data: dict, check: bool = True) -> Bracket:
-    return Bracket(*decode_bracket(data, check=check), check=check)
+def bracket_from_json(data: dict) -> Bracket:
+    """The bracket of JSON data; ``ValueError`` unless its biquandle, then it, satisfy their axioms."""
+    X, ring, A, B = decode_bracket(data)
+    verify_biquandle(X.under_table, X.over_table).require("biquandle")
+    verify_bracket(X, ring, A, B).require("bracket")
+    return Bracket(X, ring, A, B)

@@ -22,9 +22,9 @@ from .bracket import (
     decode_bracket,
     verify_bracket,
 )
-from .cocycle import canonical_cocycle, cocycle_from_json, verify_cocycle, z_invariant_multiset
+from .cocycle import canonical_cocycle, decode_cocycle, verify_cocycle, z_invariant_multiset
 from .corpus import check_all, load_manifest, report_to_json
-from .diagram import parse_diagram
+from .diagram import DiagramError, parse_diagram
 from .homology import bh_multiset, check_colorings, euler_report, khovanov_classical, theorem_report
 
 INPUT_ERROR = 2
@@ -94,6 +94,21 @@ def _parse(path: str, what: str, parse):
         raise click.exceptions.Exit(_input_error(f"bad {what} {path}: {exc}"))
 
 
+def _delta_w(beta) -> tuple:
+    """A bracket's delta and w: their JSON fields and their printed lines."""
+    ring = beta.ring
+    fields = {"delta": ring.element_to_json(beta.delta), "w": ring.element_to_json(beta.w)}
+    return fields, [f"delta: {ring.element_str(beta.delta)}", f"w: {ring.element_str(beta.w)}"]
+
+
+def _computed(compute, *args):
+    """``compute(*args)``; exits 2 when it refuses a diagram as too large."""
+    try:
+        return compute(*args)
+    except DiagramError as exc:
+        raise click.exceptions.Exit(_input_error(str(exc)))
+
+
 pretty_option = click.option("--pretty", is_flag=True, help="Render aligned tables instead of JSON.")
 
 
@@ -121,15 +136,14 @@ def verify_biquandle_cmd(file, pretty):
 @pretty_option
 def verify_bracket_cmd(file, literal_axioms, pretty):
     """Check the bracket axioms for the (ring, biquandle, A, B) data in FILE."""
-    X, ring, A, B = _parse(file, "bracket", lambda data: decode_bracket(data, check=False))
+    X, ring, A, B = _parse(file, "bracket", decode_bracket)
     report = verify_bracket(X, ring, A, B, literal=literal_axioms)
     out = report.to_json()
     lines = [f"ok: {report.ok}"]
     if report.ok:
-        beta = Bracket(X, ring, A, B, check=False)
-        out["delta"] = ring.element_to_json(beta.delta)
-        out["w"] = ring.element_to_json(beta.w)
-        lines += [f"delta: {ring.element_str(beta.delta)}", f"w: {ring.element_str(beta.w)}"]
+        fields, more = _delta_w(Bracket(X, ring, A, B))
+        out.update(fields)
+        lines += more
     _emit_report(out, lines + _failure_table(report), pretty)
 
 
@@ -138,7 +152,7 @@ def verify_bracket_cmd(file, literal_axioms, pretty):
 @pretty_option
 def verify_cocycle_cmd(file, pretty):
     """Check the 2-cocycle conditions for the presentation matrix in FILE."""
-    cocycle = _parse(file, "cocycle", lambda data: cocycle_from_json(data, check=False))
+    cocycle = _parse(file, "cocycle", decode_cocycle)
     report = verify_cocycle(cocycle)
     _emit_report(report.to_json(), [f"ok: {report.ok}"] + _failure_table(report), pretty)
 
@@ -171,14 +185,9 @@ def bracket_value_cmd(bracket_file, diagram_file, pretty):
         {"coloring": f.to_json(), "value": ring.element_to_json(value)}
         for f, value in zip(colorings, bracket_values(beta, D, colorings))
     ]
-    out = {
-        "delta": ring.element_to_json(beta.delta),
-        "w": ring.element_to_json(beta.w),
-        "values": values,
-    }
+    fields, lines = _delta_w(beta)
     rows = [(json.dumps(v["coloring"]), v["value"]) for v in values]
-    lines = [f"delta: {ring.element_str(beta.delta)}", f"w: {ring.element_str(beta.w)}"]
-    _emit(out, lines + _table(("coloring", "value"), rows), pretty)
+    _emit({**fields, "values": values}, lines + _table(("coloring", "value"), rows), pretty)
 
 
 @main.command("bracket-invariant")
@@ -191,15 +200,9 @@ def bracket_invariant_cmd(bracket_file, diagram_file, pretty):
     D = _parse(diagram_file, "diagram", parse_diagram)
     ring = beta.ring
     multiset = bracket_invariant(beta, D)
-    out = {
-        "delta": ring.element_to_json(beta.delta),
-        "w": ring.element_to_json(beta.w),
-        "multiset": [
-            {"value": ring.element_to_json(v), "multiplicity": m} for v, m in multiset
-        ],
-    }
+    fields, lines = _delta_w(beta)
+    out = {**fields, "multiset": [{"value": ring.element_to_json(v), "multiplicity": m} for v, m in multiset]}
     rows = [(ring.element_str(v), m) for v, m in multiset]
-    lines = [f"delta: {ring.element_str(beta.delta)}", f"w: {ring.element_str(beta.w)}"]
     _emit(out, lines + _table(("value", "multiplicity"), rows), pretty)
 
 
@@ -249,7 +252,7 @@ def z_invariant_cmd(bracket_file, diagram_file, pretty):
 def khovanov_cmd(diagram_file, pretty):
     """Classical integer-graded Khovanov homology of a diagram."""
     D = _parse(diagram_file, "diagram", parse_diagram)
-    table = khovanov_classical(D)
+    table = _computed(khovanov_classical, D)
     _emit(table.to_json(), _table(("i", "j", "rank", "torsion"), _homology_rows(table)), pretty)
 
 
@@ -261,7 +264,7 @@ def bh_cmd(bracket_file, diagram_file, pretty):
     """Bracket cohomology tables over all colorings of a diagram."""
     beta = _parse(bracket_file, "bracket", bracket_from_json)
     D = _parse(diagram_file, "diagram", parse_diagram)
-    multiset = bh_multiset(beta, D)
+    multiset = _computed(bh_multiset, beta, D)
     out = {
         "multiset": [
             {"table": table.to_json(), "multiplicity": m} for table, m in multiset
@@ -279,7 +282,7 @@ def _run_checks(bracket_file, diagram_file, pretty, report, label):
     beta = _parse(bracket_file, "bracket", bracket_from_json)
     D = _parse(diagram_file, "diagram", parse_diagram)
     colorings = enumerate_colorings(beta.biquandle, D)
-    checks = check_colorings(beta, D, colorings, khovanov_classical(D))
+    checks = check_colorings(beta, D, colorings, _computed(khovanov_classical, D))
     reports = [
         {"coloring": f.to_json(), **report(check).to_json()}
         for f, check in zip(colorings, checks)

@@ -12,7 +12,7 @@ import itertools
 import re
 from typing import List, Tuple
 
-from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset
+from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset, verify_biquandle
 from .bracket import Bracket, crossing_color_pair
 from .diagram import OrientedDiagram
 from .rings import Coset, RingError, UnitSubgroup, ring_make, subgroup_generate
@@ -25,19 +25,13 @@ class FreeAbelianTarget:
 
     def __init__(self, symbols: Tuple[str, ...]):
         self.symbols = tuple(symbols)
-
-    @property
-    def identity(self):
-        return (0,) * len(self.symbols)
+        self.identity = (0,) * len(self.symbols)
 
     def mul(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
     def inv(self, a):
         return tuple(-x for x in a)
-
-    def power(self, a, k: int):
-        return tuple(x * k for x in a)
 
     _token = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?")
 
@@ -80,23 +74,13 @@ class UnitQuotientTarget:
     def __init__(self, subgroup: UnitSubgroup):
         self.subgroup = subgroup
         self.ring = subgroup.ring
-
-    @property
-    def identity(self):
-        return Coset(self.subgroup, self.ring.one)
+        self.identity = Coset(subgroup, self.ring.one)
 
     def mul(self, a: Coset, b: Coset) -> Coset:
         return a.mul(b)
 
     def inv(self, a: Coset) -> Coset:
         return a.inv()
-
-    def power(self, a: Coset, k: int):
-        result = self.identity
-        step = a if k >= 0 else a.inv()
-        for _ in range(abs(k)):
-            result = result.mul(step)
-        return result
 
     def element_str(self, a: Coset) -> str:
         return self.ring.element_str(a.canonical) + "*G"
@@ -109,19 +93,15 @@ class UnitQuotientTarget:
 
 
 class Cocycle:
-    """A biquandle 2-cocycle given by its presentation matrix."""
+    """A presentation matrix phi on a biquandle, checked for shape, not against the 2-cocycle conditions."""
 
-    def __init__(self, biquandle: Biquandle, target, phi, check: bool = True):
+    def __init__(self, biquandle: Biquandle, target, phi):
         self.biquandle = biquandle
         self.target = target
         self.phi = tuple(tuple(row) for row in phi)
         n = biquandle.n
         if len(self.phi) != n or any(len(row) != n for row in self.phi):
             raise ValueError(f"phi must be {n}x{n}")
-        if check:
-            report = verify_cocycle(self)
-            if not report.ok:
-                raise ValueError(f"not a 2-cocycle: {report.to_json()['failures'][:3]}")
 
     def value(self, x: int, y: int):
         return self.phi[x - 1][y - 1]
@@ -158,8 +138,8 @@ def cocycle_value(c: Cocycle, f: Coloring):
     T = c.target
     result = T.identity
     for crossing in f.diagram.crossings:
-        x, y = crossing_color_pair(crossing, colors)
-        result = T.mul(result, T.power(c.value(x, y), crossing.sign))
+        phi = c.value(*crossing_color_pair(crossing, colors))
+        result = T.mul(result, phi if crossing.sign == 1 else T.inv(phi))
     return result
 
 
@@ -180,7 +160,7 @@ def canonical_cocycle(beta: Bracket) -> Cocycle:
         [Coset(G, ring.mul(beta.a(x, y), a11_inv)) for y in beta.biquandle.elements()]
         for x in beta.biquandle.elements()
     ]
-    return Cocycle(beta.biquandle, UnitQuotientTarget(G), phi, check=False)
+    return Cocycle(beta.biquandle, UnitQuotientTarget(G), phi)
 
 
 def z_invariant(beta: Bracket, f: Coloring) -> Coset:
@@ -210,8 +190,9 @@ def z_invariant_multiset(beta: Bracket, D: OrientedDiagram) -> List[tuple]:
     return multiset(zs)
 
 
-def cocycle_from_json(data: dict, check: bool = True) -> Cocycle:
-    X = Biquandle.from_json(data["biquandle"], check=check)
+def decode_cocycle(data: dict) -> Cocycle:
+    """The cocycle of JSON data, checked for shape, words and units, not against any axioms."""
+    X = Biquandle(data["biquandle"]["under"], data["biquandle"]["over"])
     tgt = data["target"]
     if tgt["kind"] == "free_abelian":
         target = FreeAbelianTarget(tuple(tgt["symbols"]))
@@ -228,4 +209,13 @@ def cocycle_from_json(data: dict, check: bool = True) -> Cocycle:
         phi = [[Coset(G, v) for v in row] for row in values]
     else:
         raise ValueError(f"unknown cocycle target kind {tgt['kind']!r}")
-    return Cocycle(X, target, phi, check=check)
+    return Cocycle(X, target, phi)
+
+
+def cocycle_from_json(data: dict) -> Cocycle:
+    """The cocycle of JSON data; ``ValueError`` unless its biquandle, then it, satisfy their axioms."""
+    cocycle = decode_cocycle(data)
+    X = cocycle.biquandle
+    verify_biquandle(X.under_table, X.over_table).require("biquandle")
+    verify_cocycle(cocycle).require("2-cocycle")
+    return cocycle

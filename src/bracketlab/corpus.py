@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 
 from .biquandle import Biquandle, Coloring, Report, enumerate_colorings, multiset, verify_biquandle
 from .bracket import Bracket, decode_bracket, verify_bracket
-from .cocycle import canonical_cocycle, cocycle_from_json, verify_cocycle
+from .cocycle import canonical_cocycle, decode_cocycle, verify_cocycle
 from .diagram import OrientedDiagram, parse_diagram
 from .graded import cohomology
 from .homology import check_colorings
@@ -132,18 +132,19 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
         expected = entry.expected_verification == "pass"
         row(f"verify-biquandle:{entry.name}", report.ok == expected, "" if report.ok else report.failures[0].axiom)
         if report.ok and expected:
-            biquandles[entry.name] = Biquandle(data["under"], data["over"], check=False)
+            biquandles[entry.name] = Biquandle(data["under"], data["over"])
 
     for entry in manifest.brackets:
         X, ring, A, B = decode_bracket(_read(entry, base))
+        verify_biquandle(X.under_table, X.over_table).require("biquandle")
         report = verify_bracket(X, ring, A, B)
         expected = entry.expected_verification == "pass"
         row(f"verify-bracket:{entry.name}", report.ok == expected, "" if report.ok else report.failures[0].axiom)
         if report.ok and expected:
-            brackets[entry.name] = Bracket(X, ring, A, B, check=False)
+            brackets[entry.name] = Bracket(X, ring, A, B)
 
     for entry in manifest.cocycles:
-        cocycle = cocycle_from_json(_read(entry, base), check=False)
+        cocycle = decode_cocycle(_read(entry, base))
         expected = entry.expected_verification == "pass"
         row(f"verify-cocycle:{entry.name}", verify_cocycle(cocycle).ok == expected, "")
 

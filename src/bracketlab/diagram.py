@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 
 
 class DiagramError(ValueError):
-    """Raised for malformed PD data."""
+    """Raised for malformed PD data, or a diagram whose homology is too large to write."""
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,7 @@ class OrientedDiagram:
         self.free_circle_arcs = tuple(range(top + 1, top + 1 + self.free_circles))
         self.n_plus = sum(1 for c in self.crossings if c.sign == 1)
         self.n_minus = sum(1 for c in self.crossings if c.sign == -1)
+        self.scan_order = frontier_order(self)  # the crossing order of the bracket and tangle scans
 
     @staticmethod
     def _edge_labels(c: CrossingRecord):

@@ -160,9 +160,6 @@ class GradedComplex:
     degrees: Dict[int, list]
     differentials: Dict[int, List[Dict[int, int]]]
 
-    def indices(self) -> List[int]:
-        return sorted(self.degrees)
-
     def validate(self):
         """Check degree preservation and d(i+1) o d(i) = 0; raise on failure."""
         for i, d in self.differentials.items():
@@ -214,6 +211,21 @@ class HomologyTable:
     def as_dict(self) -> dict:
         return {key: (rank, tors) for key, rank, tors in self.entries}
 
+    def regraded(self, ring: Optional[Ring], spread) -> "HomologyTable":
+        """The table over ``ring`` that puts copies of the entry at (i, d) at (i, d2) for each pair in ``spread(d)``.
+
+        ``spread(d)`` lists (d2, copies) pairs.  Ranks meeting at one place add and their torsion merges.
+        """
+        entries: Dict[tuple, list] = {}
+        for (i, d), rank, torsion in self.entries:
+            for d2, copies in spread(d):
+                bucket = entries.setdefault((i, d2), [0, []])
+                bucket[0] += copies * rank
+                if torsion:
+                    bucket[1] += [torsion] * copies
+        merged = {key: (rank, merge_invariant_factors(torsion)) for key, (rank, torsion) in entries.items()}
+        return HomologyTable.from_dict(ring, merged)
+
     def euler_characteristic(self) -> dict:
         """{degree: sum over i of (-1)^i rank at (i, degree)}, without zero terms."""
         return _euler((i, d, rank) for (i, d), rank, _ in self.entries)
@@ -251,7 +263,7 @@ def cohomology(c: GradedComplex) -> HomologyTable:
         for h, block in blocks.items():
             image[(i + 1, h)] = invariant_factors(block)
     entries = {}
-    for i in c.indices():
+    for i in sorted(c.degrees):
         for h, size in Counter(c.degrees[i]).items():
             rank_in, torsion = image.get((i, h), (0, []))
             rank_out, _ = image.get((i + 1, h), (0, []))

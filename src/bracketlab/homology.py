@@ -31,7 +31,7 @@ from .biquandle import Coloring, Report, enumerate_colorings, multiset
 from .bracket import Bracket, bracket_values
 from .cocycle import z_invariant
 from .diagram import OrientedDiagram
-from .graded import HomologyTable, cohomology, evaluate_formal_sum, merge_invariant_factors
+from .graded import HomologyTable, cohomology, evaluate_formal_sum
 from .rings import Coset, UnitSubgroup
 from .tangle import khovanov_complex, tensor_free_circles
 
@@ -48,18 +48,12 @@ def fold_khovanov(classical: HomologyTable, G: UnitSubgroup, q, z: Coset) -> Hom
     the coset Z_beta(f), and expanded over G (one copy per group element).
     """
     ring = G.ring
-    predicted: Dict[tuple, list] = {}
-    for (i, j), rank, tors in classical.entries:
+
+    def spread(j):
         base = ring.mul(ring.power(q, j), z.representative)
-        for g in G.sorted_elements():
-            h = ring.mul(base, g)
-            bucket = predicted.setdefault((i, h), [0, []])
-            bucket[0] += rank
-            if tors:
-                bucket[1].append(list(tors))
-    return HomologyTable.from_dict(
-        ring, {key: (rank, merge_invariant_factors(tlists)) for key, (rank, tlists) in predicted.items()}
-    )
+        return [(ring.mul(base, g), 1) for g in G.sorted_elements()]
+
+    return classical.regraded(ring, spread)
 
 
 def bh_invariant(beta: Bracket, f: Coloring) -> HomologyTable:

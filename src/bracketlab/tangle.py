@@ -1,7 +1,7 @@
 """Classical Khovanov homology by Bar-Natan's tangle scan.
 
 Bar-Natan, "Fast Khovanov homology computations" (arXiv math/0606318).
-Crossings are added one at a time in ``frontier_order``.  After each one the
+Crossings are added one at a time in ``D.scan_order``.  After each one the
 complex is that of the tangle of the crossings taken so far: an object is a
 matching of the open edges (as ``diagram._smoothings`` builds it) with a
 homological weight and a q-shift, and an entry of the differential is a
@@ -33,11 +33,14 @@ from __future__ import annotations
 from math import comb
 from typing import Dict, List, Tuple
 
-from .diagram import CrossingRecord, OrientedDiagram, _pairings, _smoothings, frontier_order
-from .graded import GradedComplex, HomologyTable, merge_invariant_factors
+from .diagram import CrossingRecord, DiagramError, OrientedDiagram, _pairings, _smoothings
+from .graded import GradedComplex, HomologyTable
 
 Matching = Tuple[Tuple[int, int], ...]
 Morphism = Dict[int, int]
+
+# The most torsion factors ``tensor_free_circles`` may write.
+MAX_TORSION_FACTORS = 1 << 16
 
 
 def _cycles(bottom: Matching, top: Matching) -> List[Tuple[int, ...]]:
@@ -246,7 +249,7 @@ def khovanov_complex(D: OrientedDiagram) -> GradedComplex:
 
     complex_ = _Complex()
     complex_.add((), 0, 0)
-    for index in frontier_order(D):
+    for index in D.scan_order:
         complex_ = _add_crossing(complex_, D.crossings[index], cycles_of)
         complex_.eliminate(compose)
     return _integer_complex(complex_, D)
@@ -333,18 +336,10 @@ def tensor_free_circles(table: HomologyTable, k: int) -> HomologyTable:
 
     Exact over Z because V is free: the entry at (i, j) with rank r and
     torsion T adds, for e = 0..k, rank C(k, e) r and C(k, e) copies of T at
-    (i, j + k - 2e).
+    (i, j + k - 2e), so 2^k times the torsion factors of ``table``, which
+    past ``MAX_TORSION_FACTORS`` are refused before any is written.
     """
-    if not k:
-        return table
-    entries: Dict[tuple, list] = {}
-    for (i, j), rank, torsion in table.entries:
-        for e in range(k + 1):
-            copies = comb(k, e)
-            bucket = entries.setdefault((i, j + k - 2 * e), [0, []])
-            bucket[0] += copies * rank
-            if torsion:
-                bucket[1] += [torsion] * copies
-    return HomologyTable.from_dict(
-        None, {key: (rank, merge_invariant_factors(torsions)) for key, (rank, torsions) in entries.items()}
-    )
+    factors = sum(len(torsion) for _, _, torsion in table.entries) << k
+    if factors > MAX_TORSION_FACTORS:
+        raise DiagramError(f"{k} free circles would make {factors} torsion factors (at most {MAX_TORSION_FACTORS})")
+    return table.regraded(None, lambda j: [(j + k - 2 * e, comb(k, e)) for e in range(k + 1)])

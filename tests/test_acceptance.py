@@ -7,16 +7,16 @@ import pytest
 
 from bracketlab.biquandle import enumerate_colorings, counting_invariant, verify_biquandle
 from bracketlab.bracket import (
-    bracket_from_json,
     bracket_invariant,
     bracket_value,
     crossing_color_pair,
+    decode_bracket,
     verify_bracket,
 )
 from bracketlab.cocycle import (
     canonical_cocycle,
-    cocycle_from_json,
     cocycle_invariant,
+    decode_cocycle,
     verify_cocycle,
     z_invariant,
     z_invariant_multiset,
@@ -58,12 +58,10 @@ class TestCriterion1BundledStructures:
         report = verify_biquandle(bq["under"], bq["over"])
         assert not report.ok and report.failures[0].witness
 
-        beta = bracket_from_json(load_corpus_json("bracket_gf8_broken.json"), check=False)
-        report = verify_bracket(beta.biquandle, beta.ring, beta.A, beta.B)
+        report = verify_bracket(*decode_bracket(load_corpus_json("bracket_gf8_broken.json")))
         assert not report.ok and report.failures[0].witness
 
-        cocycle = cocycle_from_json(load_corpus_json("cocycle_ab_broken.json"), check=False)
-        report = verify_cocycle(cocycle)
+        report = verify_cocycle(decode_cocycle(load_corpus_json("cocycle_ab_broken.json")))
         assert not report.ok and report.failures[0].witness
 
 

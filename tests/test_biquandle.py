@@ -72,9 +72,11 @@ class TestVerify:
         report = verify_biquandle(under, over)
         assert not report.ok
 
-    def test_constructor_checks(self):
-        with pytest.raises(ValueError):
-            Biquandle([[1, 1], [1, 2]], [[1, 1], [2, 2]])
+    def test_reader_verifies(self):
+        tables = {"under": [[1, 1], [1, 2]], "over": [[1, 1], [2, 2]]}
+        with pytest.raises(ValueError, match="not a biquandle"):
+            Biquandle.from_json(tables)
+        assert Biquandle(tables["under"], tables["over"]).n == 2  # the constructor checks shape only
 
 
 class TestColorings:

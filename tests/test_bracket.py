@@ -10,6 +10,7 @@ from bracketlab.bracket import (
     bracket_value,
     bracket_values,
     crossing_color_pair,
+    decode_bracket,
     verify_bracket,
 )
 from bracketlab.corpus import load_corpus_json
@@ -80,8 +81,7 @@ class TestVerify:
 
     def test_broken_control_fails(self):
         data = load_corpus_json("bracket_gf8_broken.json")
-        beta = bracket_from_json(data, check=False)
-        report = verify_bracket(beta.biquandle, beta.ring, beta.A, beta.B)
+        report = verify_bracket(*decode_bracket(data))
         assert not report.ok
         assert report.failures[0].witness  # concrete witness triple
 
@@ -95,17 +95,29 @@ class TestVerify:
         assert corrected.ok
         assert isinstance(literal.ok, bool)  # runs to completion either way
 
-    def test_constructor_rejects_non_bracket(self):
+    def test_reader_rejects_non_bracket(self):
         data = load_corpus_json("bracket_gf8_broken.json")
-        with pytest.raises(ValueError):
-            bracket_from_json(data, check=True)
+        with pytest.raises(ValueError, match="not a bracket"):
+            bracket_from_json(data)
+
+    def test_reader_verifies_the_biquandle_first(self):
+        data = load_corpus_json("bracket_gf8_broken.json")
+        data["biquandle"] = {"under": [[1, 1], [1, 2]], "over": [[1, 1], [2, 2]]}
+        with pytest.raises(ValueError, match="not a biquandle"):
+            bracket_from_json(data)
+
+    def test_constructor_takes_unit_tables_that_fail_the_axioms(self):
+        X, ring, A, B = decode_bracket(load_corpus_json("bracket_gf8_broken.json"))
+        assert not verify_bracket(X, ring, A, B).ok
+        beta = Bracket(X, ring, A, B)
+        assert beta.A == tuple(map(tuple, A)) and beta.B == tuple(map(tuple, B))
 
     def test_unchecked_non_unit_corner_rejected(self):
         for table in ("A", "B"):
             data = load_corpus_json("bracket_z9.json")
             data[table][0][0] = 3  # not a unit of Z/9
             with pytest.raises(ValueError, match=rf"{table}\[0\]\[0\] = 3 is not a unit"):
-                bracket_from_json(data, check=False)
+                Bracket(*decode_bracket(data))
 
     def test_unchecked_non_unit_entry_rejected(self):
         # q_{x,y} and G need every entry of A and B to be a unit.
@@ -113,7 +125,7 @@ class TestVerify:
             data = load_corpus_json("bracket_z9.json")
             data[table][i][j] = 3  # not a unit of Z/9
             with pytest.raises(ValueError, match=rf"{table}\[{i}\]\[{j}\] = 3 is not a unit"):
-                bracket_from_json(data, check=False)
+                Bracket(*decode_bracket(data))
 
     def test_nonunit_entry_rejected(self, flip):
         ring = ZModRing(4)

@@ -188,6 +188,29 @@ def test_check_all_rejects_a_malformed_cocycle(runner, tmp_path):
     _assert_corpus_error(runner.invoke(main, ["check-all", "--manifest", str(manifest)]))
 
 
+def test_readers_reject_structures_that_fail_their_axioms(runner):
+    trefoil = corpus_file("trefoil.json")
+    result = runner.invoke(main, ["bracket-invariant", corpus_file("bracket_gf8_broken.json"), trefoil])
+    _assert_input_error(result, "bracket")
+    assert "not a bracket" in result.output
+    result = runner.invoke(main, ["colorings", corpus_file("biquandle_3el_broken.json"), trefoil])
+    _assert_input_error(result, "biquandle")
+    assert "not a biquandle" in result.output
+
+
+def test_check_all_rejects_a_bracket_on_a_non_biquandle(runner, tmp_path):
+    # Listed as a negative control, a bracket on tables that are not a
+    # biquandle must not pass as a bracket that fails its own axioms.
+    not_a_biquandle = {"under": [[1, 1], [1, 2]], "over": [[1, 1], [2, 2]]}
+    _malformed(tmp_path, "on_broken", "bracket_gf8", ("biquandle",), not_a_biquandle)
+    manifest = tmp_path / "manifest.json"
+    entry = {"name": "on_broken", "file": "on_broken.json", "expected_verification": "fail"}
+    manifest.write_text(json.dumps({"brackets": [entry]}))
+    result = runner.invoke(main, ["check-all", "--manifest", str(manifest)])
+    _assert_corpus_error(result)
+    assert "not a biquandle" in result.output
+
+
 FLIP = {"name": "flip", "file": "biquandle_flip.json"}
 BROKEN = {"name": "broken", "file": "biquandle_3el_broken.json", "expected_verification": "fail"}
 UNKNOT = {"name": "unknot", "file": "unknot.json"}
@@ -227,6 +250,19 @@ def test_wellformed_manifest_passes(runner, tmp_path):
 def test_malformed_manifest_exits_2(runner, tmp_path, name):
     path = _manifest(tmp_path, MALFORMED_MANIFESTS[name])
     _assert_corpus_error(runner.invoke(main, ["check-all", "--manifest", path]))
+
+
+def test_too_many_torsion_factors_exit_2(runner, tmp_path):
+    # The trefoil has one Z/2; each free circle doubles it.  16 circles make
+    # 65,536 factors, the most allowed, and 17 are refused before the work.
+    path = _malformed(tmp_path, "trefoil_16", "trefoil", ("free_circles",), 16)
+    assert runner.invoke(main, ["khovanov", path]).exit_code == 0
+    path = _malformed(tmp_path, "trefoil_17", "trefoil", ("free_circles",), 17)
+    for command in (["khovanov", path], ["bh", corpus_file("bracket_z9.json"), path]):
+        result = runner.invoke(main, command)
+        assert result.exit_code == 2, result.output
+        assert "17 free circles would make 131072 torsion factors" in result.output
+        assert "Traceback" not in result.output
 
 
 def test_kink_fixture_is_well_formed(runner, tmp_path):

@@ -7,6 +7,7 @@ from bracketlab.cocycle import (
     cocycle_from_json,
     cocycle_invariant,
     cocycle_value,
+    decode_cocycle,
     verify_cocycle,
     z_invariant,
     z_invariant_multiset,
@@ -34,18 +35,22 @@ class TestVerify:
 
     def test_broken_control_fails_on_diagonal(self):
         data = load_corpus_json("cocycle_ab_broken.json")
-        cocycle = cocycle_from_json(data, check=False)
+        cocycle = decode_cocycle(data)
         report = verify_cocycle(cocycle)
         assert not report.ok
         assert report.failures[0].axiom == "i"
         assert report.failures[0].witness == (1,)
+
+    def test_reader_rejects_non_cocycle(self):
+        with pytest.raises(ValueError, match="not a 2-cocycle"):
+            cocycle_from_json(load_corpus_json("cocycle_ab_broken.json"))
 
     def test_constant_identity_cocycle_valid(self, threeel):
         from bracketlab.cocycle import Cocycle
 
         target = FreeAbelianTarget(("a",))
         phi = [[target.identity] * 3 for _ in range(3)]
-        assert verify_cocycle(Cocycle(threeel, target, phi, check=False)).ok
+        assert verify_cocycle(Cocycle(threeel, target, phi)).ok
 
 
 class TestInvariant:

@@ -116,7 +116,7 @@ def test_canonical_cocycle_row_fails_on_a_bad_cocycle(monkeypatch):
         off = next(c for c in (Coset(beta.G, u) for u in beta.ring.units()) if c != good.target.identity)
         phi = [list(row) for row in good.phi]
         phi[0][0] = off  # breaks phi(x, x) = 1
-        return Cocycle(beta.biquandle, good.target, phi, check=False)
+        return Cocycle(beta.biquandle, good.target, phi)
 
     monkeypatch.setattr(corpus, "canonical_cocycle", moved_off_identity)
     manifest = CorpusManifest.from_json({

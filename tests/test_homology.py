@@ -220,7 +220,7 @@ def random_unit_tables(rng: random.Random, X: Biquandle, ring, count: int) -> li
         A = [[rng.choice(units) for _ in range(X.n)] for _ in range(X.n)]
         B = [[rng.choice(units) for _ in range(X.n)] for _ in range(X.n)]
         if not verify_bracket(X, ring, A, B).ok:
-            tables.append(Bracket(X, ring, A, B, check=False))
+            tables.append(Bracket(X, ring, A, B))
     return tables
 
 
