@@ -13,7 +13,6 @@ from .bracket import (
     Bracket,
     bracket_from_json,
     bracket_invariant,
-    bracket_value,
     crossing_color_pair,
     verify_bracket,
 )
@@ -42,10 +41,8 @@ from .graded import (
     invariant_factors,
 )
 from .homology import (
-    bh_invariant,
     bh_multiset,
-    check_euler_identity,
-    check_theorem,
+    check_colorings,
     khovanov_classical,
 )
 from .rings import (

@@ -10,7 +10,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, List
 
-from .diagram import OrientedDiagram, _is_int
+from .diagram import DiagramError, OrientedDiagram, _is_int
+
+# The most colorings ``enumerate_colorings`` may list.
+MAX_COLORINGS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -174,6 +177,7 @@ def enumerate_colorings(X: Biquandle, D: OrientedDiagram) -> List[Coloring]:
     known it records one step per output: assign it, or compare with it.
     Which arcs a choice forces depends only on which are known, so one list
     of values serves every branch; each choice tries the elements in order.
+    A diagram with more than ``MAX_COLORINGS`` colorings is refused.
     """
     arcs = D.arcs()
     slot = {arc: i for i, arc in enumerate(arcs)}
@@ -202,6 +206,8 @@ def enumerate_colorings(X: Biquandle, D: OrientedDiagram) -> List[Coloring]:
 
     def backtrack(level: int):
         if level == len(plan):
+            if len(results) == MAX_COLORINGS:
+                raise DiagramError(f"the diagram has more than {MAX_COLORINGS} colorings")
             # Through a list, so the kept tuple is allocated once at its final size.
             results.append(Coloring(D, tuple(list(zip(arcs, values)))))
             return

@@ -239,11 +239,6 @@ def bracket_values(beta: Bracket, D: OrientedDiagram, colorings: List[Coloring])
     return [ring.mul(norm, total) for total in sums[()]]
 
 
-def bracket_value(beta: Bracket, f: Coloring):
-    """The bracket state sum of one coloring."""
-    return bracket_values(beta, f.diagram, [f])[0]
-
-
 def bracket_invariant(beta: Bracket, D: OrientedDiagram) -> List[tuple]:
     """Multiset of bracket values, as sorted (element, multiplicity) pairs."""
     return multiset(bracket_values(beta, D, enumerate_colorings(beta.biquandle, D)))

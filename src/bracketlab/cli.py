@@ -165,7 +165,7 @@ def colorings_cmd(biquandle_file, diagram_file, pretty):
     """Enumerate X-colorings of a diagram and report the counting invariant."""
     X = _parse(biquandle_file, "biquandle", Biquandle.from_json)
     D = _parse(diagram_file, "diagram", parse_diagram)
-    colorings = enumerate_colorings(X, D)
+    colorings = _computed(enumerate_colorings, X, D)
     out = {"count": len(colorings), "colorings": [f.to_json() for f in colorings]}
     rows = [(i, json.dumps(f.to_json())) for i, f in enumerate(colorings)]
     _emit(out, [f"count: {len(colorings)}"] + _table(("#", "arc colors"), rows), pretty)
@@ -180,7 +180,7 @@ def bracket_value_cmd(bracket_file, diagram_file, pretty):
     beta = _parse(bracket_file, "bracket", bracket_from_json)
     D = _parse(diagram_file, "diagram", parse_diagram)
     ring = beta.ring
-    colorings = enumerate_colorings(beta.biquandle, D)
+    colorings = _computed(enumerate_colorings, beta.biquandle, D)
     values = [
         {"coloring": f.to_json(), "value": ring.element_to_json(value)}
         for f, value in zip(colorings, bracket_values(beta, D, colorings))
@@ -199,7 +199,7 @@ def bracket_invariant_cmd(bracket_file, diagram_file, pretty):
     beta = _parse(bracket_file, "bracket", bracket_from_json)
     D = _parse(diagram_file, "diagram", parse_diagram)
     ring = beta.ring
-    multiset = bracket_invariant(beta, D)
+    multiset = _computed(bracket_invariant, beta, D)
     fields, lines = _delta_w(beta)
     out = {**fields, "multiset": [{"value": ring.element_to_json(v), "multiplicity": m} for v, m in multiset]}
     rows = [(ring.element_str(v), m) for v, m in multiset]
@@ -236,7 +236,7 @@ def z_invariant_cmd(bracket_file, diagram_file, pretty):
     beta = _parse(bracket_file, "bracket", bracket_from_json)
     G = beta.G
     D = _parse(diagram_file, "diagram", parse_diagram)
-    cosets = z_invariant_multiset(beta, D)
+    cosets = _computed(z_invariant_multiset, beta, D)
     out = {
         "G": G.to_json(),
         "order_G": len(G.elements),
@@ -281,7 +281,7 @@ def _run_checks(bracket_file, diagram_file, pretty, report, label):
     """One report per coloring: ``report`` of its ``check_colorings`` entry, with the details it prints."""
     beta = _parse(bracket_file, "bracket", bracket_from_json)
     D = _parse(diagram_file, "diagram", parse_diagram)
-    colorings = enumerate_colorings(beta.biquandle, D)
+    colorings = _computed(enumerate_colorings, beta.biquandle, D)
     checks = check_colorings(beta, D, colorings, _computed(khovanov_classical, D))
     reports = [
         {"coloring": f.to_json(), **report(check).to_json()}

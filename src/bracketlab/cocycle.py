@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import List, Tuple
+from typing import List
 
 from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset, verify_biquandle
 from .bracket import Bracket, crossing_color_pair
@@ -19,11 +19,19 @@ from .rings import Coset, RingError, UnitSubgroup, ring_make, subgroup_generate
 
 
 class FreeAbelianTarget:
-    """Free abelian group on named symbols; elements are exponent tuples."""
+    """Free abelian group on named symbols; elements are exponent tuples.
+
+    The symbols are a list of distinct names, each a word symbol: a letter or
+    ``_`` followed by letters, digits or ``_``.
+    """
 
     kind = "free_abelian"
 
-    def __init__(self, symbols: Tuple[str, ...]):
+    def __init__(self, symbols):
+        if not isinstance(symbols, (list, tuple)) or not all(
+            isinstance(s, str) and self._symbol.fullmatch(s) for s in symbols
+        ) or len(set(symbols)) < len(symbols):
+            raise ValueError(f"symbols {symbols!r} are not a list of distinct names")
         self.symbols = tuple(symbols)
         self.identity = (0,) * len(self.symbols)
 
@@ -33,7 +41,8 @@ class FreeAbelianTarget:
     def inv(self, a):
         return tuple(-x for x in a)
 
-    _token = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?")
+    _symbol = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+    _token = re.compile(rf"({_symbol.pattern})(?:\^(-?\d+))?")
 
     def parse(self, word: str):
         """Parse a multiplicative word like ``"1"``, ``"a"``, or ``"a*b^-1"``."""
@@ -195,7 +204,7 @@ def decode_cocycle(data: dict) -> Cocycle:
     X = Biquandle(data["biquandle"]["under"], data["biquandle"]["over"])
     tgt = data["target"]
     if tgt["kind"] == "free_abelian":
-        target = FreeAbelianTarget(tuple(tgt["symbols"]))
+        target = FreeAbelianTarget(tgt["symbols"])
         phi = [[target.parse(w) for w in row] for row in data["phi"]]
     elif tgt["kind"] == "unit_quotient":
         ring = ring_make(tgt["ring"])

@@ -1,10 +1,11 @@
 """Graded free modules, cochain complexes, and integer cohomology.
 
-Degrees are plain values that order and compare as themselves: units of a
-finite ring (ints for Z/n, coefficient tuples for quotient rings) for Bh,
-or integer q-exponents for Khovanov homology.  Differentials are sparse
-integer matrices on expanded Z-bases; cohomology is computed degreewise
-from invariant factors found by sparse elimination over Z with
+Degrees are plain values that order and compare as themselves.  The
+tangle scan's complexes are graded by integer q-exponents, and
+``HomologyTable.regraded`` maps a table into units of a finite ring (ints
+for Z/n, coefficient tuples for quotient rings) for Bh.  Differentials
+are sparse integer matrices on expanded Z-bases; cohomology is computed
+degreewise from invariant factors found by sparse elimination over Z with
 arbitrary-precision integers.
 """
 
@@ -151,12 +152,9 @@ class GradedComplex:
     including any global grading shift).  ``differentials[i]`` is d^i: C^i ->
     C^{i+1} as sparse rows, one ``{column: nonzero entry}`` dict per basis
     element of C^{i+1}; a missing index means d^i = 0.
-    Indices are the shifted (cohomological) indices.  ``ring`` is the ring
-    whose units the degrees are, or ``None`` when the degrees are integer
-    q-exponents.
+    Indices are the shifted (cohomological) indices.
     """
 
-    ring: Optional[Ring]
     degrees: Dict[int, list]
     differentials: Dict[int, List[Dict[int, int]]]
 
@@ -270,4 +268,4 @@ def cohomology(c: GradedComplex) -> HomologyTable:
             free_rank = size - rank_out - rank_in
             if free_rank or torsion:
                 entries[(i, h)] = (free_rank, tuple(torsion))
-    return HomologyTable.from_dict(c.ring, entries)
+    return HomologyTable.from_dict(None, entries)

@@ -1,8 +1,9 @@
 """Bracket cohomology Bh, by the folding theorem.
 
-``bh_invariant`` and ``bh_multiset`` compute Bh(f) by the paper's structure
-theorem: classical Khovanov homology (the tangle scan in ``tangle``) folded
-into R^x and shifted by Z_beta(f).
+By the paper's structure theorem Bh(f) is classical Khovanov homology (the
+tangle scan in ``tangle``) folded into R^x and shifted by Z_beta(f), so it
+depends on the diagram and on the Z_beta coset of f alone.  ``bh_multiset``
+folds the diagram's Khovanov table once per coset.
 
 Bh(f) is defined as the cohomology of a cube of smoothings.  A basis element
 is a state, a scalar g in G and a tensor word of the rank-2 Frobenius algebra
@@ -25,11 +26,12 @@ tests build that cube as their reference.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, NamedTuple
 
-from .biquandle import Coloring, Report, enumerate_colorings, multiset
+from .biquandle import Coloring, Report
 from .bracket import Bracket, bracket_values
-from .cocycle import z_invariant
+from .cocycle import z_invariant, z_invariant_multiset
 from .diagram import OrientedDiagram
 from .graded import HomologyTable, cohomology, evaluate_formal_sum
 from .rings import Coset, UnitSubgroup
@@ -56,20 +58,17 @@ def fold_khovanov(classical: HomologyTable, G: UnitSubgroup, q, z: Coset) -> Hom
     return classical.regraded(ring, spread)
 
 
-def bh_invariant(beta: Bracket, f: Coloring) -> HomologyTable:
-    """Bh(f): Khovanov homology of the diagram folded by ``fold_khovanov``."""
-    return fold_khovanov(khovanov_classical(f.diagram), beta.G, beta.q11, z_invariant(beta, f))
-
-
 def bh_multiset(beta: Bracket, D: OrientedDiagram) -> List[tuple]:
     """Multiset of Bh tables over all colorings, as sorted pairs.
 
-    One Khovanov table of ``D`` is folded by each coloring's Z_beta coset.
+    The Khovanov table of ``D`` is folded once per Z_beta coset, and equal
+    tables add up their multiplicities.
     """
     classical = khovanov_classical(D)
-    zs = (z_invariant(beta, f) for f in enumerate_colorings(beta.biquandle, D))
-    tables = (fold_khovanov(classical, beta.G, beta.q11, z) for z in zs)
-    return multiset(tables)
+    tables: Counter = Counter()
+    for z, m in z_invariant_multiset(beta, D):
+        tables[fold_khovanov(classical, beta.G, beta.q11, z)] += m
+    return sorted(tables.items())
 
 
 def _cube_unit(beta: Bracket, D: OrientedDiagram, colors: dict):
@@ -155,18 +154,3 @@ def euler_report(check: ColoringCheck) -> Report:
     ring = G.ring
     details = {"euler_evaluated": ring.element_to_json(chi), "gdim_times_bracket": ring.element_to_json(expected)}
     return Report("", check.euler, [], details)
-
-
-def _check_one(beta: Bracket, f: Coloring) -> ColoringCheck:
-    D = f.diagram
-    return check_colorings(beta, D, [f], khovanov_classical(D))[0]
-
-
-def check_theorem(beta: Bracket, f: Coloring) -> Report:
-    """Verify Bh(f), the cube's Khovanov copies shifted by u(f), is Khovanov homology folded at Z_beta(f)."""
-    return theorem_report(_check_one(beta, f))
-
-
-def check_euler_identity(beta: Bracket, f: Coloring) -> Report:
-    """Verify chi(Bh(f)) evaluates in R to (sum of G) * beta(f)."""
-    return euler_report(_check_one(beta, f))

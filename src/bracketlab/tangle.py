@@ -328,7 +328,7 @@ def _integer_complex(complex_: _Complex, D: OrientedDiagram) -> GradedComplex:
     for src, targets in complex_.out.items():
         for tgt, morphism in targets.items():
             differentials[complex_.objects[src][1] - D.n_minus][position[tgt]][position[src]] = morphism[0]
-    return GradedComplex(ring=None, degrees=degrees, differentials=differentials)
+    return GradedComplex(degrees, differentials)
 
 
 def tensor_free_circles(table: HomologyTable, k: int) -> HomologyTable:

@@ -276,7 +276,7 @@ def reference_cube_complex(beta: Bracket, colors: dict, D: OrientedDiagram) -> G
                             out[j] = letter
                         row = matrix[index[(to_bits, g2, tuple(out))]]
                         row[src] = row.get(src, 0) + sign
-    return GradedComplex(ring=ring, degrees=degrees, differentials=differentials)
+    return GradedComplex(degrees, differentials)
 
 
 def corpus_file(name: str) -> str:

@@ -8,7 +8,7 @@ import pytest
 from bracketlab.biquandle import enumerate_colorings, counting_invariant, verify_biquandle
 from bracketlab.bracket import (
     bracket_invariant,
-    bracket_value,
+    bracket_values,
     crossing_color_pair,
     decode_bracket,
     verify_bracket,
@@ -25,9 +25,9 @@ from bracketlab.corpus import load_corpus_json
 from bracketlab.graded import cohomology, evaluate_formal_sum
 from bracketlab.homology import (
     bh_multiset,
-    check_euler_identity,
-    check_theorem,
+    check_colorings,
     khovanov_classical,
+    theorem_report,
 )
 from bracketlab.rings import Coset
 
@@ -89,7 +89,8 @@ class TestCriterion3BracketStateSum:
         D = diagrams["trefoil"]
         # delta exponents by smoothing weight on this diagram: 2, 1, 2, 3.
         delta_power = {0: 2, 1: 1, 2: 2, 3: 3}
-        for f in enumerate_colorings(beta.biquandle, D):
+        colorings = enumerate_colorings(beta.biquandle, D)
+        for f, value in zip(colorings, bracket_values(beta, D, colorings)):
             colors = dict(f.arc_colors)
             pairs = [crossing_color_pair(c, colors) for c in D.crossings]
             total = ring.zero
@@ -99,7 +100,7 @@ class TestCriterion3BracketStateSum:
                     term = ring.mul(term, beta.a(x, y) if bit == 0 else beta.b(x, y))
                 total = ring.add(total, term)
             expected = ring.mul(ring.power(beta.w, -3), total)
-            assert bracket_value(beta, f) == expected
+            assert value == expected
 
 
 class TestCriterion4ReidemeisterInvariance:
@@ -156,7 +157,7 @@ class TestCriterion5ClassicalKhovanov:
 
 
 class TestCriterion6Theorem:
-    """check_theorem passes corpus-wide, with trivial and nontrivial G."""
+    """The theorem check passes corpus-wide, with trivial and nontrivial G."""
 
     def test_g_triviality_coverage(self, brackets):
         assert len(brackets["bracket_gf8"].G) == 1
@@ -167,8 +168,9 @@ class TestCriterion6Theorem:
             for dname, D in diagrams.items():
                 if len(D.crossings) > 4:
                     continue  # larger diagrams covered by check-all
-                for f in enumerate_colorings(beta.biquandle, D):
-                    report = check_theorem(beta, f)
+                colorings = enumerate_colorings(beta.biquandle, D)
+                for check in check_colorings(beta, D, colorings, khovanov_classical(D)):
+                    report = theorem_report(check)
                     assert report.ok, (bname, dname, report.details)
 
 
@@ -180,15 +182,18 @@ class TestCriterion7EulerIdentity:
             for dname, D in diagrams.items():
                 if len(D.crossings) > 4:
                     continue
-                for f in enumerate_colorings(beta.biquandle, D):
-                    assert check_euler_identity(beta, f).ok, (bname, dname)
+                colorings = enumerate_colorings(beta.biquandle, D)
+                for check in check_colorings(beta, D, colorings, khovanov_classical(D)):
+                    assert check.euler, (bname, dname)
 
     def test_gf8_recovers_bracket_value(self, brackets, diagrams):
         beta = brackets["bracket_gf8"]
-        for f in enumerate_colorings(beta.biquandle, diagrams["trefoil"]):
-            cube = reference_cube_complex(beta, dict(f.arc_colors), f.diagram)
+        D = diagrams["trefoil"]
+        colorings = enumerate_colorings(beta.biquandle, D)
+        for f, value in zip(colorings, bracket_values(beta, D, colorings)):
+            cube = reference_cube_complex(beta, dict(f.arc_colors), D)
             chi = evaluate_formal_sum(cohomology(cube).euler_characteristic(), beta.ring)
-            assert chi == bracket_value(beta, f)
+            assert chi == value
 
 
 class TestCriterion8CanonicalCocycle:

@@ -11,7 +11,7 @@ from bracketlab.biquandle import (
     verify_biquandle,
 )
 from bracketlab.corpus import load_corpus_json
-from bracketlab.diagram import parse_diagram
+from bracketlab.diagram import DiagramError, parse_diagram
 from conftest import braid_closure, random_braid_word
 
 # Dihedral quandle R_3: x under y = 2y - x (mod 3), x over y = x.
@@ -116,6 +116,16 @@ class TestColorings:
         again = Biquandle.from_json(threeel.to_json())
         assert again.under_table == threeel.under_table
         assert again.over_table == threeel.over_table
+
+    def test_enumeration_stops_past_the_limit(self, flip, monkeypatch):
+        # k free circles have 2^k flip colorings: 8 are listed, 16 refused.
+        from bracketlab import biquandle
+
+        assert biquandle.MAX_COLORINGS == 1 << 14
+        monkeypatch.setattr(biquandle, "MAX_COLORINGS", 8)
+        assert len(enumerate_colorings(flip, parse_diagram({"crossings": [], "free_circles": 3}))) == 8
+        with pytest.raises(DiagramError, match="more than 8 colorings"):
+            enumerate_colorings(flip, parse_diagram({"crossings": [], "free_circles": 4}))
 
 
 @pytest.mark.parametrize("name", ["flip", "threeel", "r3"])

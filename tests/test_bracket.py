@@ -7,7 +7,6 @@ from bracketlab.bracket import (
     Bracket,
     bracket_from_json,
     bracket_invariant,
-    bracket_value,
     bracket_values,
     crossing_color_pair,
     decode_bracket,
@@ -142,16 +141,14 @@ class TestStateSum:
 
     def test_unknot_value_is_delta(self, brackets, diagrams):
         beta = brackets["bracket_gf8"]
-        for f in enumerate_colorings(beta.biquandle, diagrams["unknot"]):
-            assert bracket_value(beta, f) == beta.delta
+        D = diagrams["unknot"]
+        assert bracket_values(beta, D, enumerate_colorings(beta.biquandle, D)) == [beta.delta] * 2
 
     def test_constant_bracket_values_coloring_independent(self, brackets, diagrams):
         beta = brackets["bracket_const_z5"]
         for name in ("trefoil", "figure_eight", "hopf"):
-            values = {
-                bracket_value(beta, f)
-                for f in enumerate_colorings(beta.biquandle, diagrams[name])
-            }
+            D = diagrams[name]
+            values = set(bracket_values(beta, D, enumerate_colorings(beta.biquandle, D)))
             assert len(values) == 1
 
     def test_invariance_across_pairs(self, brackets, diagrams):

@@ -152,6 +152,10 @@ MALFORMED_COCYCLES = {
     "phi_not_square": (("phi", 1), ["1"]),
     "phi_not_list": (("phi",), 3),
     "symbols_not_list": (("target", "symbols"), 5),
+    "symbols_string": (("target", "symbols"), "ab"),
+    "symbols_repeated": (("target", "symbols"), ["a", "b", "a"]),
+    "symbol_not_string": (("target", "symbols"), ["a", "b", 1]),
+    "symbol_not_a_name": (("target", "symbols"), ["a", "b", "a b"]),
     "target_kind_unknown": (("target", "kind"), "free_group"),
     "target_null": (("target",), None),
     "biquandle_entry_bool": (("biquandle", "under", 0, 0), True),
@@ -263,6 +267,30 @@ def test_too_many_torsion_factors_exit_2(runner, tmp_path):
         assert result.exit_code == 2, result.output
         assert "17 free circles would make 131072 torsion factors" in result.output
         assert "Traceback" not in result.output
+
+
+def test_too_many_colorings_exit_2(runner, tmp_path):
+    # The trefoil has 2 flip colorings; each free circle doubles them.  13
+    # circles make 16,384, the most allowed, and 14 are refused while they
+    # are enumerated, by every command that lists colorings and by check-all.
+    z9 = corpus_file("bracket_z9.json")
+    path = _malformed(tmp_path, "trefoil_13", "trefoil", ("free_circles",), 13)
+    result = runner.invoke(main, ["bracket-invariant", z9, path])
+    assert result.exit_code == 0, result.output
+    assert sum(e["multiplicity"] for e in json.loads(result.output)["multiset"]) == 16384
+    path = _malformed(tmp_path, "trefoil_14", "trefoil", ("free_circles",), 14)
+    commands = ("bracket-value", "bracket-invariant", "z-invariant", "bh", "check-theorem", "check-euler")
+    for command in [["colorings", corpus_file("biquandle_flip.json"), path]] + [[c, z9, path] for c in commands]:
+        result = runner.invoke(main, command)
+        assert result.exit_code == 2, (command, result.output)
+        assert "more than 16384 colorings" in result.output and "Traceback" not in result.output
+    (tmp_path / "bracket_z9.json").write_text(Path(z9).read_text())
+    manifest = tmp_path / "manifest.json"
+    entries = {"diagrams": [{"name": "trefoil_14", "file": "trefoil_14.json"}], "brackets": [{"name": "z9", "file": "bracket_z9.json"}]}
+    manifest.write_text(json.dumps(entries))
+    result = runner.invoke(main, ["check-all", "--manifest", str(manifest)])
+    _assert_corpus_error(result)
+    assert "more than 16384 colorings" in result.output
 
 
 def test_kink_fixture_is_well_formed(runner, tmp_path):

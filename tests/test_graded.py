@@ -126,7 +126,6 @@ class TestCohomology:
     def test_two_term_complex_with_torsion(self):
         # 0 -> Z --(2)--> Z -> 0 concentrated in one degree.
         c = GradedComplex(
-            ring=None,
             degrees={0: [0], 1: [0]},
             differentials={0: [{0: 2}]},
         )
@@ -134,24 +133,23 @@ class TestCohomology:
         assert table.as_dict() == {(1, 0): (0, (2,))}
 
     def test_identity_map_is_acyclic(self):
-        c = GradedComplex(ring=None, degrees={0: [0], 1: [0]}, differentials={0: [{0: 1}]})
+        c = GradedComplex(degrees={0: [0], 1: [0]}, differentials={0: [{0: 1}]})
         assert cohomology(c).entries == ()
 
     def test_degree_violation_detected(self):
-        c = GradedComplex(ring=None, degrees={0: [0], 1: [5]}, differentials={0: [{0: 1}]})
+        c = GradedComplex(degrees={0: [0], 1: [5]}, differentials={0: [{0: 1}]})
         with pytest.raises(ValueError, match="not degree-preserving"):
             c.validate()
         with pytest.raises(ValueError, match="not degree-preserving"):
             cohomology(c)
 
     def test_row_count_mismatch_detected(self):
-        c = GradedComplex(ring=None, degrees={0: [0], 1: [0, 0]}, differentials={0: [{0: 1}]})
+        c = GradedComplex(degrees={0: [0], 1: [0, 0]}, differentials={0: [{0: 1}]})
         with pytest.raises(ValueError, match="rows"):
             cohomology(c)
 
     def test_non_complex_detected(self):
         c = GradedComplex(
-            ring=None,
             degrees={0: [0], 1: [0], 2: [0]},
             differentials={0: [{0: 1}], 1: [{0: 1}]},
         )
@@ -162,13 +160,12 @@ class TestCohomology:
 
     def test_euler_characteristic(self):
         c = GradedComplex(
-            ring=None,
             degrees={0: [1, 1], 1: [1]},
             differentials={0: [{}]},
         )
         assert c.euler_characteristic() == cohomology(c).euler_characteristic() == {1: 1}
         # The identity map: both terms cancel, and no zero term is kept.
-        c = GradedComplex(ring=None, degrees={0: [0], 1: [0]}, differentials={0: [{0: 1}]})
+        c = GradedComplex(degrees={0: [0], 1: [0]}, differentials={0: [{0: 1}]})
         assert c.euler_characteristic() == cohomology(c).euler_characteristic() == {}
 
 

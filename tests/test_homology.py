@@ -5,19 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from bracketlab.biquandle import Biquandle, enumerate_colorings
-from bracketlab.bracket import Bracket, verify_bracket
-from bracketlab.cocycle import z_invariant
+from bracketlab.biquandle import Biquandle, enumerate_colorings, multiset
+from bracketlab.bracket import Bracket, bracket_values, verify_bracket
+from bracketlab.cocycle import z_invariant, z_invariant_multiset
 from bracketlab.diagram import OrientedDiagram, parse_diagram
 from bracketlab.graded import HomologyTable, cohomology, evaluate_formal_sum
 from bracketlab.homology import (
-    bh_invariant,
     bh_multiset,
     check_colorings,
-    check_euler_identity,
-    check_theorem,
+    euler_report,
     fold_khovanov,
     khovanov_classical,
+    theorem_report,
 )
 from bracketlab.rings import Coset, ZModRing
 from conftest import (
@@ -212,6 +211,11 @@ def cube_bh(beta: Bracket, f) -> HomologyTable:
     return cohomology(reference_cube_complex(beta, dict(f.arc_colors), f.diagram))
 
 
+def all_checks(beta: Bracket, D: OrientedDiagram) -> list:
+    """``check_colorings`` over every coloring of ``D`` at once."""
+    return check_colorings(beta, D, enumerate_colorings(beta.biquandle, D), khovanov_classical(D))
+
+
 def random_unit_tables(rng: random.Random, X: Biquandle, ring, count: int) -> list:
     """``count`` brackets of random unit tables on ``X`` that fail ``verify_bracket``."""
     units = sorted(ring.units())
@@ -239,14 +243,17 @@ class TestBracketCohomology:
         # Unknot complex is M in index 0: ranks at degrees q^{+-1} * G.
         beta = brackets["bracket_z9"]
         ring, G, q = beta.ring, beta.G, beta.q11
-        f = enumerate_colorings(beta.biquandle, diagrams["unknot"])[0]
+        D = diagrams["unknot"]
+        colorings = enumerate_colorings(beta.biquandle, D)
         expected = {}
         for e in (1, -1):
             for g in G.sorted_elements():
                 d = ring.mul(ring.power(q, e), g)
                 expected[(0, d)] = (expected.get((0, d), (0, ()))[0] + 1, ())
-        assert cube_bh(beta, f).as_dict() == expected
-        assert bh_invariant(beta, f).as_dict() == expected
+        for f, check in zip(colorings, check_colorings(beta, D, colorings, khovanov_classical(D))):
+            assert cube_bh(beta, f).as_dict() == expected
+            assert check.bh.as_dict() == check.predicted.as_dict() == expected
+        assert [(table.as_dict(), m) for table, m in bh_multiset(beta, D)] == [(expected, len(colorings))]
 
     def test_bh_multiset_invariance(self, brackets, diagrams):
         from conftest import EQUIVALENT_PAIRS
@@ -255,16 +262,54 @@ class TestBracketCohomology:
             for a, b in EQUIVALENT_PAIRS:
                 assert bh_multiset(beta, diagrams[a]) == bh_multiset(beta, diagrams[b]), (name, a, b)
 
+    def test_bh_multiset_folds_once_per_coset(self, brackets, diagrams, monkeypatch):
+        # Bh(f) depends on f only through Z_beta(f): the trefoil with 10 free
+        # circles has 2,048 z9 colorings in one coset, and one fold.
+        from bracketlab import homology
+
+        beta = brackets["bracket_z9"]
+        D = parse_diagram({**diagrams["trefoil"].to_json(), "free_circles": 10})
+        cosets = z_invariant_multiset(beta, D)
+        calls = []
+        original = homology.fold_khovanov
+        monkeypatch.setattr(homology, "fold_khovanov", lambda *args: calls.append(args) or original(*args))
+        tables = bh_multiset(beta, D)
+        assert len(calls) == len(cosets) == 1
+        assert sum(m for _, m in tables) == 2048
+
+    def test_bh_multiset_equals_per_coloring_folds(self, brackets, witness, flip, diagrams):
+        # One fold per coset gives the multiset of one fold per coloring, on
+        # the corpus and on seeded closures with free circles added.  On the
+        # Hopf link, the Z/5 bracket's two cosets fold to one table.
+        z5 = Bracket(flip, ZModRing(5), [[1, 1], [4, 1]], [[2, 2], [3, 2]])
+        assert verify_bracket(flip, z5.ring, z5.A, z5.B).ok
+        closures = seeded_closures(21, 6, range(1, 6), (2, 3))
+        cases = [diagrams[d] for d in DIAGRAM_NAMES] + [
+            parse_diagram({**D.to_json(), "free_circles": D.free_circles + 1 + k % 3}) for k, D in enumerate(closures)
+        ]
+        several = merged = 0
+        for beta in (*brackets.values(), witness, z5):
+            for D in cases:
+                classical = khovanov_classical(D)
+                colorings = enumerate_colorings(beta.biquandle, D)
+                expected = multiset(fold_khovanov(classical, beta.G, beta.q11, z_invariant(beta, f)) for f in colorings)
+                assert bh_multiset(beta, D) == expected, (beta.A, beta.B, D.to_json())
+                several += len(expected) > 1
+                merged += len(expected) < len(z_invariant_multiset(beta, D))
+        assert several and merged  # tables differ between cosets, and cosets share tables
+
     def test_fold_equals_cube_on_seeded_closures(self, brackets):
-        # bh_invariant folds Khovanov homology at Z_beta(f); the direct cube
-        # is built apart from it, for every coloring.
+        # check_colorings folds Khovanov homology at Z_beta(f); the direct
+        # cube is built apart from it, for every coloring.
         shifted = 0
         for D in seeded_closures(8, 10, range(1, 7), (2, 3)):
+            classical = khovanov_classical(D)
             for name in ("bracket_z9", "bracket_gf8"):
                 beta = brackets[name]
-                for f in enumerate_colorings(beta.biquandle, D):
-                    shifted += z_invariant(beta, f) != Coset(beta.G, beta.ring.one)
-                    assert bh_invariant(beta, f) == cube_bh(beta, f), (D.to_json(), name)
+                colorings = enumerate_colorings(beta.biquandle, D)
+                for f, check in zip(colorings, check_colorings(beta, D, colorings, classical)):
+                    shifted += check.z != Coset(beta.G, beta.ring.one)
+                    assert check.predicted == cube_bh(beta, f), (D.to_json(), name)
         assert shifted  # some Z_beta(f) is not G, so the sweep sees the shift
 
     @pytest.mark.parametrize("name", ["bracket_z9", "bracket_gf8", "bracket_phi", "bracket_const_z5", "kauffman"])
@@ -330,16 +375,16 @@ class TestBracketCohomology:
 
 class TestTheoremChecks:
     def test_theorem_gf8_trefoil(self, brackets, diagrams):
-        beta = brackets["bracket_gf8"]
-        for f in enumerate_colorings(beta.biquandle, diagrams["trefoil"]):
-            report = check_theorem(beta, f)
+        checks = all_checks(brackets["bracket_gf8"], diagrams["trefoil"])
+        assert checks
+        for check in checks:
+            report = theorem_report(check)
             assert report.ok, report.details
 
     def test_theorem_nontrivial_g(self, brackets, diagrams):
         beta = brackets["bracket_z9"]
         for dname in ("trefoil", "figure_eight", "hopf"):
-            for f in enumerate_colorings(beta.biquandle, diagrams[dname]):
-                assert check_theorem(beta, f).ok
+            assert all(check.theorem for check in all_checks(beta, diagrams[dname])), dname
 
     def test_theorem_x0_choices(self, witness, diagrams):
         # The witness's q moves with the basepoint: Khovanov homology folded
@@ -347,48 +392,29 @@ class TestTheoremChecks:
         G, q = basepoint_group(witness, 2)
         assert q != witness.q11
         for dname in WITNESS_DIAGRAMS:
-            classical = khovanov_classical(diagrams[dname])
-            for f in enumerate_colorings(witness.biquandle, diagrams[dname]):
+            D = diagrams[dname]
+            classical = khovanov_classical(D)
+            colorings = enumerate_colorings(witness.biquandle, D)
+            for f, check in zip(colorings, check_colorings(witness, D, colorings, classical)):
                 z = basepoint_z(witness, f, G, 2)
-                assert fold_khovanov(classical, G, q, z) == bh_invariant(witness, f), dname
-                assert check_theorem(witness, f).ok and check_euler_identity(witness, f).ok, dname
+                assert fold_khovanov(classical, G, q, z) == check.predicted, dname
+                assert check.theorem and check.euler, dname
 
     def test_euler_identity_gf8_recovers_bracket(self, brackets, diagrams):
         # G trivial: evaluated Euler characteristic equals beta(f) exactly.
-        from bracketlab.bracket import bracket_value
-
         beta = brackets["bracket_gf8"]
-        for f in enumerate_colorings(beta.biquandle, diagrams["trefoil"]):
+        D = diagrams["trefoil"]
+        colorings = enumerate_colorings(beta.biquandle, D)
+        checks = check_colorings(beta, D, colorings, khovanov_classical(D))
+        for f, value, check in zip(colorings, bracket_values(beta, D, colorings), checks):
             chi = evaluate_formal_sum(cube_bh(beta, f).euler_characteristic(), beta.ring)
-            assert chi == bracket_value(beta, f)
-            assert check_euler_identity(beta, f).ok
+            assert chi == value == check.value
+            assert euler_report(check).ok
 
     def test_euler_identity_nontrivial_g(self, brackets, diagrams):
         beta = brackets["bracket_z9"]
         for dname in ("trefoil", "hopf"):
-            for f in enumerate_colorings(beta.biquandle, diagrams[dname]):
-                assert check_euler_identity(beta, f).ok
-
-    def test_library_checks_compute_shared_values_once(self, brackets, diagrams, monkeypatch):
-        # One Khovanov tangle scan per call of check_theorem or
-        # check_euler_identity, and no cube.
-        from bracketlab import homology
-
-        calls = {"khovanov_classical": 0}
-        for name in calls:
-            original = getattr(homology, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(homology, name, counted)
-        beta = brackets["bracket_z9"]
-        f = enumerate_colorings(beta.biquandle, diagrams["trefoil_r2"])[0]
-        for check in (check_theorem, check_euler_identity):
-            calls.update(khovanov_classical=0)
-            assert check(beta, f).ok
-            assert calls == {"khovanov_classical": 1}, check.__name__
+            assert all(check.euler for check in all_checks(beta, diagrams[dname])), dname
 
     def test_checks_read_the_direct_cube(self, brackets, diagrams, monkeypatch):
         # Moving every degree of the direct cube by a unit outside G moves
@@ -400,9 +426,11 @@ class TestTheoremChecks:
         off = next(u for u in ring.units() if u not in beta.G.elements)
         original = homology._cube_unit
         monkeypatch.setattr(homology, "_cube_unit", lambda *args: ring.mul(original(*args), off))
-        for f in enumerate_colorings(beta.biquandle, diagrams["trefoil"]):
-            assert not check_theorem(beta, f).ok
-            assert not check_euler_identity(beta, f).ok
+        checks = all_checks(beta, diagrams["trefoil"])
+        assert checks
+        for check in checks:
+            assert not theorem_report(check).ok
+            assert not euler_report(check).ok
 
     def test_z_shift_consistency(self, brackets, diagrams, monkeypatch):
         # The predicted table is shifted by Z_beta(f); a wrong shift must be
@@ -412,18 +440,20 @@ class TestTheoremChecks:
 
         beta = brackets["bracket_gf8"]
         ring, G, q = beta.ring, beta.G, beta.q11
-        f = enumerate_colorings(beta.biquandle, diagrams["trefoil"])[0]
-        z = z_invariant(beta, f)
-        assert z.canonical in ring.units()
-        bh = cube_bh(beta, f)
-        classical = khovanov_classical(f.diagram)
-        assert fold_khovanov(classical, G, q, z) == bh
-        wrong = [c for c in (Coset(G, u) for u in ring.units()) if c != z]
+        D = diagrams["trefoil"]
+        colorings = enumerate_colorings(beta.biquandle, D)
+        zs = {z_invariant(beta, f) for f in colorings}
+        assert all(z.canonical in ring.units() for z in zs)
+        classical = khovanov_classical(D)
+        cubes = [cube_bh(beta, f) for f in colorings]
+        for f, bh in zip(colorings, cubes):
+            assert fold_khovanov(classical, G, q, z_invariant(beta, f)) == bh
+        wrong = [c for c in (Coset(G, u) for u in ring.units()) if c not in zs]
         assert wrong and len(G) < len(ring.units())
         for c in wrong:
-            assert fold_khovanov(classical, G, q, c) != bh
+            assert fold_khovanov(classical, G, q, c) not in cubes
             monkeypatch.setattr(homology, "z_invariant", lambda beta, f, c=c: c)
-            assert not check_theorem(beta, f).ok
+            assert not any(check.theorem for check in check_colorings(beta, D, colorings, classical))
 
 
 class TestChecksAtScale:
