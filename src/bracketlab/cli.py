@@ -25,7 +25,7 @@ from .bracket import (
 from .cocycle import canonical_cocycle, decode_cocycle, verify_cocycle, z_invariant_multiset
 from .corpus import check_all, load_manifest, report_to_json
 from .diagram import DiagramError, parse_diagram
-from .homology import bh_multiset, check_colorings, euler_report, khovanov_classical, theorem_report
+from .homology import bh_multiset, check_colorings, khovanov_classical
 
 INPUT_ERROR = 2
 CHECK_FAILED = 1
@@ -35,7 +35,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as f:
             return json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise click.exceptions.Exit(_input_error(f"cannot read {path}: {exc}"))
 
 
@@ -277,21 +277,30 @@ def bh_cmd(bracket_file, diagram_file, pretty):
     _emit(out, lines, pretty)
 
 
-def _run_checks(bracket_file, diagram_file, pretty, report, label):
-    """One report per coloring: ``report`` of its ``check_colorings`` entry, with the details it prints."""
+def _run_checks(bracket_file, diagram_file, pretty, details, label):
+    """One report per coloring: its coloring, then ``details`` of its ``check_colorings`` entry."""
     beta = _parse(bracket_file, "bracket", bracket_from_json)
     D = _parse(diagram_file, "diagram", parse_diagram)
     colorings = _computed(enumerate_colorings, beta.biquandle, D)
     checks = check_colorings(beta, D, colorings, _computed(khovanov_classical, D))
-    reports = [
-        {"coloring": f.to_json(), **report(check).to_json()}
-        for f, check in zip(colorings, checks)
-    ]
+    reports = [{"coloring": f.to_json(), **details(check, beta.ring)} for f, check in zip(colorings, checks)]
     ok = all(r["ok"] for r in reports)
     out = {"ok": ok, "checked": len(reports), "reports": reports}
     rows = [(json.dumps(r["coloring"]), r["ok"]) for r in reports]
     lines = [f"{label}: {'pass' if ok else 'FAIL'} ({len(reports)} colorings)"]
     _emit_report(out, lines + _table(("coloring", "ok"), rows), pretty)
+
+
+def _theorem_details(check, ring) -> dict:
+    """The theorem check with Bh(f), the Khovanov table folded at Z_beta(f) and G."""
+    tables = {"bh": check.bh.to_json(), "predicted_from_classical": check.predicted.to_json()}
+    return {"ok": check.theorem, **tables, "z_shift": check.z.to_json(), "G": check.z.subgroup.to_json()}
+
+
+def _euler_details(check, ring) -> dict:
+    """The Euler check with its two sides, chi(Bh(f)) evaluated in R and (sum of G) * beta(f)."""
+    chi, expected = ring.element_to_json(check.chi), ring.element_to_json(check.expected)
+    return {"ok": check.euler, "euler_evaluated": chi, "gdim_times_bracket": expected}
 
 
 @main.command("check-theorem")
@@ -300,7 +309,7 @@ def _run_checks(bracket_file, diagram_file, pretty, report, label):
 @pretty_option
 def check_theorem_cmd(bracket_file, diagram_file, pretty):
     """Check Bh(f) = classical Khovanov folded into R^x and shifted by Z_beta(f)."""
-    _run_checks(bracket_file, diagram_file, pretty, theorem_report, "theorem")
+    _run_checks(bracket_file, diagram_file, pretty, _theorem_details, "theorem")
 
 
 @main.command("check-euler")
@@ -309,7 +318,7 @@ def check_theorem_cmd(bracket_file, diagram_file, pretty):
 @pretty_option
 def check_euler_cmd(bracket_file, diagram_file, pretty):
     """Check chi(Bh(f)) evaluates to (sum over G) * bracket value."""
-    _run_checks(bracket_file, diagram_file, pretty, euler_report, "euler identity")
+    _run_checks(bracket_file, diagram_file, pretty, _euler_details, "euler identity")
 
 
 @main.command("check-all")
@@ -321,7 +330,7 @@ def check_all_cmd(manifest_path, pretty):
         manifest = load_manifest(manifest_path)
         base = None if manifest_path is None else str(pathlib.Path(manifest_path).parent)
         results = check_all(manifest, base)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise click.exceptions.Exit(_input_error(f"corpus error: {exc}"))
     out = report_to_json(results)
     rows = [(r.name, "ok" if r.ok else "FAIL", r.details["detail"]) for r in results if not r.ok]

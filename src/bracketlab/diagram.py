@@ -28,6 +28,10 @@ class DiagramError(ValueError):
     """Raised for malformed PD data, or a diagram whose homology is too large to write."""
 
 
+# The most free circles a diagram may have: each multiplies the colorings by |X| and doubles the Khovanov table.
+MAX_FREE_CIRCLES = 256
+
+
 @dataclass(frozen=True)
 class CrossingRecord:
     sign: int
@@ -55,8 +59,8 @@ class OrientedDiagram:
     """A closed oriented link diagram."""
 
     def __init__(self, crossings: Sequence[CrossingRecord], free_circles: int = 0):
-        if not _is_int(free_circles) or free_circles < 0:
-            raise DiagramError(f"free_circles must be a non-negative integer, got {free_circles!r}")
+        if not _is_int(free_circles) or not 0 <= free_circles <= MAX_FREE_CIRCLES:
+            raise DiagramError(f"free_circles must be an integer from 0 to {MAX_FREE_CIRCLES}, got {free_circles!r}")
         self.crossings = tuple(crossings)
         self.free_circles = free_circles
         self._validate()

@@ -21,15 +21,18 @@ whatever the bracket's tables.  Bh(f) is therefore the Khovanov table folded
 at u(f), and the theorem says that u(f) lies in Z_beta(f).
 ``check_colorings`` checks the stronger identity u(f) = Z_beta(f)'s
 representative per coloring in O(n), without building the 2^n cube; the
-tests build that cube as their reference.
+tests build that cube as their reference.  For the Euler identity it keeps
+both sides, chi(Bh(f)) evaluated in R and (sum of G) * beta(f); chi(Bh(f))
+depends on the coset alone, so it is evaluated once per coset.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 from typing import Dict, List, NamedTuple
 
-from .biquandle import Coloring, Report
+from .biquandle import Coloring
 from .bracket import Bracket, bracket_values
 from .cocycle import z_invariant, z_invariant_multiset
 from .diagram import OrientedDiagram
@@ -87,24 +90,21 @@ def _cube_unit(beta: Bracket, D: OrientedDiagram, colors: dict):
     return u
 
 
-def _euler_sides(bh: HomologyTable, G: UnitSubgroup, value) -> tuple:
-    """chi(Bh(f)) evaluated in R, and (sum of G) * beta(f)."""
-    ring = G.ring
-    g_sum = ring.zero
-    for g in G.elements:
-        g_sum = ring.add(g_sum, g)
-    return evaluate_formal_sum(bh.euler_characteristic(), ring), ring.mul(g_sum, value)
-
-
 class ColoringCheck(NamedTuple):
-    """One coloring's values and the outcomes of its theorem and Euler checks."""
+    """One coloring's values, with what its theorem and Euler checks compare."""
 
     value: object  # the bracket value beta(f)
     z: Coset  # Z_beta(f), a coset of G
     bh: HomologyTable  # Bh(f): the Khovanov table folded at u(f)
     predicted: HomologyTable  # the Khovanov table folded at Z_beta(f)
     theorem: bool  # u(f) is Z_beta(f)'s representative
-    euler: bool  # chi(Bh(f)) evaluated in R is (sum of G) * beta(f)
+    chi: object  # chi(Bh(f)) evaluated in R
+    expected: object  # (sum of G) * beta(f)
+
+    @property
+    def euler(self) -> bool:
+        """The Euler identity: chi(Bh(f)) evaluated in R is (sum of G) * beta(f)."""
+        return self.chi == self.expected
 
 
 def check_colorings(
@@ -114,43 +114,25 @@ def check_colorings(
 
     ``classical`` is ``khovanov_classical(D)``, built once per diagram by the
     caller.  The bracket values come from one scan, and the Khovanov table is
-    folded once per coset.  The theorem compares u(f), read off the bracket
-    coefficients as the cube reads them, with Z_beta(f), read off as
-    ``cocycle.z_invariant`` normalises them by A_{1,1} and B_{1,1}; the Euler
-    identity compares the tangle scan with the bracket scan.
+    folded, and its Euler characteristic evaluated, once per coset.  The
+    theorem compares u(f), read off the bracket coefficients as the cube
+    reads them, with Z_beta(f), read off as ``cocycle.z_invariant``
+    normalises them by A_{1,1} and B_{1,1}; the Euler identity compares the
+    tangle scan with the bracket scan.
     """
-    G, q = beta.G, beta.q11
-    folded: Dict[Coset, HomologyTable] = {}
+    G, q, ring = beta.G, beta.q11, beta.ring
+    g_sum = reduce(ring.add, G.elements, ring.zero)
+    folded: Dict[Coset, tuple] = {}
 
-    def fold(z: Coset) -> HomologyTable:
+    def fold(z: Coset) -> tuple:
         if z not in folded:
-            folded[z] = fold_khovanov(classical, G, q, z)
+            table = fold_khovanov(classical, G, q, z)
+            folded[z] = table, evaluate_formal_sum(table.euler_characteristic(), ring)
         return folded[z]
 
     checks = []
     for f, value in zip(colorings, bracket_values(beta, D, colorings)):
         u, z = _cube_unit(beta, D, dict(f.arc_colors)), z_invariant(beta, f)
-        bh = fold(Coset(G, u))
-        chi, expected = _euler_sides(bh, G, value)
-        checks.append(ColoringCheck(value, z, bh, fold(z), u == z.representative, chi == expected))
+        bh, chi = fold(Coset(G, u))
+        checks.append(ColoringCheck(value, z, bh, fold(z)[0], u == z.representative, chi, ring.mul(g_sum, value)))
     return checks
-
-
-def theorem_report(check: ColoringCheck) -> Report:
-    """The theorem check with Bh(f), the Khovanov table folded at Z_beta(f) and G, for printing."""
-    details = {
-        "bh": check.bh.to_json(),
-        "predicted_from_classical": check.predicted.to_json(),
-        "z_shift": check.z.to_json(),
-        "G": check.z.subgroup.to_json(),
-    }
-    return Report("", check.theorem, [], details)
-
-
-def euler_report(check: ColoringCheck) -> Report:
-    """The Euler check with its two sides, chi(Bh(f)) evaluated in R and (sum of G) * beta(f), for printing."""
-    G = check.z.subgroup
-    chi, expected = _euler_sides(check.bh, G, check.value)
-    ring = G.ring
-    details = {"euler_evaluated": ring.element_to_json(chi), "gdim_times_bracket": ring.element_to_json(expected)}
-    return Report("", check.euler, [], details)

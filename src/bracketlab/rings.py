@@ -27,28 +27,10 @@ MAX_ELEMENTS = 1024
 
 
 class Ring:
-    """Common interface for the two concrete ring kinds."""
-
-    zero = None
-    one = None
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
+    """Shared arithmetic; each ring kind supplies zero, one, add, mul, neg, try_invert and elements."""
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
-
-    def elements(self) -> list:
-        raise NotImplementedError
-
-    def try_invert(self, a):
-        raise NotImplementedError
 
     def power(self, a, k: int):
         """a**k for any integer k; negative k requires a to be a unit."""
@@ -66,12 +48,15 @@ class Ring:
         return result
 
     def int_mul(self, c: int, a):
-        """c*a with c an ordinary integer."""
+        """c*a with c an ordinary integer, by doubling: O(log |c|) additions."""
         if c < 0:
-            return self.neg(self.int_mul(-c, a))
+            a, c = self.neg(a), -c
         result = self.zero
-        for _ in range(c):
-            result = self.add(result, a)
+        while c:
+            if c & 1:
+                result = self.add(result, a)
+            a = self.add(a, a)
+            c >>= 1
         return result
 
     def is_unit(self, a) -> bool:
@@ -79,18 +64,6 @@ class Ring:
 
     def units(self) -> list:
         return [a for a in self.elements() if self.is_unit(a)]
-
-    def element_to_json(self, a):
-        raise NotImplementedError
-
-    def element_from_json(self, data):
-        raise NotImplementedError
-
-    def element_str(self, a) -> str:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
 
 
 class ZModRing(Ring):

@@ -27,7 +27,6 @@ from bracketlab.homology import (
     bh_multiset,
     check_colorings,
     khovanov_classical,
-    theorem_report,
 )
 from bracketlab.rings import Coset
 
@@ -170,8 +169,7 @@ class TestCriterion6Theorem:
                     continue  # larger diagrams covered by check-all
                 colorings = enumerate_colorings(beta.biquandle, D)
                 for check in check_colorings(beta, D, colorings, khovanov_classical(D)):
-                    report = theorem_report(check)
-                    assert report.ok, (bname, dname, report.details)
+                    assert check.theorem, (bname, dname, check.bh.to_json(), check.predicted.to_json())
 
 
 class TestCriterion7EulerIdentity:

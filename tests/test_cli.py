@@ -60,6 +60,7 @@ MALFORMED_DIAGRAMS = {
     "not_planar": {"crossings": [{**KINK, "under_out": 1, "over_out": 2}]},
     "crossings_not_list": {"crossings": 5},
     "top_level_list": [],
+    "too_many_free_circles": {"crossings": [], "free_circles": 257},
 }
 
 
@@ -256,6 +257,20 @@ def test_malformed_manifest_exits_2(runner, tmp_path, name):
     _assert_corpus_error(runner.invoke(main, ["check-all", "--manifest", path]))
 
 
+# Files that are not JSON text: the JSON reader raises UnicodeDecodeError and RecursionError on them.
+UNREADABLE_FILES = {"not_utf8": b"\xff\xfe{}", "nested_too_deep": b"[" * 100_000}
+
+
+@pytest.mark.parametrize("name", UNREADABLE_FILES)
+def test_unreadable_manifest_exits_2(runner, tmp_path, name):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(UNREADABLE_FILES[name])
+    _assert_corpus_error(runner.invoke(main, ["check-all", "--manifest", str(path)]))
+    (tmp_path / "listed.json").write_bytes(UNREADABLE_FILES[name])
+    path.write_text(json.dumps({"diagrams": [{"name": "listed", "file": "listed.json"}]}))
+    _assert_corpus_error(runner.invoke(main, ["check-all", "--manifest", str(path)]))
+
+
 def test_too_many_torsion_factors_exit_2(runner, tmp_path):
     # The trefoil has one Z/2; each free circle doubles it.  16 circles make
     # 65,536 factors, the most allowed, and 17 are refused before the work.
@@ -353,6 +368,14 @@ class TestVerifyCommands:
         not_a_diagram = tmp_path / "d.json"
         not_a_diagram.write_text('{"crossings": [{"sign": 1}]}')
         assert runner.invoke(main, ["khovanov", str(not_a_diagram)]).exit_code == 2
+        trefoil, z9 = corpus_file("trefoil.json"), corpus_file("bracket_z9.json")
+        for name, content in UNREADABLE_FILES.items():
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(content)
+            for command in (["khovanov", path], ["verify-biquandle", path], ["bh", path, trefoil], ["bh", z9, path]):
+                result = runner.invoke(main, [str(arg) for arg in command])
+                assert result.exit_code == 2, (command, result.output)
+                assert "error: cannot read" in result.output and "Traceback" not in result.output
 
 
 class TestInvariantCommands:

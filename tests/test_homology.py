@@ -13,10 +13,8 @@ from bracketlab.graded import HomologyTable, cohomology, evaluate_formal_sum
 from bracketlab.homology import (
     bh_multiset,
     check_colorings,
-    euler_report,
     fold_khovanov,
     khovanov_classical,
-    theorem_report,
 )
 from bracketlab.rings import Coset, ZModRing
 from conftest import (
@@ -277,6 +275,20 @@ class TestBracketCohomology:
         assert len(calls) == len(cosets) == 1
         assert sum(m for _, m in tables) == 2048
 
+    def test_check_colorings_evaluates_chi_once_per_coset(self, brackets, diagrams, monkeypatch):
+        # chi(Bh(f)) depends on f only through Z_beta(f): the trefoil with 10
+        # free circles has 2,048 z9 colorings in one coset, and one evaluation.
+        from bracketlab import homology
+
+        beta = brackets["bracket_z9"]
+        D = parse_diagram({**diagrams["trefoil"].to_json(), "free_circles": 10})
+        calls = []
+        original = homology.evaluate_formal_sum
+        monkeypatch.setattr(homology, "evaluate_formal_sum", lambda *args: calls.append(args) or original(*args))
+        checks = all_checks(beta, D)
+        assert len(checks) == 2048 and len(calls) == 1
+        assert all(check.theorem and check.euler for check in checks)
+
     def test_bh_multiset_equals_per_coloring_folds(self, brackets, witness, flip, diagrams):
         # One fold per coset gives the multiset of one fold per coloring, on
         # the corpus and on seeded closures with free circles added.  On the
@@ -378,8 +390,7 @@ class TestTheoremChecks:
         checks = all_checks(brackets["bracket_gf8"], diagrams["trefoil"])
         assert checks
         for check in checks:
-            report = theorem_report(check)
-            assert report.ok, report.details
+            assert check.theorem, (check.bh.to_json(), check.predicted.to_json())
 
     def test_theorem_nontrivial_g(self, brackets, diagrams):
         beta = brackets["bracket_z9"]
@@ -408,8 +419,8 @@ class TestTheoremChecks:
         checks = check_colorings(beta, D, colorings, khovanov_classical(D))
         for f, value, check in zip(colorings, bracket_values(beta, D, colorings), checks):
             chi = evaluate_formal_sum(cube_bh(beta, f).euler_characteristic(), beta.ring)
-            assert chi == value == check.value
-            assert euler_report(check).ok
+            assert chi == value == check.value == check.chi == check.expected
+            assert check.euler
 
     def test_euler_identity_nontrivial_g(self, brackets, diagrams):
         beta = brackets["bracket_z9"]
@@ -429,8 +440,8 @@ class TestTheoremChecks:
         checks = all_checks(beta, diagrams["trefoil"])
         assert checks
         for check in checks:
-            assert not theorem_report(check).ok
-            assert not euler_report(check).ok
+            assert not check.theorem
+            assert not check.euler
 
     def test_z_shift_consistency(self, brackets, diagrams, monkeypatch):
         # The predicted table is shifted by Z_beta(f); a wrong shift must be

@@ -175,6 +175,31 @@ def test_element_from_json_rejects_non_integers(ring, data):
         ring.element_from_json(data)
 
 
+
+@pytest.mark.parametrize("ring", [ZModRing(9), PolyQuotientRing(2, [1, 1, 0, 1])], ids=repr)
+def test_int_mul_is_repeated_addition(ring):
+    for a in ring.elements():
+        total = ring.zero
+        for c in range(31):
+            assert ring.int_mul(c, a) == total, (c, a)
+            assert ring.int_mul(-c, a) == ring.neg(total), (-c, a)
+            total = ring.add(total, a)
+
+
+@pytest.mark.parametrize(
+    "ring, a, product",
+    [(ZModRing(9), 4, 4 * 2**20 % 9), (PolyQuotientRing(2, [1, 1, 0, 1]), (1, 1, 0), (0, 0, 0))],
+    ids=repr,
+)
+def test_int_mul_adds_by_doubling(ring, a, product, monkeypatch):
+    # 2^20 * a in at most 2 * 21 additions, not 2^20 of them.
+    calls = []
+    add = ring.add
+    monkeypatch.setattr(ring, "add", lambda x, y: calls.append(1) or add(x, y))
+    assert ring.int_mul(2**20, a) == product
+    assert len(calls) <= 42
+
+
 class TestSubgroups:
     def test_generate_closure(self):
         r = ZModRing(9)
