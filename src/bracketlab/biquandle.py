@@ -176,7 +176,8 @@ def enumerate_colorings(X: Biquandle, D: OrientedDiagram) -> List[Coloring]:
     not yet known a free choice; for each crossing whose inputs then become
     known it records one step per output: assign it, or compare with it.
     Which arcs a choice forces depends only on which are known, so one list
-    of values serves every branch; each choice tries the elements in order.
+    of values serves every branch; each choice tries the elements in order,
+    counted per level in ``tried``, so the backtrack is a loop, not a recursion.
     A diagram with more than ``MAX_COLORINGS`` colorings is refused.
     """
     arcs = D.arcs()
@@ -202,18 +203,21 @@ def enumerate_colorings(X: Biquandle, D: OrientedDiagram) -> List[Coloring]:
                     known.add(out)
                     pending.append(out)
         plan.append((slot[arc], steps))
-    results, values = [], [0] * len(arcs)
-
-    def backtrack(level: int):
+    results, values, tried, level = [], [0] * len(arcs), [0] * len(plan), 0
+    while level >= 0:
         if level == len(plan):
             if len(results) == MAX_COLORINGS:
                 raise DiagramError(f"the diagram has more than {MAX_COLORINGS} colorings")
             # Through a list, so the kept tuple is allocated once at its final size.
             results.append(Coloring(D, tuple(list(zip(arcs, values)))))
-            return
-        choice, steps = plan[level]
-        for value in X.elements():
-            values[choice] = value
+            level -= 1
+        elif tried[level] == X.n:
+            tried[level] = 0
+            level -= 1
+        else:
+            choice, steps = plan[level]
+            tried[level] += 1
+            values[choice] = tried[level]
             for out, table, a, b, assign in steps:
                 v = table[values[a] - 1][values[b] - 1]
                 if assign:
@@ -221,9 +225,7 @@ def enumerate_colorings(X: Biquandle, D: OrientedDiagram) -> List[Coloring]:
                 elif values[out] != v:
                     break
             else:
-                backtrack(level + 1)
-
-    backtrack(0)
+                level += 1
     return results
 
 

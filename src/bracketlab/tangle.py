@@ -76,40 +76,42 @@ class _Surface:
     each cycle of the result's boundary.  A set of dotted disks is a mask
     with bit i for disk i, as a morphism's mask has bit i for cycle i.
 
-    Each component keeps the mask of its disks, and ``reduce`` keeps its
-    result per dot mask.  A surface lives for one crossing of the scan, or
-    for one call of ``khovanov_complex``, and its memo with it.
+    Each arc links its ends' roots in a plain dict, where an end that is not a
+    key is a root.  Each component keeps the mask of its disks, and ``reduce``
+    keeps its result per dot mask.  A surface lives for one crossing of the
+    scan, or for one call of ``khovanov_complex``, and its memo with it.
     """
 
     def __init__(self, arcs, disks, seams, cycles):
         parent: Dict[int, int] = {}
-
-        def find(a):
-            parent.setdefault(a, a)
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         for a, b in arcs:
-            parent[find(a)] = find(b)
-        component: Dict[int, int] = {}
-        disk = [component.setdefault(find(e), len(component)) for e in disks]
-        disk_masks = [0] * len(component)
-        for i, k in enumerate(disk):
-            disk_masks[k] |= 1 << i
-        euler = [m.bit_count() for m in disk_masks]
+            while a in parent:
+                a = parent[a]
+            while b in parent:
+                b = parent[b]
+            if a != b:
+                parent[a] = b
+        masks: Dict[int, int] = {}  # root -> the mask of its component's disks, in order of first disk
+        for i, e in enumerate(disks):
+            while e in parent:
+                e = parent[e]
+            masks[e] = masks.get(e, 0) | 1 << i
+        euler = {root: mask.bit_count() for root, mask in masks.items()}
         for e in seams:
-            euler[component[find(e)]] -= 1
-        own: List[List[int]] = [[] for _ in component]
+            while e in parent:
+                e = parent[e]
+            euler[e] -= 1
+        own: Dict[int, List[int]] = {root: [] for root in masks}
         for i, e in enumerate(cycles):
-            own[component[find(e)]].append(1 << i)
+            while e in parent:
+                e = parent[e]
+            own[e].append(1 << i)
         # Per component: genus (from chi = 2 - 2 genus - boundary cycles; a
         # link diagram is planar, so every surface is orientable), the mask
         # of its disks, the mask of all its boundary cycles, and each cycle's bit.
         self.components = [
-            ((2 - len(bits) - chi) // 2, disks_of, sum(bits), bits)
-            for chi, disks_of, bits in zip(euler, disk_masks, own)
+            ((2 - len(own[root]) - euler[root]) // 2, disks_of, sum(own[root]), own[root])
+            for root, disks_of in masks.items()
         ]
         self.reduced: Dict[int, Morphism] = {}
 
@@ -264,46 +266,55 @@ def _add_crossing(old: _Complex, crossing: CrossingRecord, cycles_of) -> _Comple
     with loops has bit j of its copy number set when loop j is in its
     q^{-1} copy, which enters by a dotted cup and leaves by a plain cap
     (the q^{+1} copy: plain cup, dotted cap).
+
+    The crossing's own parts are found once per call: per bit pair its arcs
+    and disks (two strips, or one saddle), and the seams, as every object
+    matches the same open ends.  Each distinct (matching, bit) is smoothed
+    once; each surface is built once, with the positions of its cups and caps.
     """
     new = _Complex()
     copies = {}
     smoothings = _smoothings(crossing)
+    matchings = dict.fromkeys(matching for matching, _, _ in old.objects.values())
+    smoothed = {(m, bit): smoothings[bit](m) for m in matchings for bit in (0, 1)}
     for i, (matching, weight, q) in old.objects.items():
         for bit in (0, 1):
-            smoothed, loops = smoothings[bit](matching)
+            after, loops = smoothed[matching, bit]
             ids = [
-                new.add(smoothed, weight + bit, q + bit + len(loops) - 2 * bin(e).count("1"))
+                new.add(after, weight + bit, q + bit + len(loops) - 2 * bin(e).count("1"))
                 for e in range(1 << len(loops))
             ]
-            copies[i, bit] = (smoothed, loops, ids)
-    ends = [e for pair in _pairings(crossing, 0) for e in pair]
-    surfaces: Dict[tuple, _Surface] = {}
+            copies[i, bit] = (after, loops, ids)
+    pairs = [tuple(_pairings(crossing, bit)) for bit in (0, 1)]
+    ends = [e for pair in pairs[0] for e in pair]
+    open_before = {e for pair in next(iter(matchings)) for e in pair}
+    seams = [e for e in set(ends) if e in open_before or ends.count(e) == 2]
+    pieces = {(bit, bit): (pairs[bit] * 2, [a for a, _ in pairs[bit]]) for bit in (0, 1)}
+    pieces[0, 1] = (pairs[0] + pairs[1], [ends[0]])
+    surfaces: Dict[tuple, Tuple[_Surface, int, int, int]] = {}
 
     def extend(src: int, tgt: int, bits: Tuple[int, int], morphism: Morphism):
-        (m_a, _, _), (m_b, _, _) = old.objects[src], old.objects[tgt]
+        m_a, m_b = old.objects[src][0], old.objects[tgt][0]
         (n_a, loops_a, ids_a), (n_b, loops_b, ids_b) = copies[src, bits[0]], copies[tgt, bits[1]]
         key = (m_a, m_b, bits)
-        n_old = len(cycles_of(m_a, m_b))
         if key not in surfaces:
-            pairs = [_pairings(crossing, bit) for bit in bits]
-            pieces = [pair[0] for pair in pairs[0]] if bits[0] == bits[1] else [ends[0]]
-            open_before = {e for pair in m_a for e in pair}
-            surfaces[key] = _Surface(
-                m_a + m_b + tuple(pairs[0]) + tuple(pairs[1]),
-                [c[0] for c in cycles_of(m_a, m_b)] + pieces + loops_a + loops_b,
-                [e for e in set(ends) if e in open_before or ends.count(e) == 2],
-                [c[0] for c in cycles_of(n_a, n_b)],
-            )
-        surface = surfaces[key]
-        first_cup = n_old + (1 if bits[0] != bits[1] else 2)
-        first_cap = first_cup + len(loops_a)
-        plus = (1 << len(loops_b)) - 1
+            lower = [c[0] for c in cycles_of(m_a, m_b)]
+            arcs, disks = pieces[bits]
+            first_cup = len(lower) + len(disks)
+            surface = _Surface(m_a + m_b + arcs, lower + disks + loops_a + loops_b, seams, [c[0] for c in cycles_of(n_a, n_b)])
+            surfaces[key] = surface, first_cup, first_cup + len(loops_a), (1 << len(loops_b)) - 1
+        surface, first_cup, first_cap, plus = surfaces[key]
+        reduced = surface.reduced
         for e_a, a in enumerate(ids_a):
             for e_b, b in enumerate(ids_b):
                 dotted = e_a << first_cup | (plus ^ e_b) << first_cap
                 total: Morphism = {}
                 for mask, c in morphism.items():
-                    _add(total, surface.reduce(mask | dotted), c)
+                    mask |= dotted
+                    for m, v in (reduced[mask] if mask in reduced else surface.reduce(mask)).items():
+                        v = total.pop(m, 0) + c * v
+                        if v:
+                            total[m] = v
                 new.put(a, b, total)
 
     for src, targets in old.out.items():

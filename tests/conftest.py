@@ -310,6 +310,20 @@ def braid_closure(word, strands: int) -> dict:
     return {"crossings": crossings, "free_circles": sum(at[p] == p + 1 for p in range(strands))}
 
 
+def kink_chain(n: int, signs=(1,)) -> dict:
+    """Diagram JSON of one circle with ``n`` Reidemeister I kinks in a row, an unknot.
+
+    Kink i has its loop on edge 2i + 1 and leaves by edge 2i + 2; its sign
+    is ``signs[i % len(signs)]``.
+    """
+    crossings = [
+        {"sign": signs[i % len(signs)], "under_in": 2 * i if i else 2 * n, "over_in": 2 * i + 1,
+         "under_out": 2 * i + 1, "over_out": 2 * i + 2}
+        for i in range(n)
+    ]
+    return {"crossings": crossings, "free_circles": 0}
+
+
 def random_braid_word(rng: random.Random, strands: int, length: int) -> list:
     """``length`` letters, each generator and sign equally likely."""
     return [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]

@@ -12,7 +12,7 @@ from bracketlab.biquandle import (
 )
 from bracketlab.corpus import load_corpus_json
 from bracketlab.diagram import DiagramError, parse_diagram
-from conftest import braid_closure, random_braid_word
+from conftest import braid_closure, kink_chain, random_braid_word
 
 # Dihedral quandle R_3: x under y = 2y - x (mod 3), x over y = x.
 R3_UNDER = [[1, 3, 2], [3, 2, 1], [2, 1, 3]]
@@ -126,6 +126,13 @@ class TestColorings:
         assert len(enumerate_colorings(flip, parse_diagram({"crossings": [], "free_circles": 3}))) == 8
         with pytest.raises(DiagramError, match="more than 8 colorings"):
             enumerate_colorings(flip, parse_diagram({"crossings": [], "free_circles": 4}))
+
+    def test_long_kink_chain_colors_like_the_unknot(self, flip, threeel, diagrams):
+        # About one free choice per kink: more levels than Python's recursion limit.
+        for signs in ((1,), (1, -1)):
+            D = parse_diagram(kink_chain(1500, signs))
+            for X in (flip, threeel):
+                assert counting_invariant(X, D) == counting_invariant(X, diagrams["unknot"]), (X.n, signs)
 
 
 @pytest.mark.parametrize("name", ["flip", "threeel", "r3"])

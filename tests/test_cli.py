@@ -308,6 +308,21 @@ def test_too_many_colorings_exit_2(runner, tmp_path):
     assert "more than 16384 colorings" in result.output
 
 
+def test_colorings_of_a_thousand_kinks(runner, tmp_path):
+    # Two free choices per kink, 2,000 levels, twice Python's default recursion limit; one coloring.
+    kinks = [
+        {**KINK, "under_in": 2 * t + 1, "over_in": 2 * t + 2, "under_out": 2 * t + 2, "over_out": 2 * t + 1}
+        for t in range(1000)
+    ]
+    diagram, biquandle = tmp_path / "kinks.json", tmp_path / "one.json"
+    diagram.write_text(json.dumps({"crossings": kinks}))
+    biquandle.write_text(json.dumps({"under": [[1]], "over": [[1]]}))
+    result = runner.invoke(main, ["colorings", str(biquandle), str(diagram)])
+    assert result.exit_code == 0, result.output
+    out = json.loads(result.output)
+    assert out["count"] == 1 and out["colorings"] == [{str(arc): 1 for arc in range(1, 2001)}]
+
+
 def test_kink_fixture_is_well_formed(runner, tmp_path):
     path = tmp_path / "kink.json"
     path.write_text(json.dumps({"crossings": [KINK]}))

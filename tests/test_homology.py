@@ -26,6 +26,7 @@ from conftest import (
     braid_closure,
     grading_subgroup,
     kauffman_state_sum,
+    kink_chain,
     random_braid_word,
     reference_cube_complex,
 )
@@ -184,6 +185,19 @@ class TestClassicalKhovanov:
                 tensored = khovanov_classical(parse_diagram({**data, "free_circles": free + extra}))
                 kinked = khovanov_classical(parse_diagram({"crossings": data["crossings"] + kinks, "free_circles": 0}))
                 assert tensored == kinked, (word, strands, extra)
+
+    def test_scan_equals_cube_on_split_diagrams(self, diagrams):
+        # The trefoil's crossings come first, after which no edge is open and
+        # every matching is empty; the hopf's labels interleave with its own.
+        def relabelled(name, label):
+            return [{k: v if k == "sign" else label(v) for k, v in c.to_json().items()} for c in diagrams[name].crossings]
+
+        trefoil, hopf = relabelled("trefoil", lambda e: 2 * e + 1), relabelled("hopf", lambda e: 2 * e)
+        for crossings in (trefoil + hopf, hopf + trefoil, kink_chain(6, (1, 1, -1))["crossings"]):
+            D = parse_diagram({"crossings": crossings, "free_circles": 0})
+            table = khovanov_classical(D)
+            assert table == cube_khovanov(D), crossings
+            assert table.euler_characteristic() == kauffman_state_sum(D), crossings
 
     def test_free_circles_equal_cube(self):
         rng = random.Random(7)
