@@ -7,8 +7,7 @@ convention: ``under[x-1][y-1]`` is x under y, ``over[x-1][y-1]`` is x over y.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable, List, NamedTuple
 
 from .diagram import DiagramError, OrientedDiagram, _is_int
 
@@ -16,8 +15,7 @@ from .diagram import DiagramError, OrientedDiagram, _is_int
 MAX_COLORINGS = 1 << 14
 
 
-@dataclass(frozen=True)
-class AxiomFailure:
+class AxiomFailure(NamedTuple):
     axiom: str
     witness: tuple
     detail: str = ""
@@ -26,7 +24,6 @@ class AxiomFailure:
         return {"axiom": self.axiom, "witness": list(self.witness), "detail": self.detail}
 
 
-@dataclass
 class Report:
     """The outcome of one check.
 
@@ -36,10 +33,11 @@ class Report:
     is empty elsewhere.
     """
 
-    name: str
-    ok: bool
-    failures: List[AxiomFailure]
-    details: dict
+    def __init__(self, name: str, ok: bool, failures: List[AxiomFailure], details: dict):
+        self.name = name
+        self.ok = ok
+        self.failures = failures
+        self.details = details
 
     @classmethod
     def of_failures(cls, failures: List[AxiomFailure]) -> "Report":
@@ -157,8 +155,7 @@ def verify_biquandle(under, over) -> Report:
     return Report.of_failures(failures)
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """An assignment of biquandle elements to the arcs of a diagram."""
 
     diagram: OrientedDiagram

@@ -114,93 +114,77 @@ def verify_bracket(X: Biquandle, R: Ring, A, B, literal: bool = False) -> Report
     A = tuple(tuple(row) for row in A)
     B = tuple(tuple(row) for row in B)
 
-    inv = {}
-    for name, table in (("A", A), ("B", B)):
+    Ai = [[R.try_invert(v) for v in row] for row in A]
+    Bi = [[R.try_invert(v) for v in row] for row in B]
+    for name, table, inverses in (("A", A, Ai), ("B", B, Bi)):
         for i in range(n):
             for j in range(n):
-                v = table[i][j]
-                b = R.try_invert(v)
-                if b is None:
+                if inverses[i][j] is None:
                     failures.append(
-                        AxiomFailure("unit", (name, i + 1, j + 1), f"{v!r} is not a unit")
+                        AxiomFailure("unit", (name, i + 1, j + 1), f"{table[i][j]!r} is not a unit")
                     )
-                inv[(name, i + 1, j + 1)] = b
     if failures:
         return Report.of_failures(failures)
-
-    a = lambda x, y: A[x - 1][y - 1]
-    b = lambda x, y: B[x - 1][y - 1]
-    ai = lambda x, y: inv[("A", x, y)]
-    bi = lambda x, y: inv[("B", x, y)]
-    un, ov = X.under, X.over
+    mul, add, neg = R.mul, R.add, R.neg
 
     # (i): w = -A_{x,x}^2 B_{x,x}^{-1} independent of x.
     w = None
-    for x in X.elements():
-        wx = R.neg(R.mul(R.mul(a(x, x), a(x, x)), bi(x, x)))
+    for x in range(n):
+        wx = neg(mul(mul(A[x][x], A[x][x]), Bi[x][x]))
         if w is None:
             w = wx
         elif wx != w:
-            failures.append(AxiomFailure("i", (x,), f"w mismatch: {wx!r} vs {w!r}"))
+            failures.append(AxiomFailure("i", (x + 1,), f"w mismatch: {wx!r} vs {w!r}"))
 
     # (ii): delta = -A_{x,y} B_{x,y}^{-1} - A_{x,y}^{-1} B_{x,y} independent of (x,y).
     delta = None
-    for x in X.elements():
-        for y in X.elements():
-            d = R.sub(R.neg(R.mul(a(x, y), bi(x, y))), R.mul(ai(x, y), b(x, y)))
+    for x in range(n):
+        for y in range(n):
+            d = R.sub(neg(mul(A[x][y], Bi[x][y])), mul(Ai[x][y], B[x][y]))
             if delta is None:
                 delta = d
             elif d != delta:
-                failures.append(AxiomFailure("ii", (x, y), f"delta mismatch: {d!r} vs {delta!r}"))
+                failures.append(AxiomFailure("ii", (x + 1, y + 1), f"delta mismatch: {d!r} vs {delta!r}"))
     if failures:
         return Report.of_failures(failures)
 
-    def prod3(u, v, t):
-        return R.mul(R.mul(u, v), t)
-
-    for x, y, z in itertools.product(X.elements(), repeat=3):
-        xy, zy = un(x, y), ov(z, y)
-        xz, yz = un(x, z), un(y, z)
-        yx, zx = ov(y, x), ov(z, x)
-        eqs = [
-            ("iii.1", prod3(a(x, y), a(y, z), a(xy, zy)), prod3(a(x, z), a(yx, zx), a(xz, yz))),
-            ("iii.2", prod3(a(x, y), b(y, z), b(xy, zy)), prod3(b(x, z), b(yx, zx), a(xz, yz))),
-            ("iii.3", prod3(b(x, y), a(y, z), b(xy, zy)), prod3(b(x, z), a(yx, zx), b(xz, yz))),
-        ]
+    # (iii), over 0-based elements: un[x][y] is x under y, ov[x][y] is x over y.
+    un = [[v - 1 for v in row] for row in X.under_table]
+    ov = [[v - 1 for v in row] for row in X.over_table]
+    for x, y, z in itertools.product(range(n), repeat=3):
+        xy, zy = un[x][y], ov[z][y]
+        xz, yz = un[x][z], un[y][z]
+        yx, zx = ov[y][x], ov[z][x]
+        # Each side of each equation is a product of three coefficients; the
+        # first two are indexed (x,y), (y,z) on the left and (x,z), (yx,zx)
+        # on the right, and their products are shared by the five equations.
+        l_aa, l_ab = mul(A[x][y], A[y][z]), mul(A[x][y], B[y][z])
+        l_ba, l_bb = mul(B[x][y], A[y][z]), mul(B[x][y], B[y][z])
+        r_aa, r_ab = mul(A[x][z], A[yx][zx]), mul(A[x][z], B[yx][zx])
+        r_ba, r_bb = mul(B[x][z], A[yx][zx]), mul(B[x][z], B[yx][zx])
+        a_l, b_l = A[xy][zy], B[xy][zy]
+        a_r, b_r = A[xz][yz], B[xz][yz]
         # The printed equation 4 has B_{x under x, z over y} on the left and
         # B_{y over x, z over z} in its first right-hand term; the corrected
         # form restores the x,y,z symmetry of the other equations.
         if literal:
-            lhs4 = prod3(a(x, y), a(y, z), b(un(x, x), zy))
-            term1_mid = b(yx, ov(z, z))
+            lhs4 = mul(l_aa, B[un[x][x]][zy])
+            term1 = mul(mul(A[x][z], B[yx][ov[z][z]]), a_r)
         else:
-            lhs4 = prod3(a(x, y), a(y, z), b(xy, zy))
-            term1_mid = b(yx, zx)
-        rhs4 = R.add(
-            R.add(prod3(a(x, z), term1_mid, a(xz, yz)), prod3(a(x, z), a(yx, zx), b(xz, yz))),
-            R.add(
-                R.mul(delta, prod3(a(x, z), b(yx, zx), b(xz, yz))),
-                prod3(b(x, z), b(yx, zx), b(xz, yz)),
-            ),
-        )
-        eqs.append(("iii.4", lhs4, rhs4))
-        lhs5 = prod3(b(x, z), a(yx, zx), a(xz, yz))
-        rhs5 = R.add(
-            R.add(prod3(b(x, y), a(y, z), a(xy, zy)), prod3(a(x, y), b(y, z), a(xy, zy))),
-            R.add(
-                R.mul(delta, prod3(b(x, y), b(y, z), a(xy, zy))),
-                prod3(b(x, y), b(y, z), b(xy, zy)),
-            ),
-        )
-        eqs.append(("iii.5", lhs5, rhs5))
-        for axiom, lhs, rhs in eqs:
+            lhs4 = mul(l_aa, b_l)
+            term1 = mul(r_ab, a_r)
+        rhs4 = add(add(term1, mul(r_aa, b_r)), add(mul(delta, mul(r_ab, b_r)), mul(r_bb, b_r)))
+        rhs5 = add(add(mul(l_ba, a_l), mul(l_ab, a_l)), add(mul(delta, mul(l_bb, a_l)), mul(l_bb, b_l)))
+        for axiom, lhs, rhs in (
+            ("iii.1", mul(l_aa, a_l), mul(r_aa, a_r)),
+            ("iii.2", mul(l_ab, b_l), mul(r_bb, a_r)),
+            ("iii.3", mul(l_ba, b_l), mul(r_ba, b_r)),
+            ("iii.4", lhs4, rhs4),
+            ("iii.5", mul(r_ba, a_r), rhs5),
+        ):
             if lhs != rhs:
                 failures.append(
-                    AxiomFailure(
-                        axiom,
-                        (x, y, z),
-                        f"{R.element_str(lhs)} != {R.element_str(rhs)}",
-                    )
+                    AxiomFailure(axiom, (x + 1, y + 1, z + 1), f"{R.element_str(lhs)} != {R.element_str(rhs)}")
                 )
     return Report.of_failures(failures)
 

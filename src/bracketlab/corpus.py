@@ -15,9 +15,8 @@ u(f) per coloring.  No check builds the 2^n cube of smoothings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .biquandle import Biquandle, Coloring, Report, enumerate_colorings, multiset, verify_biquandle
 from .bracket import Bracket, decode_bracket, verify_bracket
@@ -28,8 +27,7 @@ from .homology import check_colorings
 from .tangle import khovanov_complex, tensor_free_circles
 
 
-@dataclass
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     name: str
     file: str
     expected_verification: str = "pass"  # biquandles/brackets/cocycles
@@ -45,12 +43,18 @@ _KEYS = {
 }
 
 
-@dataclass
 class CorpusManifest:
-    diagrams: List[ManifestEntry] = field(default_factory=list)
-    biquandles: List[ManifestEntry] = field(default_factory=list)
-    brackets: List[ManifestEntry] = field(default_factory=list)
-    cocycles: List[ManifestEntry] = field(default_factory=list)
+    def __init__(
+        self,
+        diagrams: Sequence[ManifestEntry] = (),
+        biquandles: Sequence[ManifestEntry] = (),
+        brackets: Sequence[ManifestEntry] = (),
+        cocycles: Sequence[ManifestEntry] = (),
+    ):
+        self.diagrams = list(diagrams)
+        self.biquandles = list(biquandles)
+        self.brackets = list(brackets)
+        self.cocycles = list(cocycles)
 
     @classmethod
     def from_json(cls, data) -> "CorpusManifest":

@@ -20,8 +20,8 @@ carries the A-type skein coefficient and bit 1 the B-type one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 
 class DiagramError(ValueError):
@@ -32,8 +32,7 @@ class DiagramError(ValueError):
 MAX_FREE_CIRCLES = 256
 
 
-@dataclass(frozen=True)
-class CrossingRecord:
+class CrossingRecord(NamedTuple):
     sign: int
     under_in: int
     over_in: int
@@ -63,61 +62,54 @@ class OrientedDiagram:
             raise DiagramError(f"free_circles must be an integer from 0 to {MAX_FREE_CIRCLES}, got {free_circles!r}")
         self.crossings = tuple(crossings)
         self.free_circles = free_circles
-        self._validate()
-        edges = sorted({lbl for c in self.crossings for lbl in self._edge_labels(c)})
-        top = max(edges) if edges else 0
-        self.edges = edges
+        # The incidence map, from one walk over the crossings: edge label -> corner it enters by, and leaves by.
+        self._enters, self._leaves, self.n_minus = self._validate()
+        self.edges = sorted(self._enters)
+        top = self.edges[-1] if self.edges else 0
         self.free_circle_arcs = tuple(range(top + 1, top + 1 + self.free_circles))
-        self.n_plus = sum(1 for c in self.crossings if c.sign == 1)
-        self.n_minus = sum(1 for c in self.crossings if c.sign == -1)
+        self.n_plus = len(self.crossings) - self.n_minus
         self.scan_order = frontier_order(self)  # the crossing order of the bracket and tangle scans
 
     @staticmethod
     def _edge_labels(c: CrossingRecord):
         return (c.under_in, c.over_in, c.under_out, c.over_out)
 
-    def _validate(self):
-        incoming: Dict[int, int] = {}
-        outgoing: Dict[int, int] = {}
-        for idx, c in enumerate(self.crossings):
-            if not _is_int(c.sign) or c.sign not in (1, -1):
-                raise DiagramError(f"crossing {idx}: bad sign {c.sign!r}")
-            for label, bucket in (
-                (c.under_in, incoming),
-                (c.over_in, incoming),
-                (c.under_out, outgoing),
-                (c.over_out, outgoing),
-            ):
-                if not _is_int(label) or label < 1:
-                    raise DiagramError(f"crossing {idx}: bad edge label {label!r}")
-                if label in bucket:
-                    raise DiagramError(f"edge {label} used twice as {'input' if bucket is incoming else 'output'}")
-                bucket[label] = idx
-        if set(incoming) != set(outgoing):
-            dangling = set(incoming) ^ set(outgoing)
-            raise DiagramError(f"dangling edge labels: {sorted(dangling)}")
-        self._check_planar()
-
-    def _check_planar(self):
-        """Raise unless the crossings and edges lie in the plane as drawn.
+    def _validate(self) -> Tuple[Dict[int, int], Dict[int, int], int]:
+        """Check the crossings in one walk: the incidence map and the number of negative crossings.
 
         Corner 4i + k is corner k of crossing i, clockwise from NW (NW, NE,
         SE, SW as in the module docstring): the two inputs, then the two
-        outputs.  A face is walked by following an edge to its far corner
-        and turning to the next corner clockwise.  By Euler's formula, a
-        graph of n crossings and 2n edges in k pieces is plane exactly when
-        it has n + 2k faces.
+        outputs.  Each edge label must enter by one corner and leave by one.
+        """
+        enters: Dict[int, int] = {}
+        leaves: Dict[int, int] = {}
+        n_minus = 0
+        for idx, c in enumerate(self.crossings):
+            if not _is_int(c.sign) or c.sign not in (1, -1):
+                raise DiagramError(f"crossing {idx}: bad sign {c.sign!r}")
+            flip = c.sign == -1  # a negative crossing has its strands the other way round at each side
+            n_minus += flip
+            for k, label in enumerate(self._edge_labels(c)):
+                if not _is_int(label) or label < 1:
+                    raise DiagramError(f"crossing {idx}: bad edge label {label!r}")
+                bucket = enters if k < 2 else leaves
+                if label in bucket:
+                    raise DiagramError(f"edge {label} used twice as {'input' if k < 2 else 'output'}")
+                bucket[label] = 4 * idx + (k ^ flip)
+        if enters.keys() != leaves.keys():
+            raise DiagramError(f"dangling edge labels: {sorted(enters.keys() ^ leaves.keys())}")
+        self._check_planar(enters, leaves)
+        return enters, leaves, n_minus
+
+    def _check_planar(self, enters: Dict[int, int], leaves: Dict[int, int]):
+        """Raise unless the crossings and edges lie in the plane as drawn.
+
+        ``enters`` and ``leaves`` are the incidence map.  A face is walked by
+        following an edge to its far corner and turning to the next corner
+        clockwise.  By Euler's formula, a graph of n crossings and 2n edges
+        in k pieces is plane exactly when it has n + 2k faces.
         """
         n = len(self.crossings)
-        enters: Dict[int, int] = {}  # edge label -> the corner it enters by
-        leaves: Dict[int, int] = {}  # edge label -> the corner it leaves by
-        for i, c in enumerate(self.crossings):
-            if c.sign == 1:
-                corners = (c.under_in, c.over_in), (c.under_out, c.over_out)
-            else:
-                corners = (c.over_in, c.under_in), (c.over_out, c.under_out)
-            (nw, ne), (se, sw) = corners
-            enters[nw], enters[ne], leaves[se], leaves[sw] = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
         piece = list(range(n))
 
         def find(i):
@@ -195,36 +187,49 @@ def _pairings(crossing: CrossingRecord, bit: int) -> List[Tuple[int, int]]:
     return [(crossing.under_in, crossing.over_in), (crossing.under_out, crossing.over_out)]
 
 
-def _width(D: OrientedDiagram, order: List[int]) -> int:
-    """The most edges open at once when crossings are taken in ``order``."""
-    taken: Dict[int, int] = {}
-    width = widest = 0
-    for index in order:
-        for label in D._edge_labels(D.crossings[index]):
-            taken[label] = taken.get(label, 0) + 1
-            width += 1 if taken[label] == 1 else -1
-        widest = max(widest, width)
-    return widest
-
-
 def frontier_order(D: OrientedDiagram) -> List[int]:
     """Crossing indices in an order that keeps few edges open.
 
     Greedy: the next crossing is the one sharing the most edge labels with
     the crossings already taken; ties go to PD order.  PD order itself is
-    returned when it leaves fewer edges open at its widest.
+    returned when it leaves fewer edges open at its widest.  A heap keyed by
+    (-labels shared, index) finds each next crossing: a crossing's count only
+    grows, so its entries from before it grew come out after it is taken.
     """
-    labels = [set(D._edge_labels(c)) for c in D.crossings]
-    left = list(range(len(D.crossings)))
-    taken: set = set()
+    enters, leaves = D._enters, D._leaves
+    # The crossing at the far end of each of a crossing's four edge ends; a kink's loop ends where it starts.
+    far = [
+        (leaves[c.under_in] // 4, leaves[c.over_in] // 4, enters[c.under_out] // 4, enters[c.over_out] // 4)
+        for c in D.crossings
+    ]
+    width = pd_widest = 0
+    for i, ends in enumerate(far):  # in PD order an edge opens at its first end and closes at its second
+        for j in ends:
+            if j != i:
+                width += 1 if j > i else -1
+        pd_widest = max(pd_widest, width)
+    shared = [0] * len(far)
+    taken = [False] * len(far)
+    heap = [(0, i) for i in range(len(far))]  # sorted, so a heap
     order = []
-    while left:
-        best = max(left, key=lambda i: len(labels[i] & taken))
-        left.remove(best)
-        order.append(best)
-        taken |= labels[best]
-    pd_order = list(range(len(D.crossings)))
-    return pd_order if _width(D, pd_order) < _width(D, order) else order
+    width = widest = 0
+    while heap:
+        i = heappop(heap)[1]
+        if taken[i]:
+            continue
+        taken[i] = True
+        order.append(i)
+        for j in far[i]:
+            if j == i:
+                continue
+            if taken[j]:
+                width -= 1
+            else:
+                width += 1
+                shared[j] += 1
+                heappush(heap, (-shared[j], j))
+        widest = max(widest, width)
+    return list(range(len(far))) if pd_widest < widest else order
 
 
 def _smoothings(crossing: CrossingRecord):

@@ -12,7 +12,6 @@ arbitrary-precision integers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .rings import Ring
@@ -144,7 +143,6 @@ def evaluate_formal_sum(chi: dict, ring: Ring):
 # Complexes and cohomology
 
 
-@dataclass
 class GradedComplex:
     """A cochain complex of graded free Z-modules on expanded bases.
 
@@ -155,8 +153,9 @@ class GradedComplex:
     Indices are the shifted (cohomological) indices.
     """
 
-    degrees: Dict[int, list]
-    differentials: Dict[int, List[Dict[int, int]]]
+    def __init__(self, degrees: Dict[int, list], differentials: Dict[int, List[Dict[int, int]]]):
+        self.degrees = degrees
+        self.differentials = differentials
 
     def validate(self):
         """Check degree preservation and d(i+1) o d(i) = 0; raise on failure."""
@@ -185,17 +184,37 @@ class GradedComplex:
         return _euler((i, d, 1) for i, degs in self.degrees.items() for d in degs)
 
 
-@dataclass(frozen=True, order=True)
 class HomologyTable:
     """Per-(index, degree) cohomology: free rank plus torsion invariant factors.
 
     ``ring`` is the ring whose units the degrees are, printed by its
     ``element_str``, or ``None`` when the degrees are integer q-exponents,
-    printed as ints.  Tables compare and order by their entries alone.
+    printed as ints.  Tables compare, hash and order by their entries alone.
     """
 
-    ring: Optional[Ring] = field(compare=False)
-    entries: tuple  # sorted tuple of ((i, degree), rank, torsion-tuple)
+    __slots__ = ("ring", "entries")
+
+    def __init__(self, ring: Optional[Ring], entries: tuple):
+        self.ring = ring
+        self.entries = entries  # sorted tuple of ((i, degree), rank, torsion-tuple)
+
+    def __eq__(self, other):
+        return self.entries == other.entries if isinstance(other, HomologyTable) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __lt__(self, other: "HomologyTable") -> bool:
+        return self.entries < other.entries
+
+    def __le__(self, other: "HomologyTable") -> bool:
+        return self.entries <= other.entries
+
+    def __gt__(self, other: "HomologyTable") -> bool:
+        return self.entries > other.entries
+
+    def __ge__(self, other: "HomologyTable") -> bool:
+        return self.entries >= other.entries
 
     @classmethod
     def from_dict(cls, ring: Optional[Ring], data: dict) -> "HomologyTable":

@@ -10,7 +10,6 @@ arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable
 
@@ -261,12 +260,22 @@ def ring_make(desc: dict) -> Ring:
     raise RingError(f"unknown ring kind {kind!r}")
 
 
-@dataclass(frozen=True)
 class UnitSubgroup:
-    """A multiplicative subgroup of R^x, closed under product and inverse."""
+    """A multiplicative subgroup of R^x, closed under product and inverse; equal when ring and elements are."""
 
-    ring: Ring
-    elements: frozenset
+    __slots__ = ("ring", "elements")
+
+    def __init__(self, ring: Ring, elements: frozenset):
+        self.ring = ring
+        self.elements = elements
+
+    def __eq__(self, other):
+        if not isinstance(other, UnitSubgroup):
+            return NotImplemented
+        return self.ring == other.ring and self.elements == other.elements
+
+    def __hash__(self):
+        return hash((self.ring, self.elements))
 
     def __contains__(self, a):
         return a in self.elements
@@ -302,18 +311,20 @@ def subgroup_generate(ring: Ring, gens: Iterable) -> UnitSubgroup:
     return UnitSubgroup(ring=ring, elements=frozenset(elems))
 
 
-@dataclass(frozen=True)
 class Coset:
-    """A coset aG of a unit subgroup, identified by its minimal representative."""
+    """A coset aG of a unit subgroup, identified by its minimal representative.
 
-    subgroup: UnitSubgroup
-    representative: object = field(compare=False)
-    _canonical: object = field(init=False, repr=False, compare=False)
+    Two cosets are equal when their subgroups have the same elements and
+    their canonical forms match; they hash and order by the canonical form.
+    """
 
-    def __post_init__(self):
-        ring = self.subgroup.ring
-        products = (ring.mul(self.representative, g) for g in self.subgroup.elements)
-        object.__setattr__(self, "_canonical", min(products))
+    __slots__ = ("subgroup", "representative", "_canonical")
+
+    def __init__(self, subgroup: UnitSubgroup, representative):
+        self.subgroup = subgroup
+        self.representative = representative
+        ring = subgroup.ring
+        self._canonical = min(ring.mul(representative, g) for g in subgroup.elements)
 
     @property
     def canonical(self):

@@ -348,9 +348,12 @@ def tensor_free_circles(table: HomologyTable, k: int) -> HomologyTable:
     Exact over Z because V is free: the entry at (i, j) with rank r and
     torsion T adds, for e = 0..k, rank C(k, e) r and C(k, e) copies of T at
     (i, j + k - 2e), so 2^k times the torsion factors of ``table``, which
-    past ``MAX_TORSION_FACTORS`` are refused before any is written.
+    past ``MAX_TORSION_FACTORS`` are refused before any is written.  With
+    k = 0 that is ``table`` itself.
     """
     factors = sum(len(torsion) for _, _, torsion in table.entries) << k
     if factors > MAX_TORSION_FACTORS:
         raise DiagramError(f"{k} free circles would make {factors} torsion factors (at most {MAX_TORSION_FACTORS})")
+    if k == 0:
+        return table
     return table.regraded(None, lambda j: [(j + k - 2 * e, comb(k, e)) for e in range(k + 1)])

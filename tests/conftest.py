@@ -324,6 +324,96 @@ def kink_chain(n: int, signs=(1,)) -> dict:
     return {"crossings": crossings, "free_circles": 0}
 
 
+def reference_verify_bracket(X: Biquandle, R, A, B, literal: bool = False) -> list:
+    """The failures ``verify_bracket`` must report, as JSON, each equation written out in full.
+
+    Every side of axiom (iii) is a product of three coefficients taken in
+    the order the paper prints them; see ``verify_bracket`` for the literal
+    form of equation 4.
+    """
+    a = lambda x, y: A[x - 1][y - 1]
+    b = lambda x, y: B[x - 1][y - 1]
+    inv = lambda v: R.try_invert(v)
+    un, ov, els = X.under, X.over, list(X.elements())
+    failures = [
+        {"axiom": "unit", "witness": [name, x, y], "detail": f"{c(x, y)!r} is not a unit"}
+        for name, c in (("A", a), ("B", b)) for x in els for y in els if inv(c(x, y)) is None
+    ]
+    if failures:
+        return failures
+    ws = [R.neg(R.mul(R.mul(a(x, x), a(x, x)), inv(b(x, x)))) for x in els]
+    failures += [
+        {"axiom": "i", "witness": [x], "detail": f"w mismatch: {ws[x - 1]!r} vs {ws[0]!r}"}
+        for x in els if ws[x - 1] != ws[0]
+    ]
+    pairs = [(x, y) for x in els for y in els]
+    deltas = [R.sub(R.neg(R.mul(a(x, y), inv(b(x, y)))), R.mul(inv(a(x, y)), b(x, y))) for x, y in pairs]
+    failures += [
+        {"axiom": "ii", "witness": [x, y], "detail": f"delta mismatch: {d!r} vs {deltas[0]!r}"}
+        for (x, y), d in zip(pairs, deltas) if d != deltas[0]
+    ]
+    if failures:
+        return failures
+    delta = deltas[0]
+
+    def p3(u, v, t):
+        return R.mul(R.mul(u, v), t)
+
+    for x, y, z in itertools.product(els, repeat=3):
+        xy, zy, xz, yz, yx, zx = un(x, y), ov(z, y), un(x, z), un(y, z), ov(y, x), ov(z, x)
+        lhs4 = p3(a(x, y), a(y, z), b(un(x, x), zy) if literal else b(xy, zy))
+        mid = b(yx, ov(z, z)) if literal else b(yx, zx)
+        sums = [
+            [p3(a(x, z), mid, a(xz, yz)), p3(a(x, z), a(yx, zx), b(xz, yz)),
+             R.mul(delta, p3(a(x, z), b(yx, zx), b(xz, yz))), p3(b(x, z), b(yx, zx), b(xz, yz))],
+            [p3(b(x, y), a(y, z), a(xy, zy)), p3(a(x, y), b(y, z), a(xy, zy)),
+             R.mul(delta, p3(b(x, y), b(y, z), a(xy, zy))), p3(b(x, y), b(y, z), b(xy, zy))],
+        ]
+        rhs4, rhs5 = (R.add(R.add(s[0], s[1]), R.add(s[2], s[3])) for s in sums)
+        for axiom, lhs, rhs in (
+            ("iii.1", p3(a(x, y), a(y, z), a(xy, zy)), p3(a(x, z), a(yx, zx), a(xz, yz))),
+            ("iii.2", p3(a(x, y), b(y, z), b(xy, zy)), p3(b(x, z), b(yx, zx), a(xz, yz))),
+            ("iii.3", p3(b(x, y), a(y, z), b(xy, zy)), p3(b(x, z), a(yx, zx), b(xz, yz))),
+            ("iii.4", lhs4, rhs4),
+            ("iii.5", p3(b(x, z), a(yx, zx), a(xz, yz)), rhs5),
+        ):
+            if lhs != rhs:
+                detail = f"{R.element_str(lhs)} != {R.element_str(rhs)}"
+                failures.append({"axiom": axiom, "witness": [x, y, z], "detail": detail})
+    return failures
+
+
+def open_edges(D: OrientedDiagram, order) -> int:
+    """The most edges with exactly one end at a taken crossing, taking crossings in ``order``."""
+    ends: Dict[int, int] = {}
+    widest = 0
+    for index in order:
+        c = D.crossings[index]
+        for label in (c.under_in, c.over_in, c.under_out, c.over_out):
+            ends[label] = ends.get(label, 0) + 1
+        widest = max(widest, sum(1 for n in ends.values() if n == 1))
+    return widest
+
+
+def greedy_frontier_order(D: OrientedDiagram) -> List[int]:
+    """``frontier_order`` by its definition, in O(n^2): the oracle for its heap.
+
+    Each step takes the crossing left that shares the most edge labels with
+    those taken, the lowest index on a tie; PD order wins if it is narrower.
+    """
+    labels = [{c.under_in, c.over_in, c.under_out, c.over_out} for c in D.crossings]
+    left = list(range(len(D.crossings)))
+    taken: set = set()
+    order = []
+    while left:
+        best = max(left, key=lambda i: len(labels[i] & taken))
+        left.remove(best)
+        order.append(best)
+        taken |= labels[best]
+    pd_order = list(range(len(D.crossings)))
+    return pd_order if open_edges(D, pd_order) < open_edges(D, order) else order
+
+
 def random_braid_word(rng: random.Random, strands: int, length: int) -> list:
     """``length`` letters, each generator and sign equally likely."""
     return [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]

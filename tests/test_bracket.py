@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bracketlab.biquandle import enumerate_colorings
+from bracketlab.biquandle import Biquandle, enumerate_colorings
 from bracketlab.bracket import (
     Bracket,
     bracket_from_json,
@@ -14,8 +14,8 @@ from bracketlab.bracket import (
 )
 from bracketlab.corpus import load_corpus_json
 from bracketlab.diagram import OrientedDiagram, parse_diagram
-from bracketlab.rings import ZModRing
-from conftest import DIAGRAM_NAMES, braid_closure, random_braid_word, smoothing_states
+from bracketlab.rings import ZModRing, ring_make
+from conftest import DIAGRAM_NAMES, braid_closure, random_braid_word, reference_verify_bracket, smoothing_states
 
 
 def walk_bracket_values(beta, D, colorings, states=None) -> list:
@@ -93,6 +93,43 @@ class TestVerify:
         literal = verify_bracket(beta.biquandle, beta.ring, beta.A, beta.B, literal=True)
         assert corrected.ok
         assert isinstance(literal.ok, bool)  # runs to completion either way
+
+    def test_failures_match_the_written_out_equations(self, brackets, flip, threeel):
+        # Every bundled bracket, then random unit tables on the bundled
+        # biquandles or on random operation tables, in both forms of equation
+        # 4: any units or some non-units; constant tables with one entry
+        # changed; and tables with A_{x,y} B_{x,y}^{-1} in {r, r^{-1}} and one
+        # A_{x,x}, which pass axioms (i) and (ii) and reach (iii) with unequal
+        # coefficients.
+        cases = [(beta.biquandle, beta.ring, beta.A, beta.B) for beta in brackets.values()]
+        rings = [ring_make({"kind": "zmod", "n": n}) for n in (5, 9)]
+        rings.append(ring_make({"kind": "poly_quotient", "base_n": 2, "modulus": [1, 1, 0, 1]}))
+        rng = random.Random(3)
+        for _ in range(150):
+            X, R = rng.choice((flip, threeel, None)), rng.choice(rings)
+            if X is None:  # tables that need not be a biquandle, with over depending on both arguments
+                n = rng.randint(2, 3)
+                X = Biquandle(*([[rng.randint(1, n) for _ in range(n)] for _ in range(n)] for _ in "uo"))
+            units = sorted(R.units())
+            pool = units if rng.random() < 0.8 else list(R.elements())
+            A, B = ([[rng.choice(pool) for _ in range(X.n)] for _ in range(X.n)] for _ in "AB")
+            kind = rng.random()
+            if kind < 0.3:
+                A, B = ([[rng.choice(units)] * X.n for _ in range(X.n)] for _ in "AB")
+                A[rng.randrange(X.n)][rng.randrange(X.n)] = rng.choice(units)
+            elif kind < 0.7:
+                r, diagonal = rng.choice(units), rng.choice(units)
+                A = [[diagonal if x == y else rng.choice(units) for y in range(X.n)] for x in range(X.n)]
+                B = [[R.mul(v, R.try_invert(r) if x == y or rng.random() < 0.5 else r) for y, v in enumerate(row)]
+                     for x, row in enumerate(A)]
+            cases.append((X, R, A, B))
+        kinds = set()
+        for X, R, A, B in cases:
+            for literal in (False, True):
+                got = verify_bracket(X, R, A, B, literal=literal).to_json()["failures"]
+                assert got == reference_verify_bracket(X, R, A, B, literal), (X.n, R, A, B, literal)
+                kinds |= {f["axiom"] for f in got}
+        assert kinds == {"unit", "i", "ii", "iii.1", "iii.2", "iii.3", "iii.4", "iii.5"}
 
     def test_reader_rejects_non_bracket(self):
         data = load_corpus_json("bracket_gf8_broken.json")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from typing import Dict, List, Tuple
 
 import pytest
@@ -16,6 +17,9 @@ from conftest import (
     DIAGRAM_NAMES,
     braid_closure,
     cube_edge_sign,
+    greedy_frontier_order,
+    kink_chain,
+    open_edges,
     random_braid_word,
     resolve_state,
     smoothing_states,
@@ -236,18 +240,6 @@ class TestTransferScan:
             assert by_state == {s.resolution: s.num_circles - D.free_circles for s in smoothing_states(D)}
 
 
-def open_edges(D: OrientedDiagram, order) -> int:
-    """The most edges with exactly one end at a taken crossing, taking crossings in ``order``."""
-    ends: Dict[int, int] = {}
-    widest = 0
-    for index in order:
-        c = D.crossings[index]
-        for label in (c.under_in, c.over_in, c.under_out, c.over_out):
-            ends[label] = ends.get(label, 0) + 1
-        widest = max(widest, sum(1 for n in ends.values() if n == 1))
-    return widest
-
-
 class TestFrontierOrder:
     def test_never_wider_than_pd_order(self):
         # With this seed the greedy order alone is wider than PD order on two closures.
@@ -259,3 +251,26 @@ class TestFrontierOrder:
             order = frontier_order(D)
             assert sorted(order) == list(range(len(D.crossings)))
             assert open_edges(D, order) <= open_edges(D, range(len(D.crossings))), (word, strands)
+
+    def test_equals_the_quadratic_greedy(self, diagrams):
+        # The heap finds the crossing the quadratic scan's definition picks,
+        # ties to the lowest index, and the same choice of PD order.
+        cases = [diagrams[name] for name in DIAGRAM_NAMES]
+        rng = random.Random(40)
+        for _ in range(300):
+            strands = rng.randint(2, 6)
+            cases.append(parse_diagram(braid_closure(random_braid_word(rng, strands, rng.randint(1, 40)), strands)))
+        cases += [parse_diagram(kink_chain(n, (1, -1))) for n in (1, 2, 7)]
+        for D in cases:
+            assert frontier_order(D) == greedy_frontier_order(D), D.to_json()
+
+    def test_thousands_of_kinks_parse_fast(self):
+        # 4,000 disjoint one-crossing kinks: the quadratic scan took about 2 s.
+        kinks = [
+            {"sign": 1, "under_in": 2 * t + 1, "over_in": 2 * t + 2, "under_out": 2 * t + 2, "over_out": 2 * t + 1}
+            for t in range(4000)
+        ]
+        start = time.perf_counter()
+        D = parse_diagram({"crossings": kinks})
+        assert time.perf_counter() - start < 0.25
+        assert D.scan_order == list(range(4000))

@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,20 @@ def test_every_private_helper_is_used():
             used |= names
     unused = sorted(f"{module}:{name}" for name, module in private.items() if name not in used)
     assert private and not unused, f"private helpers nothing uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES + [Path(bracketlab.__file__)], ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # A dataclass decorator generates and compiles its methods in every process that imports it.
+    tree = ast.parse(path.read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "dataclasses" not in imported
+
+
+def test_a_fresh_interpreter_imports_no_dataclasses():
+    src = str(Path(bracketlab.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, bracketlab, bracketlab.corpus, bracketlab.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -13,8 +13,9 @@ from typing import Dict, List
 
 from bracketlab import tangle
 from bracketlab.diagram import parse_diagram
+from bracketlab.graded import cohomology
 from bracketlab.tangle import _cycles, _Surface, khovanov_complex
-from conftest import braid_closure, random_braid_word
+from conftest import DIAGRAM_NAMES, braid_closure, random_braid_word
 
 
 def surface(disks: int, seams: int, cycles: int) -> _Surface:
@@ -151,3 +152,12 @@ def test_each_crossing_smooths_each_matching_once(monkeypatch):
     for crossing in D.crossings:
         bits = [{m for c, b, m in calls if c == crossing and b == bit} for bit in (0, 1)]
         assert bits[0] == bits[1] and bits[0], crossing
+
+
+def test_no_free_circles_returns_the_table_itself(diagrams):
+    # V tensored zero times is Z: the table is returned, and it is what the k = 0 regrade gives.
+    for name in DIAGRAM_NAMES:
+        table = cohomology(khovanov_complex(diagrams[name]))
+        assert tangle.tensor_free_circles(table, 0) is table
+        regraded = table.regraded(None, lambda j: [(j, 1)])
+        assert regraded.entries == table.entries and regraded.to_json() == table.to_json()
