@@ -40,6 +40,10 @@ def _check_shape(n: int, A, B):
 class Bracket:
     """Unit tables (A, B), not checked against the axioms, with cached delta, w, q = q_{1,1} and G.
 
+    ``tables[sign]`` holds the (bit 0, bit 1) coefficient tables of a
+    crossing of that sign: (A, B) for +1 and (B^{-1}, A^{-1}) for -1, from
+    the inverses found when A and B are checked to be units.
+
     G = <q_{x,y}^{-1} q> is the scalar group.  Element 1 serves as the
     basepoint of q, the canonical cocycle and Z_beta; for a bracket any other
     element gives the same G, cocycle, Z_beta cosets and Bh tables, because
@@ -52,14 +56,15 @@ class Bracket:
         self.A = tuple(tuple(row) for row in A)
         self.B = tuple(tuple(row) for row in B)
         _check_shape(biquandle.n, self.A, self.B)
-        for name, table in (("A", self.A), ("B", self.B)):
-            for i, row in enumerate(table):
+        A_inv, B_inv = (tuple(tuple(map(ring.try_invert, row)) for row in table) for table in (self.A, self.B))
+        for name, table, inverse in (("A", self.A, A_inv), ("B", self.B, B_inv)):
+            for i, row in enumerate(inverse):
                 for j, v in enumerate(row):
-                    if ring.try_invert(v) is None:
-                        raise ValueError(f"{name}[{i}][{j}] = {ring.element_str(v)} is not a unit")
+                    if v is None:
+                        raise ValueError(f"{name}[{i}][{j}] = {ring.element_str(table[i][j])} is not a unit")
+        self.tables = {1: (self.A, self.B), -1: (B_inv, A_inv)}
         a11, b11 = self.A[0][0], self.B[0][0]
-        b11_inv = ring.try_invert(b11)
-        a11_inv = ring.try_invert(a11)
+        a11_inv, b11_inv = A_inv[0][0], B_inv[0][0]
         self.delta = ring.sub(ring.neg(ring.mul(a11, b11_inv)), ring.mul(a11_inv, b11))
         self.w = ring.neg(ring.mul(ring.mul(a11, a11), b11_inv))
         self.q11 = self.q(1, 1)
@@ -75,7 +80,7 @@ class Bracket:
 
     def q(self, x: int, y: int):
         """q_{x,y} = -A_{x,y}^{-1} B_{x,y}."""
-        return self.ring.neg(self.ring.mul(self.ring.try_invert(self.a(x, y)), self.b(x, y)))
+        return self.ring.neg(self.ring.mul(self.tables[-1][1][x - 1][y - 1], self.b(x, y)))
 
     def coefficient(self, crossing: CrossingRecord, bit: int, colors: dict):
         """Skein coefficient of one crossing in one smoothing state.
@@ -84,11 +89,7 @@ class Bracket:
         contribute B^{-1} (bit 0) or A^{-1} (bit 1).
         """
         x, y = crossing_color_pair(crossing, colors)
-        ring = self.ring
-        if crossing.sign == 1:
-            return self.a(x, y) if bit == 0 else self.b(x, y)
-        base = self.b(x, y) if bit == 0 else self.a(x, y)
-        return ring.try_invert(base)
+        return self.tables[crossing.sign][bit][x - 1][y - 1]
 
     def to_json(self):
         ring = self.ring
@@ -192,35 +193,46 @@ def verify_bracket(X: Biquandle, R: Ring, A, B, literal: bool = False) -> Report
 def bracket_values(beta: Bracket, D: OrientedDiagram, colorings: List[Coloring]) -> list:
     """The skein state sum w^{n_- - n_+} * sum_s delta^{circles(s)} prod coeff.
 
-    One value per coloring of ``D``, by a crossing-by-crossing scan.
-    Crossings are taken in ``D.scan_order``; the smoothed crossings taken
-    so far join the open edges in pairs (a matching, carried on by each
-    crossing's ``_smoothings`` maps) and close some loops.  States that leave
-    the same matching close the same loops from then on, so each matching
-    carries one partial sum per coloring, multiplied at each crossing by its
-    coefficient and by delta once per closed loop.  Free circles come last.
+    One value per coloring of ``D``, in their order, by a crossing-by-crossing
+    scan.  The sum depends on a coloring only through its signature, its
+    (bit 0, bit 1) coefficients at each crossing from ``beta.tables``, so the
+    scan carries one column per distinct signature.  Crossings are taken in
+    ``D.scan_order``; the smoothed crossings taken so far join the open edges
+    in pairs (a matching, carried on by each crossing's ``_smoothings`` map,
+    one call for both bits) and close some loops.  States that leave the same
+    matching close the same loops from then on, so each matching carries one
+    partial sum per column, multiplied at each crossing by its coefficient
+    and by delta once per closed loop.  Free circles come last.
     """
     ring = beta.ring
-    colors = [dict(f.arc_colors) for f in colorings]
+    crossings = [D.crossings[index] for index in D.scan_order]
+    tables = [beta.tables[crossing.sign] for crossing in crossings]
+    columns: dict = {}  # signature -> its column
+    column_of = []
+    for f in colorings:
+        colors = dict(f.arc_colors)
+        signature = []
+        for crossing, (zero, one) in zip(crossings, tables):
+            x, y = crossing_color_pair(crossing, colors)
+            signature += zero[x - 1][y - 1], one[x - 1][y - 1]
+        column_of.append(columns.setdefault(tuple(signature), len(columns)))
     # Each of a crossing's two arcs closes at most one loop.
     delta_powers = [ring.one, beta.delta, ring.mul(beta.delta, beta.delta)]
-    sums = {(): [ring.one] * len(colors)}
-    for index in D.scan_order:
-        crossing = D.crossings[index]
-        smoothings = _smoothings(crossing)
-        coefficients = [[beta.coefficient(crossing, bit, c) for c in colors] for bit in (0, 1)]
-        # factors[bit][loops][k]: coloring k's coefficient times delta^loops.
-        factors = [[[ring.mul(a, d) for a in row] for d in delta_powers] for row in coefficients]
+    sums = {(): [ring.one] * len(columns)}
+    for position, crossing in enumerate(crossings):
+        smooth = _smoothings(crossing)
+        # factors[bit][loops][k]: column k's coefficient times delta^loops.
+        factors = [[[ring.mul(c[2 * position + bit], d) for c in columns] for d in delta_powers] for bit in (0, 1)]
         after = {}
         for matching, partial in sums.items():
-            for bit in (0, 1):
-                smoothed, loops = smoothings[bit](matching)
-                row = after.setdefault(smoothed, [ring.zero] * len(colors))
-                for k, (s, f) in enumerate(zip(partial, factors[bit][len(loops)])):
-                    row[k] = ring.add(row[k], ring.mul(s, f))
+            for bit, (smoothed, loops) in enumerate(smooth(matching)):
+                terms = [ring.mul(s, f) for s, f in zip(partial, factors[bit][len(loops)])]
+                row = after.get(smoothed)
+                after[smoothed] = terms if row is None else [ring.add(r, t) for r, t in zip(row, terms)]
         sums = after
     norm = ring.mul(ring.power(beta.w, D.n_minus - D.n_plus), ring.power(beta.delta, D.free_circles))
-    return [ring.mul(norm, total) for total in sums[()]]
+    values = [ring.mul(norm, total) for total in sums[()]]
+    return [values[k] for k in column_of]
 
 
 def bracket_invariant(beta: Bracket, D: OrientedDiagram) -> List[tuple]:

@@ -176,20 +176,16 @@ def z_invariant(beta: Bracket, f: Coloring) -> Coset:
     """Z_beta(f) as a coset of ``beta.G`` in R^x.
 
     Computed from the positive/negative crossing products
-    (prod A_{x,y} A_{1,1}^{-1}) (prod B_{x,y}^{-1} B_{1,1}); the formal
-    gdim(S) factor is exactly the G-blur absorbed by the coset.
+    (prod A_{x,y} A_{1,1}^{-1}) (prod B_{x,y}^{-1} B_{1,1}), whose factors
+    are the crossings' bit-0 coefficients; the formal gdim(S) factor is
+    exactly the G-blur absorbed by the coset.
     """
     ring = beta.ring
     colors = dict(f.arc_colors)
-    a11_inv = ring.try_invert(beta.a(1, 1))
-    b11 = beta.b(1, 1)
+    normalisers = {1: beta.tables[-1][1][0][0], -1: beta.b(1, 1)}  # A_{1,1}^{-1} and B_{1,1}
     acc = ring.one
     for crossing in f.diagram.crossings:
-        x, y = crossing_color_pair(crossing, colors)
-        if crossing.sign == 1:
-            acc = ring.mul(acc, ring.mul(beta.a(x, y), a11_inv))
-        else:
-            acc = ring.mul(acc, ring.mul(ring.try_invert(beta.b(x, y)), b11))
+        acc = ring.mul(acc, ring.mul(beta.coefficient(crossing, 0, colors), normalisers[crossing.sign]))
     return Coset(beta.G, acc)
 
 

@@ -233,38 +233,50 @@ def frontier_order(D: OrientedDiagram) -> List[int]:
 
 
 def _smoothings(crossing: CrossingRecord):
-    """Per bit, a map from a matching to the matching after this crossing and the loops it closes.
+    """A map from a matching to ``[(matching, loops) for bit 0, (matching, loops) for bit 1]``.
 
     An end is keyed by its edge label.  An edge whose far end is not yet
     taken (a new edge, or the second end of a kink) has that far end keyed
     by the negated label, and the edge itself joins the two keys.  Each
     closed loop is named by the label of one edge on it.  The crossing's
-    labels and each bit's joins are found once, when the maps are built.
+    labels and each bit's joins are found once, when the map is built; the
+    map splits a matching once into the pairs that touch those labels and
+    the pairs it keeps, and each bit rewires the touched pairs alone.
     """
     labels = set(OrientedDiagram._edge_labels(crossing))
+    joins = []
+    for bit in (0, 1):
+        (a, b), (c, d) = _pairings(crossing, bit)  # a label met again is the far end of a kink
+        joins.append(((a, -b if b == a else b), (-c if c in (a, b) else c, -d if d in (a, b, c) else d)))
 
-    def smoothing(bit: int):
-        ends = [e for arc in _pairings(crossing, bit) for e in arc]
-        keys = [-e if e in ends[:i] else e for i, e in enumerate(ends)]
-        joins = tuple(zip(keys[::2], keys[1::2]))
-
-        def smooth(matching: Tuple[Tuple[int, int], ...]):
-            partner: Dict[int, int] = {}
-            for a, b in matching:
-                partner[a], partner[b] = b, a
-            for label in labels:
-                if label not in partner:
-                    partner[label], partner[-label] = -label, label
-            loops = []
-            for a, b in joins:
+    def smooth(matching: Tuple[Tuple[int, int], ...]):
+        kept, touched = [], {}
+        for pair in matching:
+            a, b = pair
+            if a in labels or b in labels:
+                touched[a], touched[b] = b, a
+            else:
+                kept.append(pair)
+        for label in labels:
+            if label not in touched:
+                touched[label], touched[-label] = -label, label
+        smoothed = []
+        for bit_joins in joins:
+            partner, loops = touched.copy(), []
+            for a, b in bit_joins:
                 if partner[a] == b:
                     del partner[a], partner[b]
                     loops.append(abs(a))
                 else:
                     pa, pb = partner.pop(a), partner.pop(b)
                     partner[pa], partner[pb] = pb, pa
-            return tuple(sorted((abs(a), abs(b)) for a, b in partner.items() if abs(a) < abs(b))), loops
+            pairs = kept.copy()
+            for a, b in partner.items():
+                a, b = abs(a), abs(b)
+                if a < b:
+                    pairs.append((a, b))
+            pairs.sort()
+            smoothed.append((tuple(pairs), loops))
+        return smoothed
 
-        return smooth
-
-    return smoothing(0), smoothing(1)
+    return smooth

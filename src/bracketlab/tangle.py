@@ -3,9 +3,9 @@
 Bar-Natan, "Fast Khovanov homology computations" (arXiv math/0606318).
 Crossings are added one at a time in ``D.scan_order``.  After each one the
 complex is that of the tangle of the crossings taken so far: an object is a
-matching of the open edges (as ``diagram._smoothings`` builds it) with a
-homological weight and a q-shift, and an entry of the differential is a
-dotted cobordism between two matchings.
+matching of the open edges (as the map of ``diagram._smoothings`` builds it,
+one call giving both smoothings) with a homological weight and a q-shift,
+and an entry of the differential is a dotted cobordism between two matchings.
 
 Cobordisms obey the relations of Khovanov's theory over Z (h = t = 0): a
 sphere is 0 and a dotted sphere 1, two dots on one component are 0, a handle
@@ -269,17 +269,16 @@ def _add_crossing(old: _Complex, crossing: CrossingRecord, cycles_of) -> _Comple
 
     The crossing's own parts are found once per call: per bit pair its arcs
     and disks (two strips, or one saddle), and the seams, as every object
-    matches the same open ends.  Each distinct (matching, bit) is smoothed
-    once; each surface is built once, with the positions of its cups and caps.
+    matches the same open ends.  Each distinct matching is smoothed once, for
+    both bits; each surface is built once, with the positions of its cups and caps.
     """
     new = _Complex()
     copies = {}
-    smoothings = _smoothings(crossing)
+    smooth = _smoothings(crossing)
     matchings = dict.fromkeys(matching for matching, _, _ in old.objects.values())
-    smoothed = {(m, bit): smoothings[bit](m) for m in matchings for bit in (0, 1)}
+    smoothed = {m: smooth(m) for m in matchings}
     for i, (matching, weight, q) in old.objects.items():
-        for bit in (0, 1):
-            after, loops = smoothed[matching, bit]
+        for bit, (after, loops) in enumerate(smoothed[matching]):
             ids = [
                 new.add(after, weight + bit, q + bit + len(loops) - 2 * bin(e).count("1"))
                 for e in range(1 << len(loops))

@@ -2,7 +2,8 @@
 
 The oracles include the whole 2^n cube of smoothings, which the package
 never builds: its states (``resolve_state``), the Kauffman state sum, and
-the direct bracket-cohomology complex (``reference_cube_complex``).
+the direct bracket-cohomology complex (``reference_cube_complex``); and
+the per-bit smoothing maps of the scans (``reference_smoothings``).
 """
 
 import itertools
@@ -16,7 +17,7 @@ from bracketlab.biquandle import Biquandle
 from bracketlab.bracket import Bracket, bracket_from_json, crossing_color_pair
 from bracketlab.cocycle import cocycle_from_json
 from bracketlab.corpus import corpus_path, load_corpus_json
-from bracketlab.diagram import OrientedDiagram, _pairings, parse_diagram
+from bracketlab.diagram import CrossingRecord, OrientedDiagram, _pairings, parse_diagram
 from bracketlab.graded import GradedComplex
 from bracketlab.rings import Coset, UnitSubgroup, subgroup_generate
 
@@ -51,7 +52,9 @@ BRACKET_NAMES = ["bracket_gf8", "bracket_const_z5", "bracket_const_z7", "bracket
 # random.Random(17), whose closures' Khovanov tables are pinned in
 # golden/khovanov_4_strand_closures.json.  CI writes the closure of the
 # 24-crossing one with bench/braids.py and compares its `bracketlab
-# khovanov` output with golden/khovanov_braid_closure_24.json.
+# khovanov` output with golden/khovanov_braid_closure_24.json, and its
+# `bracketlab bracket-value` output for bracket_gf8 and bracket_z9 with
+# golden/bracket-value_<bracket>_braid_closure_24.json.
 PINNED_WORDS = [
     [-2, -2, 3, -1, 1, -3, -2, -3, -1, 1, 1, 2, 3, 2, -1, -3, 3, -3, -1, -2, 3, -1, -2, 2, 1, 1, -1, -1],
     [3, 2, -2, -1, -1, -2, 1, -1, -3, -2, 3, 2, -1, -1, 2, -3, -1, 2, 3, 1, 3, -2, -1, 2],
@@ -180,6 +183,42 @@ def smoothing_states(D: OrientedDiagram) -> Iterator[SmoothingState]:
     """Every smoothing state of ``D`` in bit order, each resolved once."""
     for bits in itertools.product((0, 1), repeat=len(D.crossings)):
         yield resolve_state(D, bits)
+
+
+def reference_smoothings(crossing: CrossingRecord):
+    """Per bit, a map from a matching to the matching after ``crossing`` and the loops it closes.
+
+    The oracle for ``diagram._smoothings``, which returns both bits from one
+    map: each call here rewires the partner map of the whole matching and
+    sorts every pair again.  Keys and loop names are as there.
+    """
+    labels = set(OrientedDiagram._edge_labels(crossing))
+
+    def smoothing(bit: int):
+        ends = [e for arc in _pairings(crossing, bit) for e in arc]
+        keys = [-e if e in ends[:i] else e for i, e in enumerate(ends)]
+        joins = tuple(zip(keys[::2], keys[1::2]))
+
+        def smooth(matching: Tuple[Tuple[int, int], ...]):
+            partner: Dict[int, int] = {}
+            for a, b in matching:
+                partner[a], partner[b] = b, a
+            for label in labels:
+                if label not in partner:
+                    partner[label], partner[-label] = -label, label
+            loops = []
+            for a, b in joins:
+                if partner[a] == b:
+                    del partner[a], partner[b]
+                    loops.append(abs(a))
+                else:
+                    pa, pb = partner.pop(a), partner.pop(b)
+                    partner[pa], partner[pb] = pb, pa
+            return tuple(sorted((abs(a), abs(b)) for a, b in partner.items() if abs(a) < abs(b))), loops
+
+        return smooth
+
+    return smoothing(0), smoothing(1)
 
 
 def kauffman_state_sum(D: OrientedDiagram) -> dict:

@@ -13,25 +13,38 @@ from bracketlab.bracket import (
     verify_bracket,
 )
 from bracketlab.corpus import load_corpus_json
-from bracketlab.diagram import OrientedDiagram, parse_diagram
+from bracketlab.diagram import OrientedDiagram, _smoothings, parse_diagram
 from bracketlab.rings import ZModRing, ring_make
-from conftest import DIAGRAM_NAMES, braid_closure, random_braid_word, reference_verify_bracket, smoothing_states
+from conftest import (
+    DIAGRAM_NAMES,
+    braid_closure,
+    kink_chain,
+    random_braid_word,
+    reference_smoothings,
+    reference_verify_bracket,
+    smoothing_states,
+)
 
 
 def walk_bracket_values(beta, D, colorings, states=None) -> list:
     """The bracket state sum by walking all 2^n smoothing states.
 
     Independent cross-check of the transfer scan in ``bracket_values``: each
-    state's circles come from ``resolve_state``.  ``states`` may hold
+    state's circles come from ``resolve_state``, and each crossing's
+    coefficients from ``beta.A``, ``beta.B`` and ``ring.try_invert``, not
+    from ``beta.tables`` or ``beta.coefficient``.  ``states`` may hold
     ``smoothing_states(D)`` already resolved, to share them across brackets.
     """
     ring = beta.ring
     coefficients = []
     for f in colorings:
         colors = dict(f.arc_colors)
-        coefficients.append(
-            [tuple(beta.coefficient(c, bit, colors) for bit in (0, 1)) for c in D.crossings]
-        )
+        per_crossing = []
+        for c in D.crossings:
+            x, y = crossing_color_pair(c, colors)
+            a, b = beta.A[x - 1][y - 1], beta.B[x - 1][y - 1]
+            per_crossing.append((a, b) if c.sign == 1 else (ring.try_invert(b), ring.try_invert(a)))
+        coefficients.append(per_crossing)
     totals = [ring.zero] * len(colorings)
     for state in smoothing_states(D) if states is None else states:
         loop = ring.power(beta.delta, state.num_circles)
@@ -42,6 +55,12 @@ def walk_bracket_values(beta, D, colorings, states=None) -> list:
             totals[k] = ring.add(totals[k], term)
     norm = ring.power(beta.w, D.n_minus - D.n_plus)
     return [ring.mul(norm, total) for total in totals]
+
+
+def random_unit_tables(rng: random.Random, X: Biquandle, ring) -> tuple:
+    """Tables A and B of units of ``ring`` drawn at random, which need satisfy no bracket axiom."""
+    units = sorted(ring.units())
+    return tuple([[rng.choice(units) for _ in range(X.n)] for _ in range(X.n)] for _ in "AB")
 
 
 SCAN_BRACKETS = ("bracket_z9", "bracket_gf8", "bracket_phi", "bracket_const_z5")
@@ -216,11 +235,104 @@ class TestTransferScan:
             states = list(smoothing_states(D))
             for bname in SCAN_BRACKETS:
                 beta = brackets[bname]
-                # Coloring entries of the scan never mix, and the walk costs
-                # 2^n per coloring: two colorings per diagram keep it short.
+                # The scan's columns are per coefficient signature, so colorings
+                # share one only when their coefficients agree at every crossing
+                # (the column tests cover that); the walk costs 2^n per
+                # coloring, so two colorings per diagram keep it short.
                 colorings = enumerate_colorings(beta.biquandle, D)[:2]
                 walk = walk_bracket_values(beta, D, colorings, states)
                 assert bracket_values(beta, D, colorings) == walk, (bname, word, strands)
+
+    def test_colorings_with_different_signatures_match_walk(self, brackets, diagrams):
+        # z9 on the Hopf link: its four colorings do not all share their
+        # coefficients, so the scan carries more than one column.
+        beta, D = brackets["bracket_z9"], diagrams["hopf"]
+        colorings = enumerate_colorings(beta.biquandle, D)
+        signatures = {
+            tuple(beta.coefficient(c, bit, dict(f.arc_colors)) for c in D.crossings for bit in (0, 1))
+            for f in colorings
+        }
+        assert len(signatures) > 1
+        assert bracket_values(beta, D, colorings) == walk_bracket_values(beta, D, colorings)
+
+    def test_free_circles_match_walk(self, brackets, diagrams):
+        D = OrientedDiagram(diagrams["trefoil"].crossings, 6)
+        states = list(smoothing_states(D))
+        for bname in SCAN_BRACKETS:
+            beta = brackets[bname]
+            colorings = enumerate_colorings(beta.biquandle, D)
+            assert len(colorings) >= 2 ** 6
+            walk = walk_bracket_values(beta, D, colorings, states)
+            assert bracket_values(beta, D, colorings) == walk, bname
+
+    def test_unit_tables_that_fail_the_axioms_match_walk(self, threeel, diagrams):
+        # The scan is a state sum and uses no axiom: random unit tables on
+        # the 3-element biquandle, none of them a bracket, give the walk's values.
+        rng = random.Random(23)
+        rings = [ring_make({"kind": "zmod", "n": n}) for n in (7, 9)]
+        rings.append(ring_make({"kind": "poly_quotient", "base_n": 2, "modulus": [1, 1, 0, 1]}))
+        for ring in rings:
+            for _ in range(3):
+                A, B = random_unit_tables(rng, threeel, ring)
+                assert not verify_bracket(threeel, ring, A, B).ok
+                beta = Bracket(threeel, ring, A, B)
+                for name in ("trefoil", "figure_eight", "hopf", "trefoil_r2"):
+                    D = diagrams[name]
+                    colorings = enumerate_colorings(threeel, D)
+                    walk = walk_bracket_values(beta, D, colorings)
+                    assert bracket_values(beta, D, colorings) == walk, (ring, A, B, name)
+
+    def test_free_circles_cost_only_the_power_of_delta(self, brackets, diagrams, monkeypatch):
+        # 10 free circles make 2^10 times the colorings, all of one signature:
+        # the scan's products stay the same but for delta^10, by squaring.
+        beta = brackets["bracket_z9"]
+        mul, calls = ZModRing.mul, []
+
+        def counted(self, a, b):
+            calls.append(1)
+            return mul(self, a, b)
+
+        monkeypatch.setattr(ZModRing, "mul", counted)
+        counts = []
+        for k in (0, 10):
+            D = OrientedDiagram(diagrams["trefoil"].crossings, k)
+            colorings = enumerate_colorings(beta.biquandle, D)
+            calls.clear()
+            bracket_values(beta, D, colorings)
+            counts.append(len(calls))
+        assert counts[1] - counts[0] <= 2 * (10).bit_length(), counts
+
+    def test_smoothing_map_matches_reference(self, diagrams):
+        # Every (crossing, matching) the scan meets, in scan order and in PD
+        # order; on trefoil + Hopf with interleaved labels, listed alternately,
+        # PD order keeps both components open at once.
+        fields = ("under_in", "over_in", "under_out", "over_out")
+
+        def relabel(crossings, label):
+            return [c._replace(**{k: label(getattr(c, k)) for k in fields}) for c in crossings]
+
+        trefoil = relabel(diagrams["trefoil"].crossings, lambda e: 2 * e - 1)
+        hopf = relabel(diagrams["hopf"].crossings, lambda e: 2 * e)
+        union = OrientedDiagram([trefoil[0], hopf[0], trefoil[1], hopf[1], trefoil[2]])
+        cases = [diagrams[name] for name in DIAGRAM_NAMES] + [union]
+        cases += [parse_diagram(braid_closure(word, m)) for word, m in seeded_closures()]
+        cases += [parse_diagram(kink_chain(n, signs)) for n in (1, 2, 5) for signs in ((1,), (-1,), (1, -1))]
+        met = 0
+        for D in cases:
+            for order in (D.scan_order, range(len(D.crossings))):
+                matchings = {()}
+                for index in order:
+                    crossing = D.crossings[index]
+                    smooth, reference = _smoothings(crossing), reference_smoothings(crossing)
+                    after = set()
+                    for matching in matchings:
+                        got = smooth(matching)
+                        assert got == [reference[bit](matching) for bit in (0, 1)], (D.to_json(), crossing, matching)
+                        after.update(smoothed for smoothed, _ in got)
+                        met += 1
+                    matchings = after
+                assert matchings == {()}
+        assert met > 400, met
 
     def test_crossing_order_does_not_matter(self, brackets, diagrams):
         def by_coloring(beta, D):
@@ -254,6 +366,22 @@ class TestColorPair:
         x, y = crossing_color_pair(c, colors)
         assert x == colors[c.under_out]
         assert y == colors[c.over_in]
+
+
+class TestTables:
+    def test_tables_are_the_coefficients_and_their_inverses(self, brackets, flip, threeel):
+        cases = list(brackets.values())
+        rng = random.Random(29)
+        for n in (5, 9, 13):
+            for X in (flip, threeel):
+                cases.append(Bracket(X, ZModRing(n), *random_unit_tables(rng, X, ZModRing(n))))
+        for beta in cases:
+            ring = beta.ring
+
+            def inverse(table):
+                return tuple(tuple(ring.try_invert(v) for v in row) for row in table)
+
+            assert beta.tables == {1: (beta.A, beta.B), -1: (inverse(beta.B), inverse(beta.A))}
 
 
 class TestJson:

@@ -228,12 +228,11 @@ class TestTransferScan:
             assert sorted(order) == list(range(len(D.crossings)))
             paths = {(): ((), 0)}  # bits in scan order -> (matching, loops closed)
             for index in order:
-                smoothings = _smoothings(D.crossings[index])
+                smooth = _smoothings(D.crossings[index])
                 paths = {
                     bits + (bit,): (smoothed, closed + len(loops))
                     for bits, (matching, closed) in paths.items()
-                    for bit in (0, 1)
-                    for smoothed, loops in [smoothings[bit](matching)]
+                    for bit, (smoothed, loops) in enumerate(smooth(matching))
                 }
             assert {matching for matching, _ in paths.values()} == {()}
             by_state = {tuple(bits[order.index(i)] for i in range(len(order))): loops for bits, (_, loops) in paths.items()}

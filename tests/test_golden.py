@@ -71,18 +71,26 @@ def test_cli_output_is_unchanged(case):
     assert _run(case) == _golden(case).read_text()
 
 
-def _run_closure_24(tmp: Path) -> str:
+def _run_closure_24(tmp: Path, command: str = "khovanov", *corpus_names: str) -> str:
+    """The output of ``bracketlab command [corpus files] closure`` on the pinned 24-crossing closure."""
     word = PINNED_WORDS[1]
     assert len(word) == 24
     diagram = tmp / "closure_24.json"
     diagram.write_text(json.dumps(braid_closure(word, 4)))
-    result = CliRunner().invoke(main, ["khovanov", str(diagram)])
+    result = CliRunner().invoke(main, [command, *(corpus_file(f"{n}.json") for n in corpus_names), str(diagram)])
     assert result.exit_code == 0, result.output
     return result.output
 
 
 def test_khovanov_of_a_24_crossing_closure_is_unchanged(tmp_path):
     assert _run_closure_24(tmp_path) == (GOLDEN / "khovanov_braid_closure_24.json").read_text()
+
+
+@pytest.mark.parametrize("bracket", ["bracket_gf8", "bracket_z9"])
+def test_bracket_value_of_a_24_crossing_closure_is_unchanged(bracket, tmp_path):
+    # The bracket scan at 24 crossings: many matchings, and more than one column.
+    golden = GOLDEN / f"bracket-value_{bracket}_braid_closure_24.json"
+    assert _run_closure_24(tmp_path, "bracket-value", bracket) == golden.read_text()
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "2"])
@@ -104,3 +112,6 @@ if __name__ == "__main__":
         _golden(case).write_text(_run(case))
     with tempfile.TemporaryDirectory() as tmp:
         (GOLDEN / "khovanov_braid_closure_24.json").write_text(_run_closure_24(Path(tmp)))
+        for bracket in ("bracket_gf8", "bracket_z9"):
+            output = _run_closure_24(Path(tmp), "bracket-value", bracket)
+            (GOLDEN / f"bracket-value_{bracket}_braid_closure_24.json").write_text(output)
