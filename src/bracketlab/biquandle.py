@@ -7,7 +7,7 @@ convention: ``under[x-1][y-1]`` is x under y, ``over[x-1][y-1]`` is x over y.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, List, NamedTuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .diagram import DiagramError, OrientedDiagram, _is_int
 
@@ -62,10 +62,18 @@ class Biquandle:
     """Two operation tables on {1..n}, checked for shape and range; ``from_json`` also checks the axioms."""
 
     def __init__(self, under, over):
-        self.n = len(under)
+        n = self.n = len(under)
         self.under_table = tuple(tuple(row) for row in under)
         self.over_table = tuple(tuple(row) for row in over)
-        _check_shape(self.under_table, self.over_table, self.n)
+        if n == 0:
+            raise ValueError("a biquandle needs at least one element")
+        for name, table in (("under", self.under_table), ("over", self.over_table)):
+            if len(table) != n or any(len(row) != n for row in table):
+                raise ValueError(f"{name} table is not {n}x{n}")
+            for row in table:
+                for v in row:
+                    if not (_is_int(v) and 1 <= v <= n):
+                        raise ValueError(f"{name} table entry {v!r} out of range 1..{n}")
 
     def under(self, x: int, y: int) -> int:
         """x passing under y."""
@@ -88,8 +96,8 @@ class Biquandle:
     @classmethod
     def from_json(cls, data: dict) -> "Biquandle":
         """The biquandle of JSON tables; ``ValueError`` unless they satisfy the biquandle axioms."""
-        X = cls(data["under"], data["over"])
-        verify_biquandle(X.under_table, X.over_table).require("biquandle")
+        report, X = read_biquandle(data)
+        report.require("biquandle")
         return X
 
     def __eq__(self, other):
@@ -103,30 +111,15 @@ class Biquandle:
         return hash((self.under_table, self.over_table))
 
 
-def _check_shape(under, over, n):
-    if n == 0:
-        raise ValueError("a biquandle needs at least one element")
-    for name, table in (("under", under), ("over", over)):
-        if len(table) != n or any(len(row) != n for row in table):
-            raise ValueError(f"{name} table is not {n}x{n}")
-        for row in table:
-            for v in row:
-                if not (_is_int(v) and 1 <= v <= n):
-                    raise ValueError(f"{name} table entry {v!r} out of range 1..{n}")
-
-
-def verify_biquandle(under, over) -> Report:
+def verify_biquandle(X: Biquandle) -> Report:
     """Check the biquandle axioms, reporting every failing instance.
 
     Invertibility is checked as: each column of each table is a permutation,
     and (x, y) -> (y over x, x under y) is a bijection on pairs.
     """
-    n = len(under)
-    _check_shape(tuple(map(tuple, under)), tuple(map(tuple, over)), n)
-    un = lambda x, y: under[x - 1][y - 1]
-    ov = lambda x, y: over[x - 1][y - 1]
+    n, un, ov = X.n, X.under, X.over
     failures = []
-    rng = range(1, n + 1)
+    rng = X.elements()
 
     for x in rng:
         if un(x, x) != ov(x, x):
@@ -153,6 +146,13 @@ def verify_biquandle(under, over) -> Report:
                 if ov(ov(x, y), ov(z, y)) != ov(ov(x, z), un(y, z)):
                     failures.append(AxiomFailure("iii.3", (x, y, z)))
     return Report.of_failures(failures)
+
+
+def read_biquandle(data: dict) -> Tuple[Report, Optional[Biquandle]]:
+    """The axiom report of JSON tables, and their biquandle if it passes; ``ValueError`` on bad shape or range."""
+    X = Biquandle(data["under"], data["over"])
+    report = verify_biquandle(X)
+    return report, X if report.ok else None
 
 
 class Coloring(NamedTuple):

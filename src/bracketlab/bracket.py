@@ -18,9 +18,9 @@ A_{x,x}/B_{x,x}, and yields the published Hopf-link cocycle values.
 from __future__ import annotations
 
 import itertools
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset, verify_biquandle
+from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset, read_biquandle
 from .diagram import CrossingRecord, OrientedDiagram, _smoothings
 from .rings import Ring, ring_make, subgroup_generate
 
@@ -240,19 +240,23 @@ def bracket_invariant(beta: Bracket, D: OrientedDiagram) -> List[tuple]:
     return multiset(bracket_values(beta, D, enumerate_colorings(beta.biquandle, D)))
 
 
-def decode_bracket(data: dict) -> Tuple[Biquandle, Ring, list, list]:
-    """The (biquandle, ring, A, B) of bracket JSON, checked for shape and range, not against any axioms."""
+def read_bracket(data: dict, literal: bool = False) -> Tuple[Report, Optional[Bracket]]:
+    """The ``verify_bracket`` report of bracket JSON, and its bracket if it passes.
+
+    ``ValueError`` on bad shape or ring elements, or unless the biquandle satisfies its axioms.
+    """
     ring = ring_make(data["ring"])
-    X = Biquandle(data["biquandle"]["under"], data["biquandle"]["over"])
+    report, X = read_biquandle(data["biquandle"])
+    report.require("biquandle")
     A = [[ring.element_from_json(v) for v in row] for row in data["A"]]
     B = [[ring.element_from_json(v) for v in row] for row in data["B"]]
     _check_shape(X.n, A, B)
-    return X, ring, A, B
+    report = verify_bracket(X, ring, A, B, literal)
+    return report, Bracket(X, ring, A, B) if report.ok else None
 
 
 def bracket_from_json(data: dict) -> Bracket:
     """The bracket of JSON data; ``ValueError`` unless its biquandle, then it, satisfy their axioms."""
-    X, ring, A, B = decode_bracket(data)
-    verify_biquandle(X.under_table, X.over_table).require("biquandle")
-    verify_bracket(X, ring, A, B).require("bracket")
-    return Bracket(X, ring, A, B)
+    report, beta = read_bracket(data)
+    report.require("bracket")
+    return beta

@@ -13,16 +13,9 @@ import pathlib
 
 import click
 
-from .biquandle import Biquandle, enumerate_colorings, verify_biquandle
-from .bracket import (
-    Bracket,
-    bracket_from_json,
-    bracket_invariant,
-    bracket_values,
-    decode_bracket,
-    verify_bracket,
-)
-from .cocycle import canonical_cocycle, decode_cocycle, verify_cocycle, z_invariant_multiset
+from .biquandle import Biquandle, enumerate_colorings, read_biquandle
+from .bracket import bracket_from_json, bracket_invariant, bracket_values, read_bracket
+from .cocycle import canonical_cocycle, read_cocycle, z_invariant_multiset
 from .corpus import check_all, load_manifest, report_to_json
 from .diagram import DiagramError, parse_diagram
 from .homology import bh_multiset, check_colorings, khovanov_classical
@@ -122,7 +115,7 @@ def main():
 @pretty_option
 def verify_biquandle_cmd(file, pretty):
     """Check the biquandle axioms for the tables in FILE."""
-    report = _parse(file, "biquandle", lambda data: verify_biquandle(data["under"], data["over"]))
+    report, _ = _parse(file, "biquandle", read_biquandle)
     _emit_report(report.to_json(), [f"ok: {report.ok}"] + _failure_table(report), pretty)
 
 
@@ -136,12 +129,11 @@ def verify_biquandle_cmd(file, pretty):
 @pretty_option
 def verify_bracket_cmd(file, literal_axioms, pretty):
     """Check the bracket axioms for the (ring, biquandle, A, B) data in FILE."""
-    X, ring, A, B = _parse(file, "bracket", decode_bracket)
-    report = verify_bracket(X, ring, A, B, literal=literal_axioms)
+    report, beta = _parse(file, "bracket", lambda data: read_bracket(data, literal_axioms))
     out = report.to_json()
     lines = [f"ok: {report.ok}"]
-    if report.ok:
-        fields, more = _delta_w(Bracket(X, ring, A, B))
+    if beta is not None:
+        fields, more = _delta_w(beta)
         out.update(fields)
         lines += more
     _emit_report(out, lines + _failure_table(report), pretty)
@@ -152,8 +144,7 @@ def verify_bracket_cmd(file, literal_axioms, pretty):
 @pretty_option
 def verify_cocycle_cmd(file, pretty):
     """Check the 2-cocycle conditions for the presentation matrix in FILE."""
-    cocycle = _parse(file, "cocycle", decode_cocycle)
-    report = verify_cocycle(cocycle)
+    report, _ = _parse(file, "cocycle", read_cocycle)
     _emit_report(report.to_json(), [f"ok: {report.ok}"] + _failure_table(report), pretty)
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import List
+from typing import List, Optional, Tuple
 
-from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset, verify_biquandle
+from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset, read_biquandle
 from .bracket import Bracket, crossing_color_pair
 from .diagram import OrientedDiagram
 from .rings import Coset, RingError, UnitSubgroup, ring_make, subgroup_generate
@@ -195,9 +195,13 @@ def z_invariant_multiset(beta: Bracket, D: OrientedDiagram) -> List[tuple]:
     return multiset(zs)
 
 
-def decode_cocycle(data: dict) -> Cocycle:
-    """The cocycle of JSON data, checked for shape, words and units, not against any axioms."""
-    X = Biquandle(data["biquandle"]["under"], data["biquandle"]["over"])
+def read_cocycle(data: dict) -> Tuple[Report, Optional[Cocycle]]:
+    """The ``verify_cocycle`` report of cocycle JSON, and its cocycle if it passes.
+
+    ``ValueError`` on bad shape, words or units, or unless the biquandle satisfies its axioms.
+    """
+    report, X = read_biquandle(data["biquandle"])
+    report.require("biquandle")
     tgt = data["target"]
     if tgt["kind"] == "free_abelian":
         target = FreeAbelianTarget(tgt["symbols"])
@@ -214,13 +218,13 @@ def decode_cocycle(data: dict) -> Cocycle:
         phi = [[Coset(G, v) for v in row] for row in values]
     else:
         raise ValueError(f"unknown cocycle target kind {tgt['kind']!r}")
-    return Cocycle(X, target, phi)
+    cocycle = Cocycle(X, target, phi)
+    report = verify_cocycle(cocycle)
+    return report, cocycle if report.ok else None
 
 
 def cocycle_from_json(data: dict) -> Cocycle:
     """The cocycle of JSON data; ``ValueError`` unless its biquandle, then it, satisfy their axioms."""
-    cocycle = decode_cocycle(data)
-    X = cocycle.biquandle
-    verify_biquandle(X.under_table, X.over_table).require("biquandle")
-    verify_cocycle(cocycle).require("2-cocycle")
+    report, cocycle = read_cocycle(data)
+    report.require("2-cocycle")
     return cocycle

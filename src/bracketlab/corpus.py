@@ -18,9 +18,9 @@ import json
 from importlib import resources
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
-from .biquandle import Biquandle, Coloring, Report, enumerate_colorings, multiset, verify_biquandle
-from .bracket import Bracket, decode_bracket, verify_bracket
-from .cocycle import canonical_cocycle, decode_cocycle, verify_cocycle
+from .biquandle import Biquandle, Coloring, Report, enumerate_colorings, multiset, read_biquandle
+from .bracket import Bracket, read_bracket
+from .cocycle import canonical_cocycle, read_cocycle, verify_cocycle
 from .diagram import OrientedDiagram, parse_diagram
 from .graded import cohomology
 from .homology import check_colorings
@@ -130,27 +130,19 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
     for entry in manifest.diagrams:
         diagrams[entry.name] = parse_diagram(_read(entry, base))
 
-    for entry in manifest.biquandles:
-        data = _read(entry, base)
-        report = verify_biquandle(data["under"], data["over"])
-        expected = entry.expected_verification == "pass"
-        row(f"verify-biquandle:{entry.name}", report.ok == expected, "" if report.ok else report.failures[0].axiom)
-        if report.ok and expected:
-            biquandles[entry.name] = Biquandle(data["under"], data["over"])
-
-    for entry in manifest.brackets:
-        X, ring, A, B = decode_bracket(_read(entry, base))
-        verify_biquandle(X.under_table, X.over_table).require("biquandle")
-        report = verify_bracket(X, ring, A, B)
-        expected = entry.expected_verification == "pass"
-        row(f"verify-bracket:{entry.name}", report.ok == expected, "" if report.ok else report.failures[0].axiom)
-        if report.ok and expected:
-            brackets[entry.name] = Bracket(X, ring, A, B)
-
-    for entry in manifest.cocycles:
-        cocycle = decode_cocycle(_read(entry, base))
-        expected = entry.expected_verification == "pass"
-        row(f"verify-cocycle:{entry.name}", verify_cocycle(cocycle).ok == expected, "")
+    # Each structure is read, and its axioms verified, by its reader, which
+    # refuses a bracket or cocycle whose tables are not a biquandle.
+    for label, entries, read, passed in (
+        ("biquandle", manifest.biquandles, read_biquandle, biquandles),
+        ("bracket", manifest.brackets, read_bracket, brackets),
+        ("cocycle", manifest.cocycles, read_cocycle, {}),
+    ):
+        for entry in entries:
+            report, structure = read(_read(entry, base))
+            expected = entry.expected_verification == "pass"
+            row(f"verify-{label}:{entry.name}", report.ok == expected, "" if report.ok else report.failures[0].axiom)
+            if report.ok and expected:
+                passed[entry.name] = structure
 
     pairs = [
         (e.name, e.equivalent_to) for e in manifest.diagrams if e.equivalent_to is not None

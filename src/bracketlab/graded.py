@@ -12,6 +12,7 @@ arbitrary-precision integers.
 from __future__ import annotations
 
 from collections import Counter
+from functools import total_ordering
 from typing import Dict, List, Optional, Tuple
 
 from .rings import Ring
@@ -184,6 +185,7 @@ class GradedComplex:
         return _euler((i, d, 1) for i, degs in self.degrees.items() for d in degs)
 
 
+@total_ordering
 class HomologyTable:
     """Per-(index, degree) cohomology: free rank plus torsion invariant factors.
 
@@ -206,15 +208,6 @@ class HomologyTable:
 
     def __lt__(self, other: "HomologyTable") -> bool:
         return self.entries < other.entries
-
-    def __le__(self, other: "HomologyTable") -> bool:
-        return self.entries <= other.entries
-
-    def __gt__(self, other: "HomologyTable") -> bool:
-        return self.entries > other.entries
-
-    def __ge__(self, other: "HomologyTable") -> bool:
-        return self.entries >= other.entries
 
     @classmethod
     def from_dict(cls, ring: Optional[Ring], data: dict) -> "HomologyTable":

@@ -74,19 +74,17 @@ def bh_multiset(beta: Bracket, D: OrientedDiagram) -> List[tuple]:
     return sorted(tables.items())
 
 
-def _cube_unit(beta: Bracket, D: OrientedDiagram, colors: dict):
+def _cube_unit(beta: Bracket, shift, f: Coloring):
     """u(f): the unit by which the direct cube multiplies every Khovanov degree q^j.
 
-    Read off the bracket as the cube's degrees read it: the global shift,
-    each crossing's bit-0 coefficient at ``colors`` (arcs to biquandle
-    elements) and q^{2 n_- - n_+}.  See the module docstring.
+    Read off the bracket as the cube's degrees read it: ``shift``, the
+    coloring-independent (-1)^{n_-} w^{n_- - n_+} q^{2 n_- - n_+}, times each
+    crossing's bit-0 coefficient at ``f``.  See the module docstring.
     """
-    ring = beta.ring
-    u = ring.mul(ring.power(beta.w, D.n_minus - D.n_plus), ring.power(beta.q11, 2 * D.n_minus - D.n_plus))
-    if D.n_minus % 2:
-        u = ring.neg(u)
-    for crossing in D.crossings:
-        u = ring.mul(u, beta.coefficient(crossing, 0, colors))
+    colors = dict(f.arc_colors)
+    u = shift
+    for crossing in f.diagram.crossings:
+        u = beta.ring.mul(u, beta.coefficient(crossing, 0, colors))
     return u
 
 
@@ -122,6 +120,9 @@ def check_colorings(
     """
     G, q, ring = beta.G, beta.q11, beta.ring
     g_sum = reduce(ring.add, G.elements, ring.zero)
+    shift = ring.mul(ring.power(beta.w, D.n_minus - D.n_plus), ring.power(q, 2 * D.n_minus - D.n_plus))
+    if D.n_minus % 2:
+        shift = ring.neg(shift)
     folded: Dict[Coset, tuple] = {}
 
     def fold(z: Coset) -> tuple:
@@ -132,7 +133,7 @@ def check_colorings(
 
     checks = []
     for f, value in zip(colorings, bracket_values(beta, D, colorings)):
-        u, z = _cube_unit(beta, D, dict(f.arc_colors)), z_invariant(beta, f)
+        u, z = _cube_unit(beta, shift, f), z_invariant(beta, f)
         bh, chi = fold(Coset(G, u))
         checks.append(ColoringCheck(value, z, bh, fold(z)[0], u == z.representative, chi, ring.mul(g_sum, value)))
     return checks

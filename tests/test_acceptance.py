@@ -5,18 +5,18 @@ import time
 
 import pytest
 
-from bracketlab.biquandle import enumerate_colorings, counting_invariant, verify_biquandle
+from bracketlab.biquandle import enumerate_colorings, counting_invariant, read_biquandle, verify_biquandle
 from bracketlab.bracket import (
     bracket_invariant,
     bracket_values,
     crossing_color_pair,
-    decode_bracket,
+    read_bracket,
     verify_bracket,
 )
 from bracketlab.cocycle import (
     canonical_cocycle,
     cocycle_invariant,
-    decode_cocycle,
+    read_cocycle,
     verify_cocycle,
     z_invariant,
     z_invariant_multiset,
@@ -46,22 +46,20 @@ class TestCriterion1BundledStructures:
     """The bundled structures verify; negative controls fail with witnesses."""
 
     def test_positive_structures(self, flip, threeel, brackets, cocycle_ab):
-        assert verify_biquandle(flip.under_table, flip.over_table).ok
-        assert verify_biquandle(threeel.under_table, threeel.over_table).ok
+        assert verify_biquandle(flip).ok
+        assert verify_biquandle(threeel).ok
         gf8 = brackets["bracket_gf8"]
         assert verify_bracket(gf8.biquandle, gf8.ring, gf8.A, gf8.B).ok
         assert verify_cocycle(cocycle_ab).ok
 
     def test_negative_controls_fail_with_witness(self):
-        bq = load_corpus_json("biquandle_3el_broken.json")
-        report = verify_biquandle(bq["under"], bq["over"])
-        assert not report.ok and report.failures[0].witness
-
-        report = verify_bracket(*decode_bracket(load_corpus_json("bracket_gf8_broken.json")))
-        assert not report.ok and report.failures[0].witness
-
-        report = verify_cocycle(decode_cocycle(load_corpus_json("cocycle_ab_broken.json")))
-        assert not report.ok and report.failures[0].witness
+        for read, name in (
+            (read_biquandle, "biquandle_3el_broken"),
+            (read_bracket, "bracket_gf8_broken"),
+            (read_cocycle, "cocycle_ab_broken"),
+        ):
+            report, structure = read(load_corpus_json(f"{name}.json"))
+            assert not report.ok and report.failures[0].witness and structure is None
 
 
 class TestCriterion2CocycleInvariant:

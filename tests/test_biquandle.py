@@ -8,6 +8,7 @@ from bracketlab.biquandle import (
     Coloring,
     counting_invariant,
     enumerate_colorings,
+    read_biquandle,
     verify_biquandle,
 )
 from bracketlab.corpus import load_corpus_json
@@ -41,26 +42,25 @@ def brute_force_colorings(X: Biquandle, D) -> list:
 
 class TestVerify:
     def test_flip_passes(self, flip):
-        report = verify_biquandle(flip.under_table, flip.over_table)
+        report = verify_biquandle(flip)
         assert report.ok
 
     def test_threeel_passes(self, threeel):
-        report = verify_biquandle(threeel.under_table, threeel.over_table)
+        report = verify_biquandle(threeel)
         assert report.ok
 
     def test_dihedral_quandle_passes(self):
-        assert verify_biquandle(R3_UNDER, R3_OVER).ok
+        assert verify_biquandle(Biquandle(R3_UNDER, R3_OVER)).ok
 
     def test_broken_tables_fail_with_witness(self):
-        data = load_corpus_json("biquandle_3el_broken.json")
-        report = verify_biquandle(data["under"], data["over"])
-        assert not report.ok
+        report, X = read_biquandle(load_corpus_json("biquandle_3el_broken.json"))
+        assert not report.ok and X is None
         diag = [f for f in report.failures if f.axiom == "i"]
         assert diag and diag[0].witness == (1,)
 
     def test_noninvertible_column_fails(self):
         under = [[1, 1], [1, 2]]  # column 1 is not a permutation
-        report = verify_biquandle(under, [[1, 1], [2, 2]])
+        report = verify_biquandle(Biquandle(under, [[1, 1], [2, 2]]))
         assert not report.ok
         assert any(f.axiom.startswith("ii") for f in report.failures)
 
@@ -69,7 +69,7 @@ class TestVerify:
         # and breaks the exchange laws.
         under = [[2, 2, 2], [3, 3, 3], [1, 1, 1]]
         over = [[1, 1, 1], [2, 2, 2], [3, 3, 3]]
-        report = verify_biquandle(under, over)
+        report = verify_biquandle(Biquandle(under, over))
         assert not report.ok
 
     def test_reader_verifies(self):

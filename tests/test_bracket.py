@@ -9,7 +9,7 @@ from bracketlab.bracket import (
     bracket_invariant,
     bracket_values,
     crossing_color_pair,
-    decode_bracket,
+    read_bracket,
     verify_bracket,
 )
 from bracketlab.corpus import load_corpus_json
@@ -24,6 +24,13 @@ from conftest import (
     reference_verify_bracket,
     smoothing_states,
 )
+
+
+def unverified(data: dict) -> tuple:
+    """The ``Bracket`` arguments (biquandle, ring, A, B) of bracket JSON, read without checking any axiom."""
+    ring = ring_make(data["ring"])
+    A, B = ([[ring.element_from_json(v) for v in row] for row in data[table]] for table in "AB")
+    return Biquandle(data["biquandle"]["under"], data["biquandle"]["over"]), ring, A, B
 
 
 def walk_bracket_values(beta, D, colorings, states=None) -> list:
@@ -99,8 +106,8 @@ class TestVerify:
 
     def test_broken_control_fails(self):
         data = load_corpus_json("bracket_gf8_broken.json")
-        report = verify_bracket(*decode_bracket(data))
-        assert not report.ok
+        report, beta = read_bracket(data)
+        assert not report.ok and beta is None
         assert report.failures[0].witness  # concrete witness triple
 
     def test_literal_axiom_flag(self, brackets):
@@ -162,7 +169,7 @@ class TestVerify:
             bracket_from_json(data)
 
     def test_constructor_takes_unit_tables_that_fail_the_axioms(self):
-        X, ring, A, B = decode_bracket(load_corpus_json("bracket_gf8_broken.json"))
+        X, ring, A, B = unverified(load_corpus_json("bracket_gf8_broken.json"))
         assert not verify_bracket(X, ring, A, B).ok
         beta = Bracket(X, ring, A, B)
         assert beta.A == tuple(map(tuple, A)) and beta.B == tuple(map(tuple, B))
@@ -172,7 +179,7 @@ class TestVerify:
             data = load_corpus_json("bracket_z9.json")
             data[table][0][0] = 3  # not a unit of Z/9
             with pytest.raises(ValueError, match=rf"{table}\[0\]\[0\] = 3 is not a unit"):
-                Bracket(*decode_bracket(data))
+                Bracket(*unverified(data))
 
     def test_unchecked_non_unit_entry_rejected(self):
         # q_{x,y} and G need every entry of A and B to be a unit.
@@ -180,7 +187,7 @@ class TestVerify:
             data = load_corpus_json("bracket_z9.json")
             data[table][i][j] = 3  # not a unit of Z/9
             with pytest.raises(ValueError, match=rf"{table}\[{i}\]\[{j}\] = 3 is not a unit"):
-                Bracket(*decode_bracket(data))
+                Bracket(*unverified(data))
 
     def test_nonunit_entry_rejected(self, flip):
         ring = ZModRing(4)

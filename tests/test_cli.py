@@ -216,6 +216,37 @@ def test_check_all_rejects_a_bracket_on_a_non_biquandle(runner, tmp_path):
     assert "not a biquandle" in result.output
 
 
+def _on_broken_tables(tmp_path) -> dict:
+    """A bracket and a cocycle file whose own tables pass, on tables that are not a biquandle."""
+    tables = json.loads(Path(corpus_file("biquandle_3el_broken.json")).read_text())
+    structures = {
+        "bracket": {"ring": {"kind": "zmod", "n": 5}, "biquandle": tables, "A": [[1] * 3] * 3, "B": [[3] * 3] * 3},
+        "cocycle": {"biquandle": tables, "target": {"kind": "free_abelian", "symbols": ["a"]}, "phi": [["1"] * 3] * 3},
+    }
+    paths = {}
+    for kind, data in structures.items():
+        paths[kind] = tmp_path / f"{kind}_on_broken.json"
+        paths[kind].write_text(json.dumps(data))
+    return paths
+
+
+def test_verify_commands_refuse_a_non_biquandle(runner, tmp_path):
+    for kind, path in _on_broken_tables(tmp_path).items():
+        result = runner.invoke(main, [f"verify-{kind}", str(path)])
+        _assert_input_error(result, kind)
+        assert f"bad {kind} {path}: not a biquandle: " in result.output
+
+
+def test_check_all_rejects_a_cocycle_on_a_non_biquandle(runner, tmp_path):
+    _on_broken_tables(tmp_path)
+    manifest = tmp_path / "manifest.json"
+    entry = {"name": "on_broken", "file": "cocycle_on_broken.json", "expected_verification": "fail"}
+    manifest.write_text(json.dumps({"cocycles": [entry]}))
+    result = runner.invoke(main, ["check-all", "--manifest", str(manifest)])
+    _assert_corpus_error(result)
+    assert "corpus error: not a biquandle: " in result.output
+
+
 FLIP = {"name": "flip", "file": "biquandle_flip.json"}
 BROKEN = {"name": "broken", "file": "biquandle_3el_broken.json", "expected_verification": "fail"}
 UNKNOT = {"name": "unknot", "file": "unknot.json"}

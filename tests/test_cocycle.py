@@ -7,7 +7,7 @@ from bracketlab.cocycle import (
     cocycle_from_json,
     cocycle_invariant,
     cocycle_value,
-    decode_cocycle,
+    read_cocycle,
     verify_cocycle,
     z_invariant,
     z_invariant_multiset,
@@ -35,9 +35,8 @@ class TestVerify:
 
     def test_broken_control_fails_on_diagonal(self):
         data = load_corpus_json("cocycle_ab_broken.json")
-        cocycle = decode_cocycle(data)
-        report = verify_cocycle(cocycle)
-        assert not report.ok
+        report, cocycle = read_cocycle(data)
+        assert not report.ok and cocycle is None
         assert report.failures[0].axiom == "i"
         assert report.failures[0].witness == (1,)
 

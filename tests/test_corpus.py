@@ -63,6 +63,17 @@ class TestManifest:
         json.dumps(report)  # fully JSON-serializable
 
 
+def test_negative_control_rows_name_their_first_failing_axiom():
+    details = {r.name: r.details["detail"] for r in check_all(default_manifest()) if r.name.startswith("verify-")}
+    broken = {name: detail for name, detail in details.items() if name.endswith("_broken")}
+    assert broken == {
+        "verify-biquandle:threeel_broken": "i",
+        "verify-bracket:gf8_broken": "i",
+        "verify-cocycle:ab_broken": "i",
+    }
+    assert all(detail == "" for name, detail in details.items() if name not in broken)
+
+
 def test_check_all_builds_each_complex_once(monkeypatch):
     # One Khovanov complex per diagram, by the tangle scan, shared by the 5
     # brackets and reduced once; no check builds a cube of smoothings.
