@@ -28,7 +28,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as f:
             return json.load(f)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise click.exceptions.Exit(_input_error(f"cannot read {path}: {exc}"))
 
 
@@ -162,14 +162,26 @@ def colorings_cmd(biquandle_file, diagram_file, pretty):
     _emit(out, [f"count: {len(colorings)}"] + _table(("#", "arc colors"), rows), pretty)
 
 
-@main.command("bracket-value")
-@click.argument("bracket_file", type=click.Path())
-@click.argument("diagram_file", type=click.Path())
-@pretty_option
-def bracket_value_cmd(bracket_file, diagram_file, pretty):
+def _bracket_command(name: str):
+    """Register ``run(beta, D, pretty)`` as command ``name`` on BRACKET_FILE and DIAGRAM_FILE, with its docstring as help."""
+
+    def register(run):
+        @main.command(name, help=run.__doc__)
+        @click.argument("bracket_file", type=click.Path())
+        @click.argument("diagram_file", type=click.Path())
+        @pretty_option
+        def command(bracket_file, diagram_file, pretty):
+            beta = _parse(bracket_file, "bracket", bracket_from_json)
+            run(beta, _parse(diagram_file, "diagram", parse_diagram), pretty)
+
+        return run
+
+    return register
+
+
+@_bracket_command("bracket-value")
+def bracket_value_cmd(beta, D, pretty):
     """Evaluate the bracket state sum for every coloring of a diagram."""
-    beta = _parse(bracket_file, "bracket", bracket_from_json)
-    D = _parse(diagram_file, "diagram", parse_diagram)
     ring = beta.ring
     colorings = _computed(enumerate_colorings, beta.biquandle, D)
     values = [
@@ -181,14 +193,9 @@ def bracket_value_cmd(bracket_file, diagram_file, pretty):
     _emit({**fields, "values": values}, lines + _table(("coloring", "value"), rows), pretty)
 
 
-@main.command("bracket-invariant")
-@click.argument("bracket_file", type=click.Path())
-@click.argument("diagram_file", type=click.Path())
-@pretty_option
-def bracket_invariant_cmd(bracket_file, diagram_file, pretty):
+@_bracket_command("bracket-invariant")
+def bracket_invariant_cmd(beta, D, pretty):
     """The multiset of bracket values over all colorings."""
-    beta = _parse(bracket_file, "bracket", bracket_from_json)
-    D = _parse(diagram_file, "diagram", parse_diagram)
     ring = beta.ring
     multiset = _computed(bracket_invariant, beta, D)
     fields, lines = _delta_w(beta)
@@ -218,15 +225,10 @@ def canonical_cocycle_cmd(bracket_file, pretty):
     _emit(out, lines + _table(("x", "y", "phi(x,y)"), rows), pretty)
 
 
-@main.command("z-invariant")
-@click.argument("bracket_file", type=click.Path())
-@click.argument("diagram_file", type=click.Path())
-@pretty_option
-def z_invariant_cmd(bracket_file, diagram_file, pretty):
+@_bracket_command("z-invariant")
+def z_invariant_cmd(beta, D, pretty):
     """The multiset of Z_beta cosets over all colorings of a diagram."""
-    beta = _parse(bracket_file, "bracket", bracket_from_json)
     G = beta.G
-    D = _parse(diagram_file, "diagram", parse_diagram)
     cosets = _computed(z_invariant_multiset, beta, D)
     out = {
         "G": G.to_json(),
@@ -247,14 +249,9 @@ def khovanov_cmd(diagram_file, pretty):
     _emit(table.to_json(), _table(("i", "j", "rank", "torsion"), _homology_rows(table)), pretty)
 
 
-@main.command("bh")
-@click.argument("bracket_file", type=click.Path())
-@click.argument("diagram_file", type=click.Path())
-@pretty_option
-def bh_cmd(bracket_file, diagram_file, pretty):
+@_bracket_command("bh")
+def bh_cmd(beta, D, pretty):
     """Bracket cohomology tables over all colorings of a diagram."""
-    beta = _parse(bracket_file, "bracket", bracket_from_json)
-    D = _parse(diagram_file, "diagram", parse_diagram)
     multiset = _computed(bh_multiset, beta, D)
     out = {
         "multiset": [
@@ -268,10 +265,8 @@ def bh_cmd(bracket_file, diagram_file, pretty):
     _emit(out, lines, pretty)
 
 
-def _run_checks(bracket_file, diagram_file, pretty, details, label):
+def _run_checks(beta, D, pretty, details, label):
     """One report per coloring: its coloring, then ``details`` of its ``check_colorings`` entry."""
-    beta = _parse(bracket_file, "bracket", bracket_from_json)
-    D = _parse(diagram_file, "diagram", parse_diagram)
     colorings = _computed(enumerate_colorings, beta.biquandle, D)
     checks = check_colorings(beta, D, colorings, _computed(khovanov_classical, D))
     reports = [{"coloring": f.to_json(), **details(check, beta.ring)} for f, check in zip(colorings, checks)]
@@ -294,22 +289,16 @@ def _euler_details(check, ring) -> dict:
     return {"ok": check.euler, "euler_evaluated": chi, "gdim_times_bracket": expected}
 
 
-@main.command("check-theorem")
-@click.argument("bracket_file", type=click.Path())
-@click.argument("diagram_file", type=click.Path())
-@pretty_option
-def check_theorem_cmd(bracket_file, diagram_file, pretty):
+@_bracket_command("check-theorem")
+def check_theorem_cmd(beta, D, pretty):
     """Check Bh(f) = classical Khovanov folded into R^x and shifted by Z_beta(f)."""
-    _run_checks(bracket_file, diagram_file, pretty, _theorem_details, "theorem")
+    _run_checks(beta, D, pretty, _theorem_details, "theorem")
 
 
-@main.command("check-euler")
-@click.argument("bracket_file", type=click.Path())
-@click.argument("diagram_file", type=click.Path())
-@pretty_option
-def check_euler_cmd(bracket_file, diagram_file, pretty):
+@_bracket_command("check-euler")
+def check_euler_cmd(beta, D, pretty):
     """Check chi(Bh(f)) evaluates to (sum over G) * bracket value."""
-    _run_checks(bracket_file, diagram_file, pretty, _euler_details, "euler identity")
+    _run_checks(beta, D, pretty, _euler_details, "euler identity")
 
 
 @main.command("check-all")

@@ -19,7 +19,6 @@ carries the A-type skein coefficient and bit 1 the B-type one.
 
 from __future__ import annotations
 
-import json
 from heapq import heappop, heappush
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
@@ -40,13 +39,7 @@ class CrossingRecord(NamedTuple):
     over_out: int
 
     def to_json(self):
-        return {
-            "sign": self.sign,
-            "under_in": self.under_in,
-            "over_in": self.over_in,
-            "under_out": self.under_out,
-            "over_out": self.over_out,
-        }
+        return self._asdict()
 
 
 def _is_int(v) -> bool:
@@ -153,9 +146,7 @@ class OrientedDiagram:
 
 
 def parse_diagram(data) -> OrientedDiagram:
-    """Parse diagram JSON (text or already-decoded dict)."""
-    if isinstance(data, str):
-        data = json.loads(data)
+    """Parse decoded diagram JSON."""
     if not isinstance(data, dict):
         raise DiagramError("a diagram must be a JSON object")
     crossings = []

@@ -277,7 +277,5 @@ def cohomology(c: GradedComplex) -> HomologyTable:
         for h, size in Counter(c.degrees[i]).items():
             rank_in, torsion = image.get((i, h), (0, []))
             rank_out, _ = image.get((i + 1, h), (0, []))
-            free_rank = size - rank_out - rank_in
-            if free_rank or torsion:
-                entries[(i, h)] = (free_rank, tuple(torsion))
+            entries[(i, h)] = (size - rank_out - rank_in, torsion)
     return HomologyTable.from_dict(None, entries)

@@ -20,13 +20,27 @@ class RingError(ValueError):
     """Raised for malformed ring descriptors or out-of-ring elements."""
 
 
-# The most elements a quotient ring may have: its product table holds the
-# square of this many entries.
+# The most elements a quotient ring, or a unit subgroup of any ring, may
+# have: a quotient ring's product table holds the square of this many
+# entries, and Bh folds one copy of Khovanov homology per element of G.
 MAX_ELEMENTS = 1024
 
 
+def _doubling(op, unit, a, k: int):
+    """a op a op ... op a, k >= 0 times (``unit`` for k = 0), by doubling: O(log k) ops."""
+    result = unit
+    while k:
+        if k & 1:
+            result = op(result, a)
+        a = op(a, a)
+        k >>= 1
+    return result
+
+
 class Ring:
-    """Shared arithmetic; each ring kind supplies zero, one, add, mul, neg, try_invert and elements."""
+    """Shared arithmetic, with equality by ``to_json`` and hashing by ``repr``.
+
+    Each ring kind supplies zero, one, add, mul, neg, try_invert, elements, to_json and __repr__."""
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -38,25 +52,19 @@ class Ring:
             if inv is None:
                 raise RingError(f"negative power of non-unit {a!r}")
             a, k = inv, -k
-        result = self.one
-        while k:
-            if k & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return result
+        return _doubling(self.mul, self.one, a, k)
 
     def int_mul(self, c: int, a):
         """c*a with c an ordinary integer, by doubling: O(log |c|) additions."""
         if c < 0:
             a, c = self.neg(a), -c
-        result = self.zero
-        while c:
-            if c & 1:
-                result = self.add(result, a)
-            a = self.add(a, a)
-            c >>= 1
-        return result
+        return _doubling(self.add, self.zero, a, c)
+
+    def __eq__(self, other):
+        return isinstance(other, Ring) and other.to_json() == self.to_json()
+
+    def __hash__(self):
+        return hash(repr(self))
 
     def is_unit(self, a) -> bool:
         return self.try_invert(a) is not None
@@ -109,12 +117,6 @@ class ZModRing(Ring):
     def __repr__(self):
         return f"ZModRing({self.n})"
 
-    def __eq__(self, other):
-        return isinstance(other, ZModRing) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("zmod", self.n))
-
 
 class PolyQuotientRing(Ring):
     """(Z/nZ)[t]/(p(t)) as coefficient tuples of length deg(p).
@@ -156,7 +158,7 @@ class PolyQuotientRing(Ring):
         for i, a in enumerate(elements):
             steps = [self.zero]
             for k in reversed(range(self.degree)):
-                steps.append(self.add(steps[-1], self._product(a, elements[base_n ** (self.degree - 1 - k)])))
+                steps.append(self.add(steps[-1], self._reduce([0] * k + list(a))))
             row, p = table[i], self.zero
             for j in range(i + 1):
                 row[j] = table[j][i] = elements[code[p]]
@@ -181,15 +183,6 @@ class PolyQuotientRing(Ring):
     def add(self, a, b):
         n = self.base.n
         return tuple((x + y) % n for x, y in zip(a, b))
-
-    def _product(self, a, b) -> tuple:
-        prod = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-        return self._reduce(prod)
 
     def mul(self, a, b):
         return self._table[self._code[a]][self._code[b]]
@@ -231,16 +224,6 @@ class PolyQuotientRing(Ring):
 
     def __repr__(self):
         return f"PolyQuotientRing({self.base.n}, {list(self.modulus)})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyQuotientRing)
-            and other.base.n == self.base.n
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return hash(("poly_quotient", self.base.n, self.modulus))
 
 
 def ring_make(desc: dict) -> Ring:
@@ -291,7 +274,7 @@ class UnitSubgroup:
 
 
 def subgroup_generate(ring: Ring, gens: Iterable) -> UnitSubgroup:
-    """Smallest subgroup of R^x containing ``gens`` (closure iteration)."""
+    """Smallest subgroup of R^x containing ``gens`` (closure iteration); ``RingError`` past MAX_ELEMENTS elements."""
     gens = list(gens)
     for g in gens:
         if not ring.is_unit(g):
@@ -306,6 +289,8 @@ def subgroup_generate(ring: Ring, gens: Iterable) -> UnitSubgroup:
                 if b not in elems:
                     elems.add(b)
                     nxt.append(b)
+                    if len(elems) > MAX_ELEMENTS:
+                        raise RingError(f"the unit subgroup has more than {MAX_ELEMENTS} elements")
         frontier = nxt
     # A finite multiplicatively closed set of units contains all inverses.
     return UnitSubgroup(ring=ring, elements=frozenset(elems))

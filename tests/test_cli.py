@@ -61,6 +61,7 @@ MALFORMED_DIAGRAMS = {
     "crossings_not_list": {"crossings": 5},
     "top_level_list": [],
     "too_many_free_circles": {"crossings": [], "free_circles": 257},
+    "json_string": json.dumps({"crossings": [KINK]}),
 }
 
 
@@ -352,6 +353,41 @@ def test_colorings_of_a_thousand_kinks(runner, tmp_path):
     assert result.exit_code == 0, result.output
     out = json.loads(result.output)
     assert out["count"] == 1 and out["colorings"] == [{str(arc): 1 for arc in range(1, 2001)}]
+
+
+def test_an_integer_past_the_digit_limit_is_a_read_error(runner, tmp_path):
+    # json refuses an integer of more than 4,300 digits with a plain ValueError.
+    path = tmp_path / "huge.json"
+    path.write_text('{"crossings": [], "free_circles": 1' + "0" * 5000 + "}")
+    for command in (["khovanov", path], ["verify-biquandle", path], ["bh", corpus_file("bracket_z9.json"), path]):
+        result = runner.invoke(main, [str(arg) for arg in command])
+        assert result.exit_code == 2, (command, result.output)
+        assert "error: cannot read" in result.output and "Traceback" not in result.output
+
+
+TRIVIAL_2 = {"under": [[1, 1], [2, 2]], "over": [[1, 1], [2, 2]]}
+
+
+def test_a_scalar_group_past_the_element_limit_exits_2(runner, tmp_path):
+    # Over Z/2053, G = <q_{2,1}^{-1} q_{1,1}> = <4> has 1,026 elements, past rings.MAX_ELEMENTS.
+    bracket = tmp_path / "bracket_z2053.json"
+    ring = {"kind": "zmod", "n": 2053}
+    bracket.write_text(json.dumps({"ring": ring, "biquandle": TRIVIAL_2, "A": [[1, 1], [1, 1]], "B": [[2, 2], [1027, 2]]}))
+    for command in (["bh", bracket, corpus_file("hopf.json")], ["verify-bracket", bracket], ["canonical-cocycle", bracket]):
+        result = runner.invoke(main, [str(arg) for arg in command])
+        _assert_input_error(result, "bracket")
+        assert "the unit subgroup has more than 1024 elements" in result.output
+    cocycle = tmp_path / "cocycle_z2053.json"
+    target = {"kind": "unit_quotient", "ring": ring, "G": [4]}
+    cocycle.write_text(json.dumps({"biquandle": TRIVIAL_2, "target": target, "phi": [[1, 1], [1, 1]]}))
+    _assert_input_error(runner.invoke(main, ["verify-cocycle", str(cocycle)]), "cocycle")
+    # A large ring whose G is small keeps working: here G = {1}.
+    small = tmp_path / "bracket_z1000003.json"
+    ring = {"kind": "zmod", "n": 1000003}
+    small.write_text(json.dumps({"ring": ring, "biquandle": TRIVIAL_2, "A": [[1, 1], [1, 1]], "B": [[2, 2], [2, 2]]}))
+    result = runner.invoke(main, ["bh", str(small), corpus_file("hopf.json")])
+    assert result.exit_code == 0, result.output
+    assert [e["multiplicity"] for e in json.loads(result.output)["multiset"]] == [4]
 
 
 def test_kink_fixture_is_well_formed(runner, tmp_path):

@@ -11,7 +11,7 @@ from bracketlab.biquandle import AxiomFailure
 from bracketlab.corpus import CorpusManifest, ManifestEntry
 from bracketlab.diagram import CrossingRecord
 from bracketlab.graded import HomologyTable
-from bracketlab.rings import Coset, UnitSubgroup, ZModRing, subgroup_generate
+from bracketlab.rings import Coset, PolyQuotientRing, UnitSubgroup, ZModRing, subgroup_generate
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -36,6 +36,16 @@ def test_unit_subgroup_equals_by_ring_and_elements():
     trivial = UnitSubgroup(ZModRing(5), frozenset({1}))
     assert trivial != UnitSubgroup(ZModRing(7), frozenset({1}))
     assert trivial != frozenset({1})
+
+
+def test_rings_equal_and_hash_by_their_descriptor():
+    # A trailing zero coefficient does not change the modulus t^3 + t + 1.
+    gf8, padded = PolyQuotientRing(2, [1, 1, 0, 1]), PolyQuotientRing(2, [1, 1, 0, 1, 0])
+    assert gf8 == padded and hash(gf8) == hash(padded)
+    assert gf8 != PolyQuotientRing(2, [1, 0, 1, 1]) and gf8 != PolyQuotientRing(3, [1, 1, 0, 1])
+    assert ZModRing(5) == ZModRing(5) and hash(ZModRing(5)) == hash(ZModRing(5)) and ZModRing(5) != ZModRing(7)
+    assert ZModRing(2) != PolyQuotientRing(2, [0, 1]) and PolyQuotientRing(2, [0, 1]) != ZModRing(2)
+    assert ZModRing(2) != {"kind": "zmod", "n": 2}
 
 
 def test_coset_equality_hash_and_order():

@@ -212,6 +212,13 @@ class TestSubgroups:
         with pytest.raises(RingError):
             subgroup_generate(ZModRing(9), [3])
 
+    def test_generate_stops_past_max_elements(self):
+        # 12289 = 12 * 1024 + 1 is prime and 11 generates its units, so 11^12 has order 1024.
+        assert len(subgroup_generate(ZModRing(12289), [pow(11, 12, 12289)])) == MAX_ELEMENTS
+        # 4 has order 1026 modulo the prime 2053.
+        with pytest.raises(RingError, match="more than 1024 elements"):
+            subgroup_generate(ZModRing(2053), [4])
+
     def test_cosets(self):
         r = ZModRing(9)
         g = subgroup_generate(r, [7])
