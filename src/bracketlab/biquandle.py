@@ -100,16 +100,6 @@ class Biquandle:
         report.require("biquandle")
         return X
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Biquandle)
-            and self.under_table == other.under_table
-            and self.over_table == other.over_table
-        )
-
-    def __hash__(self):
-        return hash((self.under_table, self.over_table))
-
 
 def verify_biquandle(X: Biquandle) -> Report:
     """Check the biquandle axioms, reporting every failing instance.

@@ -37,20 +37,6 @@ def _input_error(message: str) -> int:
     return INPUT_ERROR
 
 
-def _emit(data, pretty_lines=None, pretty: bool = False):
-    if pretty and pretty_lines is not None:
-        click.echo("\n".join(pretty_lines))
-    else:
-        click.echo(json.dumps(data, indent=2, default=str))
-
-
-def _emit_report(out: dict, lines: list, pretty: bool):
-    """Emit a check's output, then exit 1 if it failed."""
-    _emit(out, lines, pretty)
-    if not out["ok"]:
-        raise click.exceptions.Exit(CHECK_FAILED)
-
-
 def _table(headers, rows) -> list:
     cells = [headers] + [[str(c) for c in row] for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
@@ -94,40 +80,68 @@ def _delta_w(beta) -> tuple:
     return fields, [f"delta: {ring.element_str(beta.delta)}", f"w: {ring.element_str(beta.w)}"]
 
 
-def _computed(compute, *args):
-    """``compute(*args)``; exits 2 when it refuses a diagram as too large."""
-    try:
-        return compute(*args)
-    except DiagramError as exc:
-        raise click.exceptions.Exit(_input_error(str(exc)))
-
-
-pretty_option = click.option("--pretty", is_flag=True, help="Render aligned tables instead of JSON.")
-
-
 @click.group()
 def main():
     """Biquandle brackets, canonical 2-cocycles, and bracket cohomology."""
 
 
-@main.command("verify-biquandle")
-@click.argument("file", type=click.Path())
-@pretty_option
-def verify_biquandle_cmd(file, pretty):
+def _command(name: str, *params):
+    """Register ``run`` as command ``name``, with its docstring as help and a ``--pretty`` flag.
+
+    Each of ``params`` is a FILE argument, as an ``(ARGUMENT, what, reader)``
+    triple whose file ``run`` gets read through ``_parse`` in order, or a
+    click argument or option, which ``run`` gets by keyword. ``run`` returns
+    ``(out, lines)``: the command prints ``out`` as JSON, or ``lines`` under
+    ``--pretty``, and exits 1 when ``out`` holds ``"ok": false`` and 2 with
+    the message when ``run`` refuses a diagram with ``DiagramError``. Readers
+    are lambdas so that, like every other call here, they look their
+    function up in this module when the command runs.
+    """
+    files = [p for p in params if isinstance(p, tuple)]
+    decorators = [click.argument(p[0].lower(), type=click.Path()) if isinstance(p, tuple) else p for p in params]
+    decorators.append(click.option("--pretty", is_flag=True, help="Render aligned tables instead of JSON."))
+
+    def register(run):
+        def command(pretty, **options):
+            inputs = [_parse(options.pop(arg.lower()), what, reader) for arg, what, reader in files]
+            try:
+                out, lines = run(*inputs, **options)
+            except DiagramError as exc:
+                raise click.exceptions.Exit(_input_error(str(exc)))
+            click.echo("\n".join(lines) if pretty else json.dumps(out, indent=2, default=str))
+            if out.get("ok") is False:
+                raise click.exceptions.Exit(CHECK_FAILED)
+
+        for decorate in reversed(decorators):
+            command = decorate(command)
+        main.command(name, help=run.__doc__)(command)
+        return run
+
+    return register
+
+
+_BIQUANDLE = ("BIQUANDLE_FILE", "biquandle", lambda data: Biquandle.from_json(data))
+_BRACKET = ("BRACKET_FILE", "bracket", lambda data: bracket_from_json(data))
+_DIAGRAM = ("DIAGRAM_FILE", "diagram", lambda data: parse_diagram(data))
+
+
+@_command("verify-biquandle", ("FILE", "biquandle", lambda data: read_biquandle(data)))
+def verify_biquandle_cmd(read):
     """Check the biquandle axioms for the tables in FILE."""
-    report, _ = _parse(file, "biquandle", read_biquandle)
-    _emit_report(report.to_json(), [f"ok: {report.ok}"] + _failure_table(report), pretty)
+    report, _ = read
+    return report.to_json(), [f"ok: {report.ok}"] + _failure_table(report)
 
 
-@main.command("verify-bracket")
-@click.argument("file", type=click.Path())
-@click.option(
-    "--literal-axioms",
-    is_flag=True,
-    help="Check the published form of axiom (iii), including its asymmetric fourth equation.",
+@_command(
+    "verify-bracket",
+    click.argument("file", type=click.Path()),
+    click.option(
+        "--literal-axioms",
+        is_flag=True,
+        help="Check the published form of axiom (iii), including its asymmetric fourth equation.",
+    ),
 )
-@pretty_option
-def verify_bracket_cmd(file, literal_axioms, pretty):
+def verify_bracket_cmd(file, literal_axioms):
     """Check the bracket axioms for the (ring, biquandle, A, B) data in FILE."""
     report, beta = _parse(file, "bracket", lambda data: read_bracket(data, literal_axioms))
     out = report.to_json()
@@ -136,80 +150,53 @@ def verify_bracket_cmd(file, literal_axioms, pretty):
         fields, more = _delta_w(beta)
         out.update(fields)
         lines += more
-    _emit_report(out, lines + _failure_table(report), pretty)
+    return out, lines + _failure_table(report)
 
 
-@main.command("verify-cocycle")
-@click.argument("file", type=click.Path())
-@pretty_option
-def verify_cocycle_cmd(file, pretty):
+@_command("verify-cocycle", ("FILE", "cocycle", lambda data: read_cocycle(data)))
+def verify_cocycle_cmd(read):
     """Check the 2-cocycle conditions for the presentation matrix in FILE."""
-    report, _ = _parse(file, "cocycle", read_cocycle)
-    _emit_report(report.to_json(), [f"ok: {report.ok}"] + _failure_table(report), pretty)
+    report, _ = read
+    return report.to_json(), [f"ok: {report.ok}"] + _failure_table(report)
 
 
-@main.command("colorings")
-@click.argument("biquandle_file", type=click.Path())
-@click.argument("diagram_file", type=click.Path())
-@pretty_option
-def colorings_cmd(biquandle_file, diagram_file, pretty):
+@_command("colorings", _BIQUANDLE, _DIAGRAM)
+def colorings_cmd(X, D):
     """Enumerate X-colorings of a diagram and report the counting invariant."""
-    X = _parse(biquandle_file, "biquandle", Biquandle.from_json)
-    D = _parse(diagram_file, "diagram", parse_diagram)
-    colorings = _computed(enumerate_colorings, X, D)
+    colorings = enumerate_colorings(X, D)
     out = {"count": len(colorings), "colorings": [f.to_json() for f in colorings]}
     rows = [(i, json.dumps(f.to_json())) for i, f in enumerate(colorings)]
-    _emit(out, [f"count: {len(colorings)}"] + _table(("#", "arc colors"), rows), pretty)
+    return out, [f"count: {len(colorings)}"] + _table(("#", "arc colors"), rows)
 
 
-def _bracket_command(name: str):
-    """Register ``run(beta, D, pretty)`` as command ``name`` on BRACKET_FILE and DIAGRAM_FILE, with its docstring as help."""
-
-    def register(run):
-        @main.command(name, help=run.__doc__)
-        @click.argument("bracket_file", type=click.Path())
-        @click.argument("diagram_file", type=click.Path())
-        @pretty_option
-        def command(bracket_file, diagram_file, pretty):
-            beta = _parse(bracket_file, "bracket", bracket_from_json)
-            run(beta, _parse(diagram_file, "diagram", parse_diagram), pretty)
-
-        return run
-
-    return register
-
-
-@_bracket_command("bracket-value")
-def bracket_value_cmd(beta, D, pretty):
+@_command("bracket-value", _BRACKET, _DIAGRAM)
+def bracket_value_cmd(beta, D):
     """Evaluate the bracket state sum for every coloring of a diagram."""
     ring = beta.ring
-    colorings = _computed(enumerate_colorings, beta.biquandle, D)
+    colorings = enumerate_colorings(beta.biquandle, D)
     values = [
         {"coloring": f.to_json(), "value": ring.element_to_json(value)}
         for f, value in zip(colorings, bracket_values(beta, D, colorings))
     ]
     fields, lines = _delta_w(beta)
     rows = [(json.dumps(v["coloring"]), v["value"]) for v in values]
-    _emit({**fields, "values": values}, lines + _table(("coloring", "value"), rows), pretty)
+    return {**fields, "values": values}, lines + _table(("coloring", "value"), rows)
 
 
-@_bracket_command("bracket-invariant")
-def bracket_invariant_cmd(beta, D, pretty):
+@_command("bracket-invariant", _BRACKET, _DIAGRAM)
+def bracket_invariant_cmd(beta, D):
     """The multiset of bracket values over all colorings."""
     ring = beta.ring
-    multiset = _computed(bracket_invariant, beta, D)
+    multiset = bracket_invariant(beta, D)
     fields, lines = _delta_w(beta)
     out = {**fields, "multiset": [{"value": ring.element_to_json(v), "multiplicity": m} for v, m in multiset]}
     rows = [(ring.element_str(v), m) for v, m in multiset]
-    _emit(out, lines + _table(("value", "multiplicity"), rows), pretty)
+    return out, lines + _table(("value", "multiplicity"), rows)
 
 
-@main.command("canonical-cocycle")
-@click.argument("bracket_file", type=click.Path())
-@pretty_option
-def canonical_cocycle_cmd(bracket_file, pretty):
+@_command("canonical-cocycle", _BRACKET)
+def canonical_cocycle_cmd(beta):
     """The canonical 2-cocycle phi_beta of a bracket, with its group G."""
-    beta = _parse(bracket_file, "bracket", bracket_from_json)
     G = beta.G
     phi = canonical_cocycle(beta)
     out = {"G": G.to_json(), "order_G": len(G.elements), "cocycle": phi.to_json()}
@@ -222,37 +209,34 @@ def canonical_cocycle_cmd(bracket_file, pretty):
         "G: {%s}" % ", ".join(beta.ring.element_str(g) for g in G.sorted_elements()),
         f"|G|: {len(G.elements)}",
     ]
-    _emit(out, lines + _table(("x", "y", "phi(x,y)"), rows), pretty)
+    return out, lines + _table(("x", "y", "phi(x,y)"), rows)
 
 
-@_bracket_command("z-invariant")
-def z_invariant_cmd(beta, D, pretty):
+@_command("z-invariant", _BRACKET, _DIAGRAM)
+def z_invariant_cmd(beta, D):
     """The multiset of Z_beta cosets over all colorings of a diagram."""
     G = beta.G
-    cosets = _computed(z_invariant_multiset, beta, D)
+    cosets = z_invariant_multiset(beta, D)
     out = {
         "G": G.to_json(),
         "order_G": len(G.elements),
         "multiset": [{"coset": c.to_json(), "multiplicity": m} for c, m in cosets],
     }
     rows = [(beta.ring.element_str(c.canonical) + "*G", m) for c, m in cosets]
-    _emit(out, [f"|G|: {len(G.elements)}"] + _table(("coset", "multiplicity"), rows), pretty)
+    return out, [f"|G|: {len(G.elements)}"] + _table(("coset", "multiplicity"), rows)
 
 
-@main.command("khovanov")
-@click.argument("diagram_file", type=click.Path())
-@pretty_option
-def khovanov_cmd(diagram_file, pretty):
+@_command("khovanov", _DIAGRAM)
+def khovanov_cmd(D):
     """Classical integer-graded Khovanov homology of a diagram."""
-    D = _parse(diagram_file, "diagram", parse_diagram)
-    table = _computed(khovanov_classical, D)
-    _emit(table.to_json(), _table(("i", "j", "rank", "torsion"), _homology_rows(table)), pretty)
+    table = khovanov_classical(D)
+    return table.to_json(), _table(("i", "j", "rank", "torsion"), _homology_rows(table))
 
 
-@_bracket_command("bh")
-def bh_cmd(beta, D, pretty):
+@_command("bh", _BRACKET, _DIAGRAM)
+def bh_cmd(beta, D):
     """Bracket cohomology tables over all colorings of a diagram."""
-    multiset = _computed(bh_multiset, beta, D)
+    multiset = bh_multiset(beta, D)
     out = {
         "multiset": [
             {"table": table.to_json(), "multiplicity": m} for table, m in multiset
@@ -262,19 +246,18 @@ def bh_cmd(beta, D, pretty):
     for idx, (table, m) in enumerate(multiset):
         lines.append(f"table {idx} (multiplicity {m}):")
         lines += ["  " + l for l in _table(("i", "degree", "rank", "torsion"), _homology_rows(table))]
-    _emit(out, lines, pretty)
+    return out, lines
 
 
-def _run_checks(beta, D, pretty, details, label):
+def _run_checks(beta, D, details, label):
     """One report per coloring: its coloring, then ``details`` of its ``check_colorings`` entry."""
-    colorings = _computed(enumerate_colorings, beta.biquandle, D)
-    checks = check_colorings(beta, D, colorings, _computed(khovanov_classical, D))
+    colorings = enumerate_colorings(beta.biquandle, D)
+    checks = check_colorings(beta, D, colorings, khovanov_classical(D))
     reports = [{"coloring": f.to_json(), **details(check, beta.ring)} for f, check in zip(colorings, checks)]
     ok = all(r["ok"] for r in reports)
     out = {"ok": ok, "checked": len(reports), "reports": reports}
     rows = [(json.dumps(r["coloring"]), r["ok"]) for r in reports]
-    lines = [f"{label}: {'pass' if ok else 'FAIL'} ({len(reports)} colorings)"]
-    _emit_report(out, lines + _table(("coloring", "ok"), rows), pretty)
+    return out, [f"{label}: {'pass' if ok else 'FAIL'} ({len(reports)} colorings)"] + _table(("coloring", "ok"), rows)
 
 
 def _theorem_details(check, ring) -> dict:
@@ -289,22 +272,23 @@ def _euler_details(check, ring) -> dict:
     return {"ok": check.euler, "euler_evaluated": chi, "gdim_times_bracket": expected}
 
 
-@_bracket_command("check-theorem")
-def check_theorem_cmd(beta, D, pretty):
+@_command("check-theorem", _BRACKET, _DIAGRAM)
+def check_theorem_cmd(beta, D):
     """Check Bh(f) = classical Khovanov folded into R^x and shifted by Z_beta(f)."""
-    _run_checks(beta, D, pretty, _theorem_details, "theorem")
+    return _run_checks(beta, D, _theorem_details, "theorem")
 
 
-@_bracket_command("check-euler")
-def check_euler_cmd(beta, D, pretty):
+@_command("check-euler", _BRACKET, _DIAGRAM)
+def check_euler_cmd(beta, D):
     """Check chi(Bh(f)) evaluates to (sum over G) * bracket value."""
-    _run_checks(beta, D, pretty, _euler_details, "euler identity")
+    return _run_checks(beta, D, _euler_details, "euler identity")
 
 
-@main.command("check-all")
-@click.option("--manifest", "manifest_path", type=click.Path(), default=None, help="Manifest file (defaults to the bundled corpus).")
-@pretty_option
-def check_all_cmd(manifest_path, pretty):
+@_command(
+    "check-all",
+    click.option("--manifest", "manifest_path", type=click.Path(), default=None, help="Manifest file (defaults to the bundled corpus)."),
+)
+def check_all_cmd(manifest_path):
     """Run every structural check over the bundled (or given) corpus."""
     try:
         manifest = load_manifest(manifest_path)
@@ -317,7 +301,7 @@ def check_all_cmd(manifest_path, pretty):
     lines = [f"{'pass' if out['ok'] else 'FAIL'}: {out['total'] - len(out['failed'])}/{out['total']} checks"]
     if rows:
         lines += _table(("check", "status", "detail"), rows)
-    _emit_report(out, lines, pretty)
+    return out, lines
 
 
 if __name__ == "__main__":

@@ -134,16 +134,6 @@ class OrientedDiagram:
             "free_circles": self.free_circles,
         }
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrientedDiagram)
-            and self.crossings == other.crossings
-            and self.free_circles == other.free_circles
-        )
-
-    def __hash__(self):
-        return hash((self.crossings, self.free_circles))
-
 
 def parse_diagram(data) -> OrientedDiagram:
     """Parse decoded diagram JSON."""

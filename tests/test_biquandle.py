@@ -72,6 +72,15 @@ class TestVerify:
         report = verify_biquandle(Biquandle(under, over))
         assert not report.ok
 
+    def test_axiom_iii3_failure_has_its_witness(self):
+        under, over = [[1, 1], [1, 1]], [[1, 1], [1, 2]]
+        X = Biquandle(under, over)
+        report = verify_biquandle(X)
+        assert {f.axiom for f in report.failures} == {"i", "ii", "iii.3"}
+        (failure,) = [f for f in report.failures if f.axiom == "iii.3"]
+        x, y, z = failure.witness
+        assert X.over(X.over(x, y), X.over(z, y)) != X.over(X.over(x, z), X.under(y, z))
+
     def test_reader_verifies(self):
         tables = {"under": [[1, 1], [1, 2]], "over": [[1, 1], [2, 2]]}
         with pytest.raises(ValueError, match="not a biquandle"):

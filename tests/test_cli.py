@@ -7,7 +7,9 @@ import click
 import pytest
 from click.testing import CliRunner
 
+from bracketlab import cli
 from bracketlab.cli import main
+from bracketlab.diagram import DiagramError
 from conftest import braid_closure, corpus_file, random_braid_word
 
 
@@ -246,6 +248,42 @@ def test_check_all_rejects_a_cocycle_on_a_non_biquandle(runner, tmp_path):
     result = runner.invoke(main, ["check-all", "--manifest", str(manifest)])
     _assert_corpus_error(result)
     assert "corpus error: not a biquandle: " in result.output
+
+
+def test_check_all_pretty_lists_a_failing_row(runner, tmp_path):
+    # A negative control listed as passing fails its row: exit 1, and --pretty names it with its first failing axiom.
+    (tmp_path / "bracket_gf8_broken.json").write_text(Path(corpus_file("bracket_gf8_broken.json")).read_text())
+    entry = {"name": "gf8_broken", "file": "bracket_gf8_broken.json", "expected_verification": "pass"}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"brackets": [entry]}))
+    result = runner.invoke(main, ["check-all", "--manifest", str(manifest), "--pretty"])
+    assert result.exit_code == 1, result.output
+    lines = result.output.splitlines()
+    assert lines[0] == "FAIL: 0/1 checks"
+    assert lines[1].split() == ["check", "status", "detail"]
+    assert lines[3].split() == ["verify-bracket:gf8_broken", "FAIL", "i"]
+
+
+def test_a_refused_diagram_in_the_body_exits_2(runner, monkeypatch):
+    # A DiagramError from any step of a command, not only its first, is an input error.
+    def refuse(*args):
+        raise DiagramError("the diagram is refused")
+
+    monkeypatch.setattr(cli, "bracket_values", refuse)
+    result = runner.invoke(main, ["bracket-value", corpus_file("bracket_z9.json"), corpus_file("trefoil.json")])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.output == "error: the diagram is refused\n"
+
+
+def test_readers_are_looked_up_when_the_command_runs(runner, monkeypatch):
+    # A reader patched in the cli namespace after import is the one the command reads with.
+    def refuse(data):
+        raise DiagramError("patched reader")
+
+    monkeypatch.setattr(cli, "parse_diagram", refuse)
+    trefoil = corpus_file("trefoil.json")
+    result = runner.invoke(main, ["khovanov", trefoil])
+    assert result.exit_code == 2 and result.output == f"error: bad diagram {trefoil}: patched reader\n"
 
 
 FLIP = {"name": "flip", "file": "biquandle_flip.json"}

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from bracketlab.biquandle import enumerate_colorings
@@ -50,6 +52,24 @@ class TestVerify:
         target = FreeAbelianTarget(("a",))
         phi = [[target.identity] * 3 for _ in range(3)]
         assert verify_cocycle(Cocycle(threeel, target, phi)).ok
+
+
+class TestJson:
+    @pytest.mark.parametrize("name", ["bracket_z9", "bracket_gf8", "bracket_phi", "bracket_const_z5"])
+    def test_canonical_cocycle_reads_back(self, brackets, diagrams, name):
+        # The unit-quotient file that `canonical-cocycle` prints in its `cocycle` field.
+        beta = brackets[name]
+        report, phi = read_cocycle(json.loads(json.dumps(canonical_cocycle(beta).to_json())))
+        assert report.ok
+        for dname, D in diagrams.items():
+            for f in enumerate_colorings(beta.biquandle, D):
+                assert cocycle_value(phi, f) == z_invariant(beta, f), (name, dname)
+
+    def test_free_abelian_cocycle_reads_back(self, cocycle_ab):
+        data = json.loads(json.dumps(cocycle_ab.to_json()))
+        report, again = read_cocycle(data)
+        assert report.ok and again.phi == cocycle_ab.phi
+        assert again.to_json() == data
 
 
 class TestInvariant:

@@ -200,6 +200,13 @@ def test_int_mul_adds_by_doubling(ring, a, product, monkeypatch):
     assert len(calls) <= 42
 
 
+@pytest.mark.parametrize("ring, a", [(ZModRing(12), 6), (PolyQuotientRing(2, [1, 0, 1]), (1, 1))], ids=repr)
+def test_negative_power_of_a_non_unit_is_refused(ring, a):
+    assert ring.try_invert(a) is None
+    with pytest.raises(RingError, match="negative power of non-unit"):
+        ring.power(a, -2)
+
+
 class TestSubgroups:
     def test_generate_closure(self):
         r = ZModRing(9)
