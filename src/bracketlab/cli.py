@@ -16,7 +16,7 @@ import click
 from .biquandle import Biquandle, enumerate_colorings, read_biquandle
 from .bracket import bracket_from_json, bracket_invariant, bracket_values, read_bracket
 from .cocycle import canonical_cocycle, read_cocycle, z_invariant_multiset
-from .corpus import check_all, load_manifest, report_to_json
+from .corpus import CORPUS, check_all, load_manifest, read_json, report_to_json
 from .diagram import DiagramError, parse_diagram
 from .homology import bh_multiset, check_colorings, khovanov_classical
 
@@ -26,8 +26,7 @@ CHECK_FAILED = 1
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as f:
-            return json.load(f)
+        return read_json(path)
     except (OSError, ValueError, RecursionError) as exc:
         raise click.exceptions.Exit(_input_error(f"cannot read {path}: {exc}"))
 
@@ -286,14 +285,13 @@ def check_euler_cmd(beta, D):
 
 @_command(
     "check-all",
-    click.option("--manifest", "manifest_path", type=click.Path(), default=None, help="Manifest file (defaults to the bundled corpus)."),
+    click.option("--manifest", "manifest_path", type=click.Path(), default=f"{CORPUS}/manifest.json", help="Manifest file (defaults to the bundled corpus)."),
 )
 def check_all_cmd(manifest_path):
     """Run every structural check over the bundled (or given) corpus."""
     try:
         manifest = load_manifest(manifest_path)
-        base = None if manifest_path is None else str(pathlib.Path(manifest_path).parent)
-        results = check_all(manifest, base)
+        results = check_all(manifest, str(pathlib.Path(manifest_path).parent))
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise click.exceptions.Exit(_input_error(f"corpus error: {exc}"))
     out = report_to_json(results)

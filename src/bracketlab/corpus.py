@@ -15,7 +15,7 @@ u(f) per coloring.  No check builds the 2^n cube of smoothings.
 from __future__ import annotations
 
 import json
-from importlib import resources
+from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from .biquandle import Biquandle, Coloring, Report, enumerate_colorings, multiset, read_biquandle
@@ -90,35 +90,33 @@ class CorpusManifest:
         return cls(**sections)
 
 
-def corpus_path(filename: str):
-    return resources.files("bracketlab").joinpath("corpus", filename)
+# The bundled corpus: the JSON files and their manifest.
+CORPUS = Path(__file__).with_name("corpus")
+
+
+def read_json(path) -> dict:
+    with open(path) as f:
+        return json.load(f)
+
+
+def corpus_path(filename: str) -> Path:
+    return CORPUS / filename
 
 
 def load_corpus_json(filename: str) -> dict:
-    with corpus_path(filename).open() as f:
-        return json.load(f)
+    return read_json(CORPUS / filename)
 
 
-def default_manifest() -> CorpusManifest:
-    return CorpusManifest.from_json(load_corpus_json("manifest.json"))
-
-
-def load_manifest(path: Optional[str] = None) -> CorpusManifest:
-    if path is None:
-        return default_manifest()
-    with open(path) as f:
-        return CorpusManifest.from_json(json.load(f))
-
-
-def _read(entry: ManifestEntry, base: Optional[str]) -> dict:
-    if base is None:
-        return load_corpus_json(entry.file)
-    with open(f"{base}/{entry.file}") as f:
-        return json.load(f)
+def load_manifest(path=CORPUS / "manifest.json") -> CorpusManifest:
+    """The manifest in ``path``, the bundled corpus's by default."""
+    return CorpusManifest.from_json(read_json(path))
 
 
 def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Report]:
-    """Run the full corpus validation; every row must have ok=True."""
+    """Run the full corpus validation; every row must have ok=True.
+
+    Manifest files are relative to ``base``, the bundled corpus by default.
+    """
     results: List[Report] = []
     diagrams: Dict[str, OrientedDiagram] = {}
     biquandles: Dict[str, Biquandle] = {}
@@ -128,7 +126,7 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
         results.append(Report(name, ok, [], {"detail": detail}))
 
     for entry in manifest.diagrams:
-        diagrams[entry.name] = parse_diagram(_read(entry, base))
+        diagrams[entry.name] = parse_diagram(read_json(f"{base or CORPUS}/{entry.file}"))
 
     # Each structure is read, and its axioms verified, by its reader, which
     # refuses a bracket or cocycle whose tables are not a biquandle.
@@ -138,7 +136,7 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
         ("cocycle", manifest.cocycles, read_cocycle, {}),
     ):
         for entry in entries:
-            report, structure = read(_read(entry, base))
+            report, structure = read(read_json(f"{base or CORPUS}/{entry.file}"))
             expected = entry.expected_verification == "pass"
             row(f"verify-{label}:{entry.name}", report.ok == expected, "" if report.ok else report.failures[0].axiom)
             if report.ok and expected:

@@ -55,9 +55,8 @@ class OrientedDiagram:
             raise DiagramError(f"free_circles must be an integer from 0 to {MAX_FREE_CIRCLES}, got {free_circles!r}")
         self.crossings = tuple(crossings)
         self.free_circles = free_circles
-        # The incidence map, from one walk over the crossings: edge label -> corner it enters by, and leaves by.
-        self._enters, self._leaves, self.n_minus = self._validate()
-        self.edges = sorted(self._enters)
+        # The incidence map, from one walk over the crossings: the corner at the far end of each corner's edge.
+        self.edges, self._far, self.n_minus = self._validate()
         top = self.edges[-1] if self.edges else 0
         self.free_circle_arcs = tuple(range(top + 1, top + 1 + self.free_circles))
         self.n_plus = len(self.crossings) - self.n_minus
@@ -67,12 +66,13 @@ class OrientedDiagram:
     def _edge_labels(c: CrossingRecord):
         return (c.under_in, c.over_in, c.under_out, c.over_out)
 
-    def _validate(self) -> Tuple[Dict[int, int], Dict[int, int], int]:
-        """Check the crossings in one walk: the incidence map and the number of negative crossings.
+    def _validate(self) -> Tuple[List[int], List[int], int]:
+        """Check the crossings in one walk: the edge labels, the incidence map and the number of negative crossings.
 
         Corner 4i + k is corner k of crossing i, clockwise from NW (NW, NE,
         SE, SW as in the module docstring): the two inputs, then the two
-        outputs.  Each edge label must enter by one corner and leave by one.
+        outputs.  Each edge label must enter by one corner and leave by one,
+        and the incidence map lists, per corner, the corner at its edge's far end.
         """
         enters: Dict[int, int] = {}
         leaves: Dict[int, int] = {}
@@ -91,18 +91,23 @@ class OrientedDiagram:
                 bucket[label] = 4 * idx + (k ^ flip)
         if enters.keys() != leaves.keys():
             raise DiagramError(f"dangling edge labels: {sorted(enters.keys() ^ leaves.keys())}")
-        self._check_planar(enters, leaves)
-        return enters, leaves, n_minus
+        far = [0] * (4 * len(self.crossings))
+        for label, a in enters.items():
+            b = leaves[label]
+            far[a], far[b] = b, a
+        self._check_planar(far)
+        return sorted(enters), far, n_minus
 
-    def _check_planar(self, enters: Dict[int, int], leaves: Dict[int, int]):
+    @staticmethod
+    def _check_planar(far: List[int]):
         """Raise unless the crossings and edges lie in the plane as drawn.
 
-        ``enters`` and ``leaves`` are the incidence map.  A face is walked by
-        following an edge to its far corner and turning to the next corner
-        clockwise.  By Euler's formula, a graph of n crossings and 2n edges
-        in k pieces is plane exactly when it has n + 2k faces.
+        ``far`` is the incidence map.  A face is walked by following an edge
+        to its far corner and turning to the next corner clockwise.  By
+        Euler's formula, a graph of n crossings and 2n edges in k pieces is
+        plane exactly when it has n + 2k faces.
         """
-        n = len(self.crossings)
+        n = len(far) // 4
         piece = list(range(n))
 
         def find(i):
@@ -110,10 +115,7 @@ class OrientedDiagram:
                 i = piece[i]
             return i
 
-        far = [0] * (4 * n)
-        for label, a in enters.items():
-            b = leaves[label]
-            far[a], far[b] = b, a
+        for a, b in enumerate(far):
             piece[find(a // 4)] = find(b // 4)
         faces, seen = 0, [False] * (4 * n)
         for corner in range(4 * n):
@@ -177,12 +179,8 @@ def frontier_order(D: OrientedDiagram) -> List[int]:
     (-labels shared, index) finds each next crossing: a crossing's count only
     grows, so its entries from before it grew come out after it is taken.
     """
-    enters, leaves = D._enters, D._leaves
-    # The crossing at the far end of each of a crossing's four edge ends; a kink's loop ends where it starts.
-    far = [
-        (leaves[c.under_in] // 4, leaves[c.over_in] // 4, enters[c.under_out] // 4, enters[c.over_out] // 4)
-        for c in D.crossings
-    ]
+    # The crossing at the far end of each of a crossing's four corners; a kink's loop ends where it starts.
+    far = [[corner // 4 for corner in D._far[i : i + 4]] for i in range(0, len(D._far), 4)]
     width = pd_widest = 0
     for i, ends in enumerate(far):  # in PD order an edge opens at its first end and closes at its second
         for j in ends:

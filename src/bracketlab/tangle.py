@@ -280,7 +280,7 @@ def _add_crossing(old: _Complex, crossing: CrossingRecord, cycles_of) -> _Comple
     for i, (matching, weight, q) in old.objects.items():
         for bit, (after, loops) in enumerate(smoothed[matching]):
             ids = [
-                new.add(after, weight + bit, q + bit + len(loops) - 2 * bin(e).count("1"))
+                new.add(after, weight + bit, q + bit + len(loops) - 2 * e.bit_count())
                 for e in range(1 << len(loops))
             ]
             copies[i, bit] = (after, loops, ids)
@@ -303,17 +303,12 @@ def _add_crossing(old: _Complex, crossing: CrossingRecord, cycles_of) -> _Comple
             surface = _Surface(m_a + m_b + arcs, lower + disks + loops_a + loops_b, seams, [c[0] for c in cycles_of(n_a, n_b)])
             surfaces[key] = surface, first_cup, first_cup + len(loops_a), (1 << len(loops_b)) - 1
         surface, first_cup, first_cap, plus = surfaces[key]
-        reduced = surface.reduced
         for e_a, a in enumerate(ids_a):
             for e_b, b in enumerate(ids_b):
                 dotted = e_a << first_cup | (plus ^ e_b) << first_cap
                 total: Morphism = {}
                 for mask, c in morphism.items():
-                    mask |= dotted
-                    for m, v in (reduced[mask] if mask in reduced else surface.reduce(mask)).items():
-                        v = total.pop(m, 0) + c * v
-                        if v:
-                            total[m] = v
+                    _add(total, surface.reduce(mask | dotted), c)
                 new.put(a, b, total)
 
     for src, targets in old.out.items():

@@ -1,9 +1,11 @@
-"""Shared fixtures (corpus objects loaded once per session), a seeded closed-braid generator and test oracles.
+"""Shared fixtures (corpus objects loaded once per session), closed-braid and grid diagram generators, and test oracles.
 
 The oracles include the whole 2^n cube of smoothings, which the package
-never builds: its states (``resolve_state``), the Kauffman state sum, and
-the direct bracket-cohomology complex (``reference_cube_complex``); and
-the per-bit smoothing maps of the scans (``reference_smoothings``).
+never builds: its states (``resolve_state``), the Kauffman state sum, the
+bracket state walk (``walk_bracket_values``), and the direct
+bracket-cohomology complex (``reference_cube_complex``); the colorings by
+brute force; and the per-bit smoothing maps of the scans
+(``reference_smoothings``).
 """
 
 import itertools
@@ -13,7 +15,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import pytest
 
-from bracketlab.biquandle import Biquandle
+from bracketlab.biquandle import Biquandle, Coloring
 from bracketlab.bracket import Bracket, bracket_from_json, crossing_color_pair
 from bracketlab.cocycle import cocycle_from_json
 from bracketlab.corpus import corpus_path, load_corpus_json
@@ -240,6 +242,57 @@ def kauffman_state_sum(D: OrientedDiagram) -> dict:
     return {e: c for e, c in total.items() if c}
 
 
+def brute_force_colorings(X: Biquandle, D) -> list:
+    """The colorings of ``D`` found by trying all |X|^arcs assignments in lexicographic order.
+
+    An assignment is kept when every crossing has under_out = under_in
+    (under) over_in and over_out = over_in (over) under_in, the rule that
+    ``enumerate_colorings`` states.
+    """
+    arcs = D.arcs()
+    found = []
+    for values in itertools.product(X.elements(), repeat=len(arcs)):
+        colors = dict(zip(arcs, values))
+        if all(
+            colors[c.under_out] == X.under(colors[c.under_in], colors[c.over_in])
+            and colors[c.over_out] == X.over(colors[c.over_in], colors[c.under_in])
+            for c in D.crossings
+        ):
+            found.append(Coloring(D, tuple(sorted(colors.items()))))
+    return found
+
+
+def walk_bracket_values(beta, D, colorings, states=None) -> list:
+    """The bracket state sum by walking all 2^n smoothing states.
+
+    Independent cross-check of the transfer scan in ``bracket_values``: each
+    state's circles come from ``resolve_state``, and each crossing's
+    coefficients from ``beta.A``, ``beta.B`` and ``ring.try_invert``, not
+    from ``beta.tables`` or ``beta.coefficient``.  ``states`` may hold
+    ``smoothing_states(D)`` already resolved, to share them across brackets.
+    """
+    ring = beta.ring
+    coefficients = []
+    for f in colorings:
+        colors = dict(f.arc_colors)
+        per_crossing = []
+        for c in D.crossings:
+            x, y = crossing_color_pair(c, colors)
+            a, b = beta.A[x - 1][y - 1], beta.B[x - 1][y - 1]
+            per_crossing.append((a, b) if c.sign == 1 else (ring.try_invert(b), ring.try_invert(a)))
+        coefficients.append(per_crossing)
+    totals = [ring.zero] * len(colorings)
+    for state in smoothing_states(D) if states is None else states:
+        loop = ring.power(beta.delta, state.num_circles)
+        for k, per_crossing in enumerate(coefficients):
+            term = loop
+            for pair, bit in zip(per_crossing, state.resolution):
+                term = ring.mul(term, pair[bit])
+            totals[k] = ring.add(totals[k], term)
+    norm = ring.power(beta.w, D.n_minus - D.n_plus)
+    return [ring.mul(norm, total) for total in totals]
+
+
 def cube_edge_sign(bits: Tuple[int, ...], pos: int) -> int:
     """The sign of the cube edge that changes bit ``pos`` of state ``bits`` from 0 to 1.
 
@@ -347,6 +400,49 @@ def braid_closure(word, strands: int) -> dict:
         c["under_out"] = close.get(c["under_out"], c["under_out"])
         c["over_out"] = close.get(c["over_out"], c["over_out"])
     return {"crossings": crossings, "free_circles": sum(at[p] == p + 1 for p in range(strands))}
+
+
+def grid_diagram(X: Sequence[int], O: Sequence[int]) -> dict:
+    """Diagram JSON of the grid diagram with an X at row ``X[c]`` and an O at row ``O[c]`` of column c.
+
+    ``X`` and ``O`` are permutations of 0..n-1 that differ in every column.
+    Each column runs from its O to its X and passes over every row it
+    crosses; each row runs from its X to its O.  With column c at x = c
+    and row r at y = r, a crossing is positive when the cross product of
+    the over and under directions is.  Edges are numbered along each
+    component, the components in order of their least column, and a
+    component with no crossings is a free circle.
+    """
+    n = len(X)
+    x_col, o_col = {X[c]: c for c in range(n)}, {O[c]: c for c in range(n)}
+    between = lambda v, a, b: min(a, b) < v < max(a, b)
+    crossings, free_circles, label, seen = {}, 0, 0, set()
+    for start in range(n):
+        if start in seen:
+            continue
+        passes = []  # (crossing (column, row), over, direction) in the order the component meets them
+        c = start
+        while c not in seen:
+            seen.add(c)
+            step = 1 if X[c] > O[c] else -1
+            passes += [((c, r), True, (0, step)) for r in range(O[c] + step, X[c], step) if between(c, x_col[r], o_col[r])]
+            r = X[c]
+            step = 1 if o_col[r] > c else -1
+            passes += [((d, r), False, (step, 0)) for d in range(c + step, o_col[r], step) if between(r, O[d], X[d])]
+            c = o_col[r]
+        free_circles += not passes
+        for j, (key, over, direction) in enumerate(passes):
+            strand = "over" if over else "under"
+            ends = crossings.setdefault(key, {})
+            ends[f"{strand}_in"], ends[f"{strand}_out"] = label + (j - 1) % len(passes) + 1, label + j + 1
+            ends[strand] = direction
+        label += len(passes)
+    records = []
+    for key in sorted(crossings):
+        ends = crossings[key]
+        (ox, oy), (ux, uy) = ends.pop("over"), ends.pop("under")
+        records.append({"sign": 1 if ox * uy - oy * ux > 0 else -1, **ends})
+    return {"crossings": records, "free_circles": free_circles}
 
 
 def kink_chain(n: int, signs=(1,)) -> dict:

@@ -1,11 +1,9 @@
-import itertools
 import random
 
 import pytest
 
 from bracketlab.biquandle import (
     Biquandle,
-    Coloring,
     counting_invariant,
     enumerate_colorings,
     read_biquandle,
@@ -13,31 +11,11 @@ from bracketlab.biquandle import (
 )
 from bracketlab.corpus import load_corpus_json
 from bracketlab.diagram import DiagramError, parse_diagram
-from conftest import braid_closure, kink_chain, random_braid_word
+from conftest import braid_closure, brute_force_colorings, kink_chain, random_braid_word
 
 # Dihedral quandle R_3: x under y = 2y - x (mod 3), x over y = x.
 R3_UNDER = [[1, 3, 2], [3, 2, 1], [2, 1, 3]]
 R3_OVER = [[1, 1, 1], [2, 2, 2], [3, 3, 3]]
-
-
-def brute_force_colorings(X: Biquandle, D) -> list:
-    """The colorings of ``D`` found by trying all |X|^arcs assignments in lexicographic order.
-
-    An assignment is kept when every crossing has under_out = under_in
-    (under) over_in and over_out = over_in (over) under_in, the rule that
-    ``enumerate_colorings`` states.
-    """
-    arcs = D.arcs()
-    found = []
-    for values in itertools.product(X.elements(), repeat=len(arcs)):
-        colors = dict(zip(arcs, values))
-        if all(
-            colors[c.under_out] == X.under(colors[c.under_in], colors[c.over_in])
-            and colors[c.over_out] == X.over(colors[c.over_in], colors[c.under_in])
-            for c in D.crossings
-        ):
-            found.append(Coloring(D, tuple(sorted(colors.items()))))
-    return found
 
 
 class TestVerify:

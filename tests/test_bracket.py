@@ -23,6 +23,7 @@ from conftest import (
     reference_smoothings,
     reference_verify_bracket,
     smoothing_states,
+    walk_bracket_values,
 )
 
 
@@ -31,37 +32,6 @@ def unverified(data: dict) -> tuple:
     ring = ring_make(data["ring"])
     A, B = ([[ring.element_from_json(v) for v in row] for row in data[table]] for table in "AB")
     return Biquandle(data["biquandle"]["under"], data["biquandle"]["over"]), ring, A, B
-
-
-def walk_bracket_values(beta, D, colorings, states=None) -> list:
-    """The bracket state sum by walking all 2^n smoothing states.
-
-    Independent cross-check of the transfer scan in ``bracket_values``: each
-    state's circles come from ``resolve_state``, and each crossing's
-    coefficients from ``beta.A``, ``beta.B`` and ``ring.try_invert``, not
-    from ``beta.tables`` or ``beta.coefficient``.  ``states`` may hold
-    ``smoothing_states(D)`` already resolved, to share them across brackets.
-    """
-    ring = beta.ring
-    coefficients = []
-    for f in colorings:
-        colors = dict(f.arc_colors)
-        per_crossing = []
-        for c in D.crossings:
-            x, y = crossing_color_pair(c, colors)
-            a, b = beta.A[x - 1][y - 1], beta.B[x - 1][y - 1]
-            per_crossing.append((a, b) if c.sign == 1 else (ring.try_invert(b), ring.try_invert(a)))
-        coefficients.append(per_crossing)
-    totals = [ring.zero] * len(colorings)
-    for state in smoothing_states(D) if states is None else states:
-        loop = ring.power(beta.delta, state.num_circles)
-        for k, per_crossing in enumerate(coefficients):
-            term = loop
-            for pair, bit in zip(per_crossing, state.resolution):
-                term = ring.mul(term, pair[bit])
-            totals[k] = ring.add(totals[k], term)
-    norm = ring.power(beta.w, D.n_minus - D.n_plus)
-    return [ring.mul(norm, total) for total in totals]
 
 
 def random_unit_tables(rng: random.Random, X: Biquandle, ring) -> tuple:

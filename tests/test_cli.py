@@ -622,6 +622,46 @@ class TestCheckCommands:
         assert out["ok"] is True and out["total"] > 0 and not out["failed"]
 
 
+class TestEmptyDiagram:
+    """``{"crossings": []}``: no crossings and no free circles."""
+
+    ONE = {"bracket_gf8": [1, 0, 0], "bracket_const_z5": 1, "bracket_const_z7": 1, "bracket_phi": [1, 0, 0, 0], "bracket_z9": 1}
+
+    @pytest.fixture()
+    def empty(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"crossings": []}))
+        return str(path)
+
+    def run(self, runner, *args):
+        result = runner.invoke(main, [*args])
+        assert result.exit_code == 0, result.output
+        return json.loads(result.output)
+
+    def test_khovanov_is_one_z_at_the_origin(self, runner, empty):
+        assert self.run(runner, "khovanov", empty) == {"entries": [{"i": 0, "degree": 0, "rank": 1, "torsion": []}]}
+
+    def test_one_empty_coloring(self, runner, empty):
+        assert self.run(runner, "colorings", corpus_file("biquandle_3el.json"), empty) == {"count": 1, "colorings": [{}]}
+
+    def test_bracket_value_is_the_rings_one(self, runner, empty):
+        for bracket, one in self.ONE.items():
+            out = self.run(runner, "bracket-value", corpus_file(f"{bracket}.json"), empty)
+            assert out["values"] == [{"coloring": {}, "value": one}], bracket
+
+    def test_z_invariant_is_the_coset_of_one(self, runner, empty):
+        out = self.run(runner, "z-invariant", corpus_file("bracket_z9.json"), empty)
+        assert out["multiset"] == [{"coset": 1, "multiplicity": 1}]
+
+    def test_theorem_and_euler_identity_hold(self, runner, empty):
+        for bracket in self.ONE:
+            for command in ("check-theorem", "check-euler"):
+                out = self.run(runner, command, corpus_file(f"{bracket}.json"), empty)
+                assert out["ok"] is True and out["checked"] == 1, (command, bracket)
+        report = self.run(runner, "check-euler", corpus_file("bracket_z9.json"), empty)["reports"][0]
+        assert report["euler_evaluated"] == report["gdim_times_bracket"] == 3
+
+
 def test_readme_synopsis_matches_the_cli():
     # The `bracketlab ...` lines of the README's sh blocks show every command
     # and, apart from --pretty, every option, and nothing else.

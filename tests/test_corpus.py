@@ -3,22 +3,22 @@ import json
 from bracketlab.corpus import (
     CorpusManifest,
     check_all,
-    default_manifest,
     load_corpus_json,
+    load_manifest,
     report_to_json,
 )
 
 
 class TestManifest:
     def test_default_manifest_shape(self):
-        m = default_manifest()
+        m = load_manifest()
         assert {e.name for e in m.diagrams} >= {"unknot", "trefoil", "hopf", "figure_eight"}
         equivalents = {e.name: e.equivalent_to for e in m.diagrams if e.equivalent_to}
         assert equivalents["trefoil_r1"] == "trefoil"
         assert equivalents["hopf_r2"] == "hopf"
 
     def test_negative_controls_marked(self):
-        m = default_manifest()
+        m = load_manifest()
         expected_fail = {
             e.name
             for section in (m.biquandles, m.brackets, m.cocycles)
@@ -28,7 +28,7 @@ class TestManifest:
         assert expected_fail == {"threeel_broken", "gf8_broken", "ab_broken"}
 
     def test_all_files_parse(self):
-        m = default_manifest()
+        m = load_manifest()
         for section in (m.diagrams, m.biquandles, m.brackets, m.cocycles):
             for entry in section:
                 assert load_corpus_json(entry.file)
@@ -64,7 +64,7 @@ class TestManifest:
 
 
 def test_negative_control_rows_name_their_first_failing_axiom():
-    details = {r.name: r.details["detail"] for r in check_all(default_manifest()) if r.name.startswith("verify-")}
+    details = {r.name: r.details["detail"] for r in check_all(load_manifest()) if r.name.startswith("verify-")}
     broken = {name: detail for name, detail in details.items() if name.endswith("_broken")}
     assert broken == {
         "verify-biquandle:threeel_broken": "i",
@@ -87,7 +87,7 @@ def test_check_all_builds_each_complex_once(monkeypatch):
         return original(D)
 
     monkeypatch.setattr(corpus, "khovanov_complex", counted)
-    report = report_to_json(check_all(default_manifest()))
+    report = report_to_json(check_all(load_manifest()))
     assert report["ok"] and report["total"] == 478
     assert len(calls) == len({id(D) for D in calls}) == 10
 
@@ -109,7 +109,7 @@ def test_check_all_enumerates_colorings_once_per_tables_and_diagram(monkeypatch)
     for module in vars(bracketlab).values():
         if getattr(module, "enumerate_colorings", None) is original:
             monkeypatch.setattr(module, "enumerate_colorings", counted)
-    assert report_to_json(check_all(default_manifest()))["ok"]
+    assert report_to_json(check_all(load_manifest()))["ok"]
     assert len(calls) == 19
     assert len({(under, over, id(D)) for under, over, D in calls}) == 19
 
@@ -154,5 +154,5 @@ def test_check_all_folds_khovanov_once_per_coset(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(homology, "fold_khovanov", counted)
-    assert report_to_json(check_all(default_manifest()))["ok"]
+    assert report_to_json(check_all(load_manifest()))["ok"]
     assert len(calls) == 54

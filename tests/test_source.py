@@ -72,3 +72,12 @@ def test_a_fresh_interpreter_imports_no_dataclasses():
     code = "import sys, bracketlab, bracketlab.corpus, bracketlab.cli; print('dataclasses' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_the_corpus_is_read_without_importlib_resources():
+    # The bundled corpus is a plain directory beside the module.  -S keeps
+    # site-packages, and any .pth file there that imports it, out.
+    env = dict(os.environ, PYTHONPATH=str(Path(bracketlab.__file__).parent.parent))
+    code = "import sys, bracketlab.corpus; print('importlib.resources' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
