@@ -22,9 +22,7 @@ from .biquandle import Biquandle, Coloring, Report, enumerate_colorings, multise
 from .bracket import Bracket, read_bracket
 from .cocycle import canonical_cocycle, read_cocycle, verify_cocycle
 from .diagram import OrientedDiagram, parse_diagram
-from .graded import cohomology
 from .homology import check_colorings
-from .tangle import khovanov_complex, tensor_free_circles
 
 
 class ManifestEntry(NamedTuple):
@@ -95,7 +93,7 @@ CORPUS = Path(__file__).with_name("corpus")
 
 
 def read_json(path) -> dict:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         return json.load(f)
 
 
@@ -117,6 +115,10 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
 
     Manifest files are relative to ``base``, the bundled corpus by default.
     """
+    # Imported here, so that importing the corpus compiles neither module.
+    from .graded import cohomology
+    from .tangle import khovanov_complex, tensor_free_circles
+
     results: List[Report] = []
     diagrams: Dict[str, OrientedDiagram] = {}
     biquandles: Dict[str, Biquandle] = {}

@@ -30,19 +30,24 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
-from typing import Dict, List, NamedTuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple
 
 from .biquandle import Coloring
 from .bracket import Bracket, bracket_values
 from .cocycle import z_invariant, z_invariant_multiset
 from .diagram import OrientedDiagram
-from .graded import HomologyTable, cohomology, evaluate_formal_sum
 from .rings import Coset, UnitSubgroup
-from .tangle import khovanov_complex, tensor_free_circles
+
+if TYPE_CHECKING:
+    from .graded import HomologyTable
 
 
 def khovanov_classical(D: OrientedDiagram) -> HomologyTable:
     """Classical integer-graded Khovanov homology of the diagram, by the tangle scan."""
+    # Imported here, so that a process computing no homology never compiles them.
+    from .graded import cohomology
+    from .tangle import khovanov_complex, tensor_free_circles
+
     return tensor_free_circles(cohomology(khovanov_complex(D)), D.free_circles)
 
 
@@ -118,6 +123,9 @@ def check_colorings(
     normalises them by A_{1,1} and B_{1,1}; the Euler identity compares the
     tangle scan with the bracket scan.
     """
+    # Imported here, so that a process computing no homology never compiles it.
+    from .graded import evaluate_formal_sum
+
     G, q, ring = beta.G, beta.q11, beta.ring
     g_sum = reduce(ring.add, G.elements, ring.zero)
     shift = ring.mul(ring.power(beta.w, D.n_minus - D.n_plus), ring.power(q, 2 * D.n_minus - D.n_plus))

@@ -15,13 +15,13 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import pytest
 
-from bracketlab.biquandle import Biquandle, Coloring
+from bracketlab.biquandle import Biquandle, Coloring, enumerate_colorings
 from bracketlab.bracket import Bracket, bracket_from_json, crossing_color_pair
 from bracketlab.cocycle import cocycle_from_json
 from bracketlab.corpus import corpus_path, load_corpus_json
 from bracketlab.diagram import CrossingRecord, OrientedDiagram, _pairings, parse_diagram
-from bracketlab.graded import GradedComplex
-from bracketlab.rings import Coset, UnitSubgroup, subgroup_generate
+from bracketlab.graded import GradedComplex, HomologyTable, cohomology
+from bracketlab.rings import Coset, UnitSubgroup, ZModRing, subgroup_generate
 
 DIAGRAM_NAMES = [
     "unknot",
@@ -369,6 +369,37 @@ def reference_cube_complex(beta: Bracket, colors: dict, D: OrientedDiagram) -> G
                         row = matrix[index[(to_bits, g2, tuple(out))]]
                         row[src] = row.get(src, 0) + sign
     return GradedComplex(degrees, differentials)
+
+
+# The Kauffman bracket over Z/257 on the one-element biquandle: A = 3 and
+# B = 86 = 3^{-1}.  Its G is {1} and its q = -A^{-2} = 57 has order 128.
+KAUFFMAN = Bracket(Biquandle([[1]], [[1]]), ZModRing(257), [[3]], [[86]])
+
+
+def cube_khovanov(D: OrientedDiagram) -> HomologyTable:
+    """Classical Khovanov homology from the whole 2^n cube of smoothings.
+
+    Bh of the Kauffman bracket is Khovanov homology with each q-degree j
+    written as q^j; the degrees are read back as j.  Independent
+    cross-check of the tangle scan in ``khovanov_classical``.
+    """
+    ring, q = KAUFFMAN.ring, KAUFFMAN.q11
+    assert KAUFFMAN.G.elements == {ring.one} and q == 57
+    # j = n_+ - 2 n_- + (1-bits) + (#1 - #t), and a state has at most 2n + free circles.
+    n, circles = len(D.crossings), 2 * len(D.crossings) + D.free_circles
+    js = range(D.n_plus - 2 * D.n_minus - circles, D.n_plus - 2 * D.n_minus + n + circles + 1)
+    exponent = {ring.power(q, j): j for j in js}
+    assert len(exponent) == len(js), "q^j does not tell the diagram's q-degrees apart"
+    (f,) = enumerate_colorings(KAUFFMAN.biquandle, D)
+    table = cohomology(reference_cube_complex(KAUFFMAN, dict(f.arc_colors), D))
+    return HomologyTable.from_dict(
+        None, {(i, exponent[h]): (rank, tors) for (i, h), rank, tors in table.entries}
+    )
+
+
+def cube_bh(beta: Bracket, f) -> HomologyTable:
+    """Bh(f) by definition: the cohomology of the direct cube of smoothings."""
+    return cohomology(reference_cube_complex(beta, dict(f.arc_colors), f.diagram))
 
 
 def corpus_file(name: str) -> str:

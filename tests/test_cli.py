@@ -1,12 +1,16 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import click
 import pytest
 from click.testing import CliRunner
 
+import bracketlab
 from bracketlab import cli
 from bracketlab.cli import main
 from bracketlab.diagram import DiagramError
@@ -339,6 +343,22 @@ def test_unreadable_manifest_exits_2(runner, tmp_path, name):
     (tmp_path / "listed.json").write_bytes(UNREADABLE_FILES[name])
     path.write_text(json.dumps({"diagrams": [{"name": "listed", "file": "listed.json"}]}))
     _assert_corpus_error(runner.invoke(main, ["check-all", "--manifest", str(path)]))
+
+
+def test_files_are_read_as_utf_8_whatever_the_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259).  Under the C locale, with neither UTF-8 mode
+    # nor locale coercion, a file opened without an encoding decodes as ASCII.
+    src = str(Path(bracketlab.__file__).parent.parent)
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+    trefoil = json.loads(Path(corpus_file("trefoil.json")).read_text(encoding="utf-8"))
+    noted, not_utf8 = tmp_path / "noted.json", tmp_path / "not_utf8.json"
+    noted.write_text(json.dumps({**trefoil, "note": "nœud de trèfle"}, ensure_ascii=False), encoding="utf-8")
+    not_utf8.write_bytes(b"\xff")
+    golden = Path(__file__).resolve().parent / "golden" / "khovanov_trefoil.json"
+    for path, code, stdout, stderr in ((noted, 0, golden.read_bytes(), b""), (not_utf8, 2, b"", b"error: cannot read")):
+        result = subprocess.run([sys.executable, "-m", "bracketlab.cli", "khovanov", str(path)], env=env, capture_output=True)
+        assert (result.returncode, result.stdout) == (code, stdout), result.stderr
+        assert result.stderr.startswith(stderr) and b"Traceback" not in result.stderr
 
 
 def test_too_many_torsion_factors_exit_2(runner, tmp_path):

@@ -77,16 +77,16 @@ def test_negative_control_rows_name_their_first_failing_axiom():
 def test_check_all_builds_each_complex_once(monkeypatch):
     # One Khovanov complex per diagram, by the tangle scan, shared by the 5
     # brackets and reduced once; no check builds a cube of smoothings.
-    from bracketlab import corpus
+    from bracketlab import tangle
 
     calls = []
-    original = corpus.khovanov_complex
+    original = tangle.khovanov_complex
 
     def counted(D):
         calls.append(D)
         return original(D)
 
-    monkeypatch.setattr(corpus, "khovanov_complex", counted)
+    monkeypatch.setattr(tangle, "khovanov_complex", counted)
     report = report_to_json(check_all(load_manifest()))
     assert report["ok"] and report["total"] == 478
     assert len(calls) == len({id(D) for D in calls}) == 10

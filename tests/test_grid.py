@@ -5,11 +5,13 @@ import random
 from bracketlab.biquandle import enumerate_colorings
 from bracketlab.bracket import bracket_values
 from bracketlab.diagram import parse_diagram
-from bracketlab.homology import khovanov_classical
+from bracketlab.homology import check_colorings, khovanov_classical
 from conftest import (
     BRACKET_NAMES,
     braid_closure,
     brute_force_colorings,
+    cube_bh,
+    cube_khovanov,
     grid_diagram,
     kauffman_state_sum,
     smoothing_states,
@@ -50,3 +52,17 @@ def test_grids_match_the_state_oracles(flip, threeel, brackets):
             beta = brackets[name]
             colorings = enumerate_colorings(beta.biquandle, D)[:2]
             assert bracket_values(beta, D, colorings) == walk_bracket_values(beta, D, colorings, states), (name, D.to_json())
+
+
+def test_grids_match_the_direct_cube(brackets):
+    # The tangle scan, and Bh(f) as the scan's table folded at each coloring's
+    # cube unit, against the cohomology of the 2^n cube of smoothings.
+    for X, O in seeded_grids():
+        D = parse_diagram(grid_diagram(X, O))
+        classical = khovanov_classical(D)
+        assert classical == cube_khovanov(D), D.to_json()
+        for name in ("bracket_z9", "bracket_gf8"):
+            beta = brackets[name]
+            colorings = enumerate_colorings(beta.biquandle, D)[:2]
+            for f, check in zip(colorings, check_colorings(beta, D, colorings, classical)):
+                assert check.bh == cube_bh(beta, f), (name, D.to_json())

@@ -9,7 +9,7 @@ from bracketlab.biquandle import Biquandle, enumerate_colorings, multiset
 from bracketlab.bracket import Bracket, bracket_values, verify_bracket
 from bracketlab.cocycle import z_invariant, z_invariant_multiset
 from bracketlab.diagram import OrientedDiagram, parse_diagram
-from bracketlab.graded import HomologyTable, cohomology, evaluate_formal_sum
+from bracketlab.graded import cohomology, evaluate_formal_sum
 from bracketlab.homology import (
     bh_multiset,
     check_colorings,
@@ -19,43 +19,20 @@ from bracketlab.homology import (
 from bracketlab.rings import Coset, ZModRing
 from conftest import (
     DIAGRAM_NAMES,
+    KAUFFMAN,
     PINNED_WORDS,
     WITNESS_DIAGRAMS,
     basepoint_group,
     basepoint_z,
     braid_closure,
+    cube_bh,
+    cube_khovanov,
     grading_subgroup,
     kauffman_state_sum,
     kink_chain,
     random_braid_word,
     reference_cube_complex,
 )
-
-
-# The Kauffman bracket over Z/257 on the one-element biquandle: A = 3 and
-# B = 86 = 3^{-1}.  Its G is {1} and its q = -A^{-2} = 57 has order 128.
-KAUFFMAN = Bracket(Biquandle([[1]], [[1]]), ZModRing(257), [[3]], [[86]])
-
-
-def cube_khovanov(D: OrientedDiagram) -> HomologyTable:
-    """Classical Khovanov homology from the whole 2^n cube of smoothings.
-
-    Bh of the Kauffman bracket is Khovanov homology with each q-degree j
-    written as q^j; the degrees are read back as j.  Independent
-    cross-check of the tangle scan in ``khovanov_classical``.
-    """
-    ring, q = KAUFFMAN.ring, KAUFFMAN.q11
-    assert KAUFFMAN.G.elements == {ring.one} and q == 57
-    # j = n_+ - 2 n_- + (1-bits) + (#1 - #t), and a state has at most 2n + free circles.
-    n, circles = len(D.crossings), 2 * len(D.crossings) + D.free_circles
-    js = range(D.n_plus - 2 * D.n_minus - circles, D.n_plus - 2 * D.n_minus + n + circles + 1)
-    exponent = {ring.power(q, j): j for j in js}
-    assert len(exponent) == len(js), "q^j does not tell the diagram's q-degrees apart"
-    (f,) = enumerate_colorings(KAUFFMAN.biquandle, D)
-    table = cohomology(reference_cube_complex(KAUFFMAN, dict(f.arc_colors), D))
-    return HomologyTable.from_dict(
-        None, {(i, exponent[h]): (rank, tors) for (i, h), rank, tors in table.entries}
-    )
 
 
 def torus_khovanov(n: int) -> dict:
@@ -218,11 +195,6 @@ class TestClassicalKhovanov:
             assert chi == kauffman_state_sum(diagrams[name]), name
 
 
-def cube_bh(beta: Bracket, f) -> HomologyTable:
-    """Bh(f) by definition: the cohomology of the direct cube of smoothings."""
-    return cohomology(reference_cube_complex(beta, dict(f.arc_colors), f.diagram))
-
-
 def all_checks(beta: Bracket, D: OrientedDiagram) -> list:
     """``check_colorings`` over every coloring of ``D`` at once."""
     return check_colorings(beta, D, enumerate_colorings(beta.biquandle, D), khovanov_classical(D))
@@ -292,13 +264,13 @@ class TestBracketCohomology:
     def test_check_colorings_evaluates_chi_once_per_coset(self, brackets, diagrams, monkeypatch):
         # chi(Bh(f)) depends on f only through Z_beta(f): the trefoil with 10
         # free circles has 2,048 z9 colorings in one coset, and one evaluation.
-        from bracketlab import homology
+        from bracketlab import graded
 
         beta = brackets["bracket_z9"]
         D = parse_diagram({**diagrams["trefoil"].to_json(), "free_circles": 10})
         calls = []
-        original = homology.evaluate_formal_sum
-        monkeypatch.setattr(homology, "evaluate_formal_sum", lambda *args: calls.append(args) or original(*args))
+        original = graded.evaluate_formal_sum
+        monkeypatch.setattr(graded, "evaluate_formal_sum", lambda *args: calls.append(args) or original(*args))
         checks = all_checks(beta, D)
         assert len(checks) == 2048 and len(calls) == 1
         assert all(check.theorem and check.euler for check in checks)
