@@ -139,8 +139,10 @@ def verify_biquandle(X: Biquandle) -> Report:
 
 
 def read_biquandle(data: dict) -> Tuple[Report, Optional[Biquandle]]:
-    """The axiom report of JSON tables, and their biquandle if it passes; ``ValueError`` on bad shape or range."""
+    """The axiom report of JSON tables, and their biquandle if it passes; ``ValueError`` on bad shape, range or n."""
     X = Biquandle(data["under"], data["over"])
+    if "n" in data and not (_is_int(data["n"]) and data["n"] == X.n):
+        raise ValueError(f"n = {data['n']!r} but the tables are {X.n}x{X.n}")
     report = verify_biquandle(X)
     return report, X if report.ok else None
 

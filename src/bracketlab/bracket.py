@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import List, Optional, Tuple
 
-from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset, read_biquandle
+from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset
 from .diagram import CrossingRecord, OrientedDiagram, _smoothings
 from .rings import Ring, ring_make, subgroup_generate
 
@@ -82,14 +82,19 @@ class Bracket:
         """q_{x,y} = -A_{x,y}^{-1} B_{x,y}."""
         return self.ring.neg(self.ring.mul(self.tables[-1][1][x - 1][y - 1], self.b(x, y)))
 
-    def coefficient(self, crossing: CrossingRecord, bit: int, colors: dict):
-        """Skein coefficient of one crossing in one smoothing state.
+    def signature(self, f: Coloring) -> tuple:
+        """The (bit 0, bit 1) skein coefficients of ``f`` at each crossing, flat, in ``crossings`` order.
 
-        Positive crossings contribute A (bit 0) or B (bit 1); negative ones
-        contribute B^{-1} (bit 0) or A^{-1} (bit 1).
+        Positive crossings contribute A (bit 0) and B (bit 1); negative ones
+        contribute B^{-1} (bit 0) and A^{-1} (bit 1).
         """
-        x, y = crossing_color_pair(crossing, colors)
-        return self.tables[crossing.sign][bit][x - 1][y - 1]
+        colors = dict(f.arc_colors)
+        signature = []
+        for crossing in f.diagram.crossings:
+            x, y = crossing_color_pair(crossing, colors)
+            zero, one = self.tables[crossing.sign]
+            signature += zero[x - 1][y - 1], one[x - 1][y - 1]
+        return tuple(signature)
 
     def to_json(self):
         ring = self.ring
@@ -194,35 +199,26 @@ def bracket_values(beta: Bracket, D: OrientedDiagram, colorings: List[Coloring])
     """The skein state sum w^{n_- - n_+} * sum_s delta^{circles(s)} prod coeff.
 
     One value per coloring of ``D``, in their order, by a crossing-by-crossing
-    scan.  The sum depends on a coloring only through its signature, its
-    (bit 0, bit 1) coefficients at each crossing from ``beta.tables``, so the
-    scan carries one column per distinct signature.  Crossings are taken in
-    ``D.scan_order``; the smoothed crossings taken so far join the open edges
-    in pairs (a matching, carried on by each crossing's ``_smoothings`` map,
-    one call for both bits) and close some loops.  States that leave the same
-    matching close the same loops from then on, so each matching carries one
-    partial sum per column, multiplied at each crossing by its coefficient
-    and by delta once per closed loop.  Free circles come last.
+    scan.  The sum depends on a coloring only through ``beta.signature``, so
+    the scan carries one column per distinct signature.  Crossings are taken
+    in ``D.scan_order``; the smoothed crossings taken so far join the open
+    edges in pairs (a matching, carried on by each crossing's ``_smoothings``
+    map, one call for both bits) and close some loops.  States that leave the
+    same matching close the same loops from then on, so each matching carries
+    one partial sum per column, multiplied at each crossing by its
+    coefficient, entry ``2 * index + bit`` of the signature, and by delta
+    once per closed loop.  Free circles come last.
     """
     ring = beta.ring
-    crossings = [D.crossings[index] for index in D.scan_order]
-    tables = [beta.tables[crossing.sign] for crossing in crossings]
     columns: dict = {}  # signature -> its column
-    column_of = []
-    for f in colorings:
-        colors = dict(f.arc_colors)
-        signature = []
-        for crossing, (zero, one) in zip(crossings, tables):
-            x, y = crossing_color_pair(crossing, colors)
-            signature += zero[x - 1][y - 1], one[x - 1][y - 1]
-        column_of.append(columns.setdefault(tuple(signature), len(columns)))
+    column_of = [columns.setdefault(beta.signature(f), len(columns)) for f in colorings]
     # Each of a crossing's two arcs closes at most one loop.
     delta_powers = [ring.one, beta.delta, ring.mul(beta.delta, beta.delta)]
     sums = {(): [ring.one] * len(columns)}
-    for position, crossing in enumerate(crossings):
-        smooth = _smoothings(crossing)
+    for index in D.scan_order:
+        smooth = _smoothings(D.crossings[index])
         # factors[bit][loops][k]: column k's coefficient times delta^loops.
-        factors = [[[ring.mul(c[2 * position + bit], d) for c in columns] for d in delta_powers] for bit in (0, 1)]
+        factors = [[[ring.mul(c[2 * index + bit], d) for c in columns] for d in delta_powers] for bit in (0, 1)]
         after = {}
         for matching, partial in sums.items():
             for bit, (smoothed, loops) in enumerate(smooth(matching)):
@@ -246,8 +242,7 @@ def read_bracket(data: dict, literal: bool = False) -> Tuple[Report, Optional[Br
     ``ValueError`` on bad shape or ring elements, or unless the biquandle satisfies its axioms.
     """
     ring = ring_make(data["ring"])
-    report, X = read_biquandle(data["biquandle"])
-    report.require("biquandle")
+    X = Biquandle.from_json(data["biquandle"])
     A = [[ring.element_from_json(v) for v in row] for row in data["A"]]
     B = [[ring.element_from_json(v) for v in row] for row in data["B"]]
     _check_shape(X.n, A, B)

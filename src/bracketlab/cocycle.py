@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 import re
+from functools import reduce
 from typing import List, Optional, Tuple
 
-from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset, read_biquandle
+from .biquandle import AxiomFailure, Biquandle, Coloring, Report, enumerate_colorings, multiset
 from .bracket import Bracket, crossing_color_pair
 from .diagram import OrientedDiagram
 from .rings import Coset, RingError, UnitSubgroup, ring_make, subgroup_generate
@@ -175,18 +176,14 @@ def canonical_cocycle(beta: Bracket) -> Cocycle:
 def z_invariant(beta: Bracket, f: Coloring) -> Coset:
     """Z_beta(f) as a coset of ``beta.G`` in R^x.
 
-    Computed from the positive/negative crossing products
-    (prod A_{x,y} A_{1,1}^{-1}) (prod B_{x,y}^{-1} B_{1,1}), whose factors
-    are the crossings' bit-0 coefficients; the formal gdim(S) factor is
-    exactly the G-blur absorbed by the coset.
+    Its representative is the product of the bit-0 entries of
+    ``beta.signature(f)`` times A_{1,1}^{-n_+} B_{1,1}^{n_-} (A^{-1} is
+    ``beta.tables[-1][1]``); the formal gdim(S) factor is exactly the G-blur
+    absorbed by the coset.
     """
-    ring = beta.ring
-    colors = dict(f.arc_colors)
-    normalisers = {1: beta.tables[-1][1][0][0], -1: beta.b(1, 1)}  # A_{1,1}^{-1} and B_{1,1}
-    acc = ring.one
-    for crossing in f.diagram.crossings:
-        acc = ring.mul(acc, ring.mul(beta.coefficient(crossing, 0, colors), normalisers[crossing.sign]))
-    return Coset(beta.G, acc)
+    ring, D = beta.ring, f.diagram
+    norm = ring.mul(ring.power(beta.tables[-1][1][0][0], D.n_plus), ring.power(beta.b(1, 1), D.n_minus))
+    return Coset(beta.G, reduce(ring.mul, beta.signature(f)[::2], norm))
 
 
 def z_invariant_multiset(beta: Bracket, D: OrientedDiagram) -> List[tuple]:
@@ -200,8 +197,7 @@ def read_cocycle(data: dict) -> Tuple[Report, Optional[Cocycle]]:
 
     ``ValueError`` on bad shape, words or units, or unless the biquandle satisfies its axioms.
     """
-    report, X = read_biquandle(data["biquandle"])
-    report.require("biquandle")
+    X = Biquandle.from_json(data["biquandle"])
     tgt = data["target"]
     if tgt["kind"] == "free_abelian":
         target = FreeAbelianTarget(tgt["symbols"])

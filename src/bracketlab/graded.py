@@ -89,33 +89,31 @@ def merge_invariant_factors(lists: List[List[int]]) -> List[int]:
     """Invariant factors of a direct sum given the factors of each summand.
 
     Buckets prime powers per prime, pairing the largest powers together so
-    the result is again a divisibility chain d1 | d2 | ...
+    the result is again a divisibility chain d1 | d2 | ...  Each factor is
+    split by trial division up to its square root (what is left then is
+    prime), so a prime near 10^12 takes milliseconds, but a product of two
+    primes near 10^9 still takes tens of seconds.
     """
     by_prime: Dict[int, List[int]] = {}
     for factors in lists:
-        for d in factors:
-            n = d
+        for n in factors:
             p = 2
-            while n > 1:
+            while p * p <= n:
                 if n % p == 0:
-                    e = 0
+                    power = 1
                     while n % p == 0:
                         n //= p
-                        e += 1
-                    by_prime.setdefault(p, []).append(e)
+                        power *= p
+                    by_prime.setdefault(p, []).append(power)
                 p += 1 if p == 2 else 2
-    if not by_prime:
-        return []
-    for exps in by_prime.values():
-        exps.sort(reverse=True)
-    depth = max(len(v) for v in by_prime.values())
-    chain = []
-    for k in range(depth):
-        d = 1
-        for p, exps in by_prime.items():
-            if k < len(exps):
-                d *= p ** exps[k]
-        chain.append(d)
+            if n > 1:
+                by_prime.setdefault(n, []).append(n)
+    chain: List[int] = []
+    for powers in by_prime.values():
+        powers.sort(reverse=True)
+        chain += [1] * (len(powers) - len(chain))
+        for k, power in enumerate(powers):
+            chain[k] *= power
     chain.reverse()
     return chain
 

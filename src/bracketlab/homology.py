@@ -83,14 +83,10 @@ def _cube_unit(beta: Bracket, shift, f: Coloring):
     """u(f): the unit by which the direct cube multiplies every Khovanov degree q^j.
 
     Read off the bracket as the cube's degrees read it: ``shift``, the
-    coloring-independent (-1)^{n_-} w^{n_- - n_+} q^{2 n_- - n_+}, times each
-    crossing's bit-0 coefficient at ``f``.  See the module docstring.
+    coloring-independent (-1)^{n_-} w^{n_- - n_+} q^{2 n_- - n_+}, times the
+    bit-0 entries of ``beta.signature(f)``.  See the module docstring.
     """
-    colors = dict(f.arc_colors)
-    u = shift
-    for crossing in f.diagram.crossings:
-        u = beta.ring.mul(u, beta.coefficient(crossing, 0, colors))
-    return u
+    return reduce(beta.ring.mul, beta.signature(f)[::2], shift)
 
 
 class ColoringCheck(NamedTuple):

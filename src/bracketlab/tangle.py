@@ -12,8 +12,8 @@ sphere is 0 and a dotted sphere 1, two dots on one component are 0, a handle
 is twice a dot, and a neck is cut into its two ways of dotting one side.
 With these, every cobordism from a matching M to a matching N is an integer
 combination of surfaces made of one disk per cycle of M and N together,
-each disk with at most one dot.  A morphism is therefore a dict
-``{dot mask: coefficient}`` over the cycles listed by ``_cycles(M, N)``.
+each disk with at most one dot.  So a morphism is ``{dot mask: coefficient}``,
+with bit i for the cycle whose least end is ``_cycles(M, N)[i]``.
 
 A closed loop is delooped into a q^{+1} and a q^{-1} copy of the rest, and
 every entry that is +-identity between equal matchings is cancelled by
@@ -43,27 +43,25 @@ Morphism = Dict[int, int]
 MAX_TORSION_FACTORS = 1 << 16
 
 
-def _cycles(bottom: Matching, top: Matching) -> List[Tuple[int, ...]]:
-    """The cycles of two matchings of the same ends, each listed from its least end."""
+def _cycles(bottom: Matching, top: Matching) -> List[int]:
+    """The least end of each cycle of two matchings of the same ends."""
     down: Dict[int, int] = {}
     up: Dict[int, int] = {}
     for a, b in bottom:
         down[a], down[b] = b, a
     for a, b in top:
         up[a], up[b] = b, a
-    cycles = []
+    starts = []
     seen = set()
-    for start, _ in bottom:  # pairs are sorted, so each cycle starts at its least end
+    for start, _ in bottom:  # pairs are sorted, so each cycle is met first at its least end
         if start in seen:
             continue
-        cycle = []
+        starts.append(start)
         end = start
-        while not cycle or end != start:
-            cycle += (end, down[end])
+        while end not in seen:
+            seen.update((end, down[end]))
             end = up[down[end]]
-        seen.update(cycle)
-        cycles.append(tuple(cycle))
-    return cycles
+    return starts
 
 
 class _Surface:
@@ -223,7 +221,7 @@ def khovanov_complex(D: OrientedDiagram) -> GradedComplex:
     ``tensor_free_circles``, is classical Khovanov homology; every cache
     lives for this call only.
     """
-    cycles: Dict[Tuple[Matching, Matching], List[Tuple[int, ...]]] = {}
+    cycles: Dict[Tuple[Matching, Matching], List[int]] = {}
     compositions: Dict[Tuple[Matching, Matching, Matching], _Surface] = {}
 
     def cycles_of(bottom: Matching, top: Matching):
@@ -238,9 +236,9 @@ def khovanov_complex(D: OrientedDiagram) -> GradedComplex:
         if key not in compositions:
             compositions[key] = _Surface(
                 first + middle + last,
-                [c[0] for c in lower + upper],
+                lower + upper,
                 [a for a, _ in middle],
-                [c[0] for c in cycles_of(first, last)],
+                cycles_of(first, last),
             )
         surface, shift = compositions[key], len(lower)
         total: Morphism = {}
@@ -297,10 +295,10 @@ def _add_crossing(old: _Complex, crossing: CrossingRecord, cycles_of) -> _Comple
         (n_a, loops_a, ids_a), (n_b, loops_b, ids_b) = copies[src, bits[0]], copies[tgt, bits[1]]
         key = (m_a, m_b, bits)
         if key not in surfaces:
-            lower = [c[0] for c in cycles_of(m_a, m_b)]
+            lower = cycles_of(m_a, m_b)
             arcs, disks = pieces[bits]
             first_cup = len(lower) + len(disks)
-            surface = _Surface(m_a + m_b + arcs, lower + disks + loops_a + loops_b, seams, [c[0] for c in cycles_of(n_a, n_b)])
+            surface = _Surface(m_a + m_b + arcs, lower + disks + loops_a + loops_b, seams, cycles_of(n_a, n_b))
             surfaces[key] = surface, first_cup, first_cup + len(loops_a), (1 << len(loops_b)) - 1
         surface, first_cup, first_cap, plus = surfaces[key]
         for e_a, a in enumerate(ids_a):

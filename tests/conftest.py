@@ -268,7 +268,7 @@ def walk_bracket_values(beta, D, colorings, states=None) -> list:
     Independent cross-check of the transfer scan in ``bracket_values``: each
     state's circles come from ``resolve_state``, and each crossing's
     coefficients from ``beta.A``, ``beta.B`` and ``ring.try_invert``, not
-    from ``beta.tables`` or ``beta.coefficient``.  ``states`` may hold
+    from ``beta.tables`` or ``beta.signature``.  ``states`` may hold
     ``smoothing_states(D)`` already resolved, to share them across brackets.
     """
     ring = beta.ring
@@ -333,7 +333,8 @@ def reference_cube_complex(beta: Bracket, colors: dict, D: OrientedDiagram) -> G
         col = sum(bits) - D.n_minus
         shift = global_shift
         for crossing, bit in zip(D.crossings, bits):
-            shift = ring.mul(shift, beta.coefficient(crossing, bit, colors))
+            x, y = crossing_color_pair(crossing, colors)
+            shift = ring.mul(shift, beta.tables[crossing.sign][bit][x - 1][y - 1])
         if sum(bits) % 2:
             shift = ring.neg(shift)
         for g in scalars:

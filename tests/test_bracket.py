@@ -225,11 +225,7 @@ class TestTransferScan:
         # coefficients, so the scan carries more than one column.
         beta, D = brackets["bracket_z9"], diagrams["hopf"]
         colorings = enumerate_colorings(beta.biquandle, D)
-        signatures = {
-            tuple(beta.coefficient(c, bit, dict(f.arc_colors)) for c in D.crossings for bit in (0, 1))
-            for f in colorings
-        }
-        assert len(signatures) > 1
+        assert len({beta.signature(f) for f in colorings}) > 1
         assert bracket_values(beta, D, colorings) == walk_bracket_values(beta, D, colorings)
 
     def test_free_circles_match_walk(self, brackets, diagrams):
@@ -359,6 +355,21 @@ class TestTables:
                 return tuple(tuple(ring.try_invert(v) for v in row) for row in table)
 
             assert beta.tables == {1: (beta.A, beta.B), -1: (inverse(beta.B), inverse(beta.A))}
+
+    def test_signature_reads_the_tables_at_each_crossing(self, brackets, diagrams):
+        signs = set()
+        for bname, beta in brackets.items():
+            for name in DIAGRAM_NAMES:
+                D = diagrams[name]
+                for f in enumerate_colorings(beta.biquandle, D):
+                    colors = dict(f.arc_colors)
+                    expected = []
+                    for c in D.crossings:
+                        x, y = crossing_color_pair(c, colors)
+                        expected += (beta.tables[c.sign][bit][x - 1][y - 1] for bit in (0, 1))
+                        signs.add(c.sign)
+                    assert beta.signature(f) == tuple(expected), (bname, name)
+        assert signs == {1, -1}
 
 
 class TestJson:

@@ -103,6 +103,7 @@ MALFORMED_BRACKETS = {
     "element_bool": ("bracket_gf8", ("A", 0, 0), True),
     "biquandle_entry_bool": ("bracket_z9", ("biquandle", "under", 1, 0), True),
     "biquandle_entry_float": ("bracket_z9", ("biquandle", "under", 0, 0), 2.0),
+    "biquandle_n_mismatch": ("bracket_z9", ("biquandle", "n"), 3),
     "biquandle_empty": (
         "bracket_z9", (), {"ring": {"kind": "zmod", "n": 5}, "biquandle": {"under": [], "over": []}, "A": [], "B": []}
     ),
@@ -140,6 +141,8 @@ MALFORMED_BIQUANDLES = {
     "over_not_list": (("over",), 2),
     "top_level_list": ((), [1]),
     "empty": ((), {"under": [], "over": []}),
+    "n_mismatch": (("n",), 3),
+    "n_float": (("n",), 2.0),
 }
 
 
@@ -167,6 +170,7 @@ MALFORMED_COCYCLES = {
     "target_kind_unknown": (("target", "kind"), "free_group"),
     "target_null": (("target",), None),
     "biquandle_entry_bool": (("biquandle", "under", 0, 0), True),
+    "biquandle_n_mismatch": (("biquandle", "n"), 3),
     "quotient_modulus_float": (("target",), {"kind": "unit_quotient", "ring": {"kind": "zmod", "n": 9.5}, "G": [1]}),
     "quotient_generator_bool": (("target",), {"kind": "unit_quotient", "ring": {"kind": "zmod", "n": 9}, "G": [True]}),
     "quotient_generator_not_unit": (("target",), {"kind": "unit_quotient", "ring": {"kind": "zmod", "n": 9}, "G": [3]}),

@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
 from bracketlab.biquandle import enumerate_colorings
+from bracketlab.bracket import crossing_color_pair
 from bracketlab.cocycle import (
     FreeAbelianTarget,
     canonical_cocycle,
@@ -15,9 +17,10 @@ from bracketlab.cocycle import (
     z_invariant_multiset,
 )
 from bracketlab.corpus import load_corpus_json
+from bracketlab.diagram import parse_diagram
 from bracketlab.rings import Coset
 
-from conftest import basepoint_group
+from conftest import DIAGRAM_NAMES, basepoint_group, braid_closure, random_braid_word
 
 
 class TestTargets:
@@ -149,6 +152,25 @@ class TestZInvariant:
                     assert z_invariant(beta, f) == cocycle_value(phi, f), (name, dname)
                 D = diagrams[dname]
                 assert cocycle_invariant(phi, D) == z_invariant_multiset(beta, D), (name, dname)
+
+    def test_representative_is_the_product_of_normalised_coefficients(self, brackets, diagrams):
+        # Each crossing's bit-0 coefficient times its normaliser, A_{1,1}^{-1}
+        # at a positive crossing and B_{1,1} at a negative one, multiplied
+        # crossing by crossing: the same ring element, not just the same coset.
+        rng = random.Random(32)
+        closures = [parse_diagram(braid_closure(random_braid_word(rng, 3, 2 + k % 7), 3)) for k in range(12)]
+        for bname, beta in brackets.items():
+            ring = beta.ring
+            normalisers = {1: ring.try_invert(beta.a(1, 1)), -1: beta.b(1, 1)}
+            for D in [diagrams[name] for name in DIAGRAM_NAMES] + closures:
+                for f in enumerate_colorings(beta.biquandle, D):
+                    colors = dict(f.arc_colors)
+                    expected = ring.one
+                    for c in D.crossings:
+                        x, y = crossing_color_pair(c, colors)
+                        coefficient = beta.a(x, y) if c.sign == 1 else ring.try_invert(beta.b(x, y))
+                        expected = ring.mul(expected, ring.mul(coefficient, normalisers[c.sign]))
+                    assert z_invariant(beta, f).representative == expected, (bname, D.crossings)
 
     def test_invariance_across_pairs(self, brackets, diagrams):
         from conftest import EQUIVALENT_PAIRS

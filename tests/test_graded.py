@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bracketlab
 from bracketlab.graded import (
     GradedComplex,
     HomologyTable,
@@ -114,6 +119,42 @@ class TestSNF:
         assert merge_invariant_factors([[2], [4]]) == [2, 4]
         assert merge_invariant_factors([[6], [4]]) == [2, 12]
         assert merge_invariant_factors([]) == []
+
+    def test_merge_invariant_factors_matches_dense_reference(self):
+        # The direct sum of cyclic groups Z/d is presented by the diagonal
+        # matrix of the d, whose dense Smith form gives the merged chain.
+        def reference(lists):
+            factors = [d for ds in lists for d in ds]
+            diagonal = [[d if i == j else 0 for j in range(len(factors))] for i, d in enumerate(factors)]
+            return [d for d in dense_invariant_factors(diagonal) if d > 1]
+
+        rng = random.Random(32)
+        primes = [2, 3, 5, 7, 11, 1009, 1013, 2003]
+        large = repeated = 0
+        for _ in range(300):
+            lists = []
+            for _ in range(rng.randint(0, 3)):
+                factors = []
+                for _ in range(rng.randint(0, 3)):
+                    d = 1
+                    for _ in range(rng.randint(1, 3)):
+                        d *= rng.choice(primes) ** rng.randint(1, 2)
+                    factors.append(d)
+                lists.append(factors)
+            got = merge_invariant_factors(lists)
+            assert got == reference(lists), lists
+            assert all(b % a == 0 for a, b in zip(got, got[1:]))
+            large += any(d % p == 0 for ds in lists for d in ds for p in primes[5:])
+            repeated += any(d % (p * p) == 0 for ds in lists for d in ds for p in primes)
+        assert large >= 50 and repeated >= 50
+
+    def test_a_large_prime_factor_is_found_quickly(self):
+        # Trial division stops at the square root; past it, what is left is prime.
+        src = str(Path(bracketlab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "from bracketlab.graded import invariant_factors; print(invariant_factors([{0: 999999999989}]))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10, check=True)
+        assert out.stdout.strip() == "(1, [999999999989])"
 
 
 class TestFormalSum:
