@@ -150,6 +150,7 @@ def check_all(manifest: CorpusManifest, base: Optional[str] = None) -> List[Repo
 
     # The colorings of each diagram, enumerated once per pair of operation
     # tables and shared by every biquandle and bracket on those tables.
+    # A dict, as a cache keyed by Biquandle would miss distinct objects sharing tables.
     coloring_lists: Dict[tuple, List[Coloring]] = {}
 
     def colorings(X: Biquandle, name: str) -> List[Coloring]:

@@ -29,8 +29,8 @@ depends on the coset alone, so it is evaluated once per coset.
 from __future__ import annotations
 
 from collections import Counter
-from functools import reduce
-from typing import TYPE_CHECKING, Dict, List, NamedTuple
+from functools import cache, reduce
+from typing import TYPE_CHECKING, List, NamedTuple
 
 from .biquandle import Coloring
 from .bracket import Bracket, bracket_values
@@ -127,13 +127,11 @@ def check_colorings(
     shift = ring.mul(ring.power(beta.w, D.n_minus - D.n_plus), ring.power(q, 2 * D.n_minus - D.n_plus))
     if D.n_minus % 2:
         shift = ring.neg(shift)
-    folded: Dict[Coset, tuple] = {}
 
+    @cache
     def fold(z: Coset) -> tuple:
-        if z not in folded:
-            table = fold_khovanov(classical, G, q, z)
-            folded[z] = table, evaluate_formal_sum(table.euler_characteristic(), ring)
-        return folded[z]
+        table = fold_khovanov(classical, G, q, z)
+        return table, evaluate_formal_sum(table.euler_characteristic(), ring)
 
     checks = []
     for f, value in zip(colorings, bracket_values(beta, D, colorings)):

@@ -30,6 +30,7 @@ copy of V = Z{q, q^-1} per circle.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 from typing import Dict, List, Tuple
 
@@ -111,6 +112,7 @@ class _Surface:
             ((2 - len(own[root]) - euler[root]) // 2, disks_of, sum(own[root]), own[root])
             for root, disks_of in masks.items()
         ]
+        # A dict per surface: a cached method would keep every surface alive past its crossing.
         self.reduced: Dict[int, Morphism] = {}
 
     def reduce(self, dotted: int) -> Morphism:
@@ -221,26 +223,16 @@ def khovanov_complex(D: OrientedDiagram) -> GradedComplex:
     ``tensor_free_circles``, is classical Khovanov homology; every cache
     lives for this call only.
     """
-    cycles: Dict[Tuple[Matching, Matching], List[int]] = {}
-    compositions: Dict[Tuple[Matching, Matching, Matching], _Surface] = {}
+    cycles_of = cache(_cycles)
 
-    def cycles_of(bottom: Matching, top: Matching):
-        if (bottom, top) not in cycles:
-            cycles[bottom, top] = _cycles(bottom, top)
-        return cycles[bottom, top]
+    @cache
+    def glued(first: Matching, middle: Matching, last: Matching) -> _Surface:
+        disks = cycles_of(first, middle) + cycles_of(middle, last)
+        return _Surface(first + middle + last, disks, [a for a, _ in middle], cycles_of(first, last))
 
     def compose(first: Matching, middle: Matching, last: Matching, delta: Morphism, gamma: Morphism) -> Morphism:
         """gamma after delta: two dotted-disk surfaces glued along ``middle``."""
-        key = (first, middle, last)
-        lower, upper = cycles_of(first, middle), cycles_of(middle, last)
-        if key not in compositions:
-            compositions[key] = _Surface(
-                first + middle + last,
-                lower + upper,
-                [a for a, _ in middle],
-                cycles_of(first, last),
-            )
-        surface, shift = compositions[key], len(lower)
+        surface, shift = glued(first, middle, last), len(cycles_of(first, middle))
         total: Morphism = {}
         for m1, c1 in delta.items():
             for m2, c2 in gamma.items():
@@ -272,11 +264,9 @@ def _add_crossing(old: _Complex, crossing: CrossingRecord, cycles_of) -> _Comple
     """
     new = _Complex()
     copies = {}
-    smooth = _smoothings(crossing)
-    matchings = dict.fromkeys(matching for matching, _, _ in old.objects.values())
-    smoothed = {m: smooth(m) for m in matchings}
+    smooth = cache(_smoothings(crossing))
     for i, (matching, weight, q) in old.objects.items():
-        for bit, (after, loops) in enumerate(smoothed[matching]):
+        for bit, (after, loops) in enumerate(smooth(matching)):
             ids = [
                 new.add(after, weight + bit, q + bit + len(loops) - 2 * e.bit_count())
                 for e in range(1 << len(loops))
@@ -284,10 +274,11 @@ def _add_crossing(old: _Complex, crossing: CrossingRecord, cycles_of) -> _Comple
             copies[i, bit] = (after, loops, ids)
     pairs = [tuple(_pairings(crossing, bit)) for bit in (0, 1)]
     ends = [e for pair in pairs[0] for e in pair]
-    open_before = {e for pair in next(iter(matchings)) for e in pair}
+    open_before = {e for pair in next(iter(old.objects.values()))[0] for e in pair}
     seams = [e for e in set(ends) if e in open_before or ends.count(e) == 2]
     pieces = {(bit, bit): (pairs[bit] * 2, [a for a, _ in pairs[bit]]) for bit in (0, 1)}
     pieces[0, 1] = (pairs[0] + pairs[1], [ends[0]])
+    # A dict: a cached function of (m_a, m_b, bits) ran the bench's khovanov round about 2 % slower.
     surfaces: Dict[tuple, Tuple[_Surface, int, int, int]] = {}
 
     def extend(src: int, tgt: int, bits: Tuple[int, int], morphism: Morphism):

@@ -5,13 +5,16 @@ never builds: its states (``resolve_state``), the Kauffman state sum, the
 bracket state walk (``walk_bracket_values``), and the direct
 bracket-cohomology complex (``reference_cube_complex``); the colorings by
 brute force; and the per-bit smoothing maps of the scans
-(``reference_smoothings``).
+(``reference_smoothings``).  Structure theorems of Khovanov homology check
+the tables that the 2^n cube cannot reach: Shumakovitch's F_2 divisibility
+(``reduced_f2``) and Lee's split of a knot's rational table, which gives
+Rasmussen's s (``lee_split``).
 """
 
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -240,6 +243,107 @@ def kauffman_state_sum(D: OrientedDiagram) -> dict:
             e = shift + w + sum(letters)
             total[e] = total.get(e, 0) + sign
     return {e: c for e, c in total.items() if c}
+
+
+def link_components(D: OrientedDiagram) -> int:
+    """The number of components of ``D``: its arcs joined along each crossing's two strands."""
+    parent = {e: e for e in D.arcs()}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for c in D.crossings:
+        for a, b in ((c.under_in, c.under_out), (c.over_in, c.over_out)):
+            parent[find(a)] = find(b)
+    return sum(find(e) == e for e in parent)
+
+
+def f2_dimensions(table: HomologyTable) -> Dict[Tuple[int, int], int]:
+    """dim H^{i,j}(F_2) of an integer Khovanov table, by universal coefficients.
+
+    For cohomology, H^i(C; F_2) = H^i(C) (x) F_2 (+) Tor(H^{i+1}(C), F_2): the
+    rank at (i, j) plus the number of even torsion factors at (i, j) and at
+    (i + 1, j).  Odd torsion is invisible over F_2.
+    """
+    dims: Dict[Tuple[int, int], int] = {}
+    for (i, j), rank, torsion in table.entries:
+        even = sum(t % 2 == 0 for t in torsion)
+        dims[i, j] = dims.get((i, j), 0) + rank + even
+        dims[i - 1, j] = dims.get((i - 1, j), 0) + even
+    return {key: d for key, d in dims.items() if d}
+
+
+def reduced_f2(table: HomologyTable) -> Optional[Dict[Tuple[int, int], int]]:
+    """The F_2 table divided by q + q^-1 at each homological degree, or None if it is not such a multiple.
+
+    Shumakovitch, "Torsion of the Khovanov homology" (arXiv math/0405474):
+    for any non-empty link, Kh(L; F_2) = Khr(L; F_2) (x) F_2[X]/X^2, so at
+    each homological degree the F_2 Poincare polynomial in q is q + q^-1
+    times one with non-negative coefficients, Khr's.  Returns Khr as
+    {(i, j): dimension}, found degree by degree from the lowest q: the q^j
+    coefficient is Khr's at j - 1 plus Khr's at j + 1.
+    """
+    dims = f2_dimensions(table)
+    reduced: Dict[Tuple[int, int], int] = {}
+    for i in {i for i, _ in dims}:
+        js = [j for k, j in dims if k == i]
+        for j in range(min(js), max(js) + 3):
+            b = dims.get((i, j), 0) - reduced.get((i, j - 1), 0)
+            if b < 0:
+                return None
+            reduced[i, j + 1] = b
+    return {key: b for key, b in reduced.items() if b}
+
+
+def _lee_pairs(ranks: Dict[Tuple[int, int], int]) -> bool:
+    """Whether the generators of ``ranks`` pair up as t^i q^j (1 + t q^{4k}), k >= 1.
+
+    Degree by degree from the lowest, the generators left over from degree
+    i - 1, largest first, each take the largest generator of degree i with
+    the same j mod 4, which must be at least 4 higher; the rest of degree i
+    is left over.  Taking the largest leaves the smallest to pair upwards,
+    so the greedy finds a pairing whenever one exists.
+    """
+    degrees = [i for i, _ in ranks]
+    leftover: List[int] = []
+    for i in range(min(degrees, default=0), max(degrees, default=0) + 2):
+        available = sorted(j for (k, j), rank in ranks.items() if k == i for _ in range(rank))
+        for j in sorted(leftover, reverse=True):
+            match = max((g for g in available if (g - j) % 4 == 0), default=None)
+            if match is None or match < j + 4:
+                return False
+            available.remove(match)
+        leftover = available
+    return not leftover
+
+
+def lee_split(table: HomologyTable) -> Optional[int]:
+    """Rasmussen's s of a knot, read off its Khovanov table, or None if the table has no Lee split.
+
+    Lee (arXiv math/0210213) and Rasmussen, "Khovanov homology and the slice
+    genus" (arXiv math/0402131): over Q, Lee's spectral sequence has
+    differentials of bidegree (1, 4k) and ends at Q at (0, s - 1) and at
+    (0, s + 1).  So the rational table is those two generators plus pairs
+    t^i q^j (1 + t q^{4k}) with k >= 1.  Each s whose two generators are in
+    the table is tried, least first.
+    """
+    ranks = {key: rank for key, rank, _ in table.entries if rank}
+    for s in sorted(j + 1 for i, j in ranks if i == 0 and (0, j + 2) in ranks):
+        rest = dict(ranks)
+        rest[0, s - 1] -= 1
+        rest[0, s + 1] -= 1
+        if _lee_pairs(rest):
+            return s
+    return None
+
+
+def assert_khovanov_theorems(D: OrientedDiagram, table: HomologyTable):
+    """``table``, the Khovanov table of the non-empty ``D``, obeys Shumakovitch's F_2 theorem, and a knot's has a Lee split."""
+    assert reduced_f2(table) is not None, ("F_2 divisibility", D.to_json())
+    if link_components(D) == 1:
+        assert lee_split(table) is not None, ("Lee split", D.to_json())
 
 
 def brute_force_colorings(X: Biquandle, D) -> list:

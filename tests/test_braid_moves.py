@@ -9,7 +9,7 @@ from bracketlab.bracket import bracket_invariant
 from bracketlab.cocycle import z_invariant_multiset
 from bracketlab.diagram import parse_diagram
 from bracketlab.homology import bh_multiset, khovanov_classical
-from conftest import braid_closure, braid_move_pairs, random_braid_word
+from conftest import assert_khovanov_theorems, braid_closure, braid_move_pairs, random_braid_word
 
 
 def _sweep():
@@ -27,6 +27,7 @@ def _invariants(side, biquandles, brackets) -> dict:
         values[f"z:{name}"] = z_invariant_multiset(beta, D)
         values[f"bh:{name}"] = bh_multiset(beta, D)
     values["khovanov"] = khovanov_classical(D)
+    assert_khovanov_theorems(D, values["khovanov"])
     return values
 
 

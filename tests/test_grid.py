@@ -8,6 +8,7 @@ from bracketlab.diagram import parse_diagram
 from bracketlab.homology import check_colorings, khovanov_classical
 from conftest import (
     BRACKET_NAMES,
+    assert_khovanov_theorems,
     braid_closure,
     brute_force_colorings,
     cube_bh,
@@ -56,11 +57,13 @@ def test_grids_match_the_state_oracles(flip, threeel, brackets):
 
 def test_grids_match_the_direct_cube(brackets):
     # The tangle scan, and Bh(f) as the scan's table folded at each coloring's
-    # cube unit, against the cohomology of the 2^n cube of smoothings.
+    # cube unit, against the cohomology of the 2^n cube of smoothings; and
+    # the scan's table against the structure theorems.
     for X, O in seeded_grids():
         D = parse_diagram(grid_diagram(X, O))
         classical = khovanov_classical(D)
         assert classical == cube_khovanov(D), D.to_json()
+        assert_khovanov_theorems(D, classical)
         for name in ("bracket_z9", "bracket_gf8"):
             beta = brackets[name]
             colorings = enumerate_colorings(beta.biquandle, D)[:2]

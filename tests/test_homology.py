@@ -22,6 +22,7 @@ from conftest import (
     KAUFFMAN,
     PINNED_WORDS,
     WITNESS_DIAGRAMS,
+    assert_khovanov_theorems,
     basepoint_group,
     basepoint_z,
     braid_closure,
@@ -112,7 +113,9 @@ class TestClassicalKhovanov:
 
     def test_scan_equals_cube_on_corpus(self, diagrams):
         for name in DIAGRAM_NAMES:
-            assert khovanov_classical(diagrams[name]) == cube_khovanov(diagrams[name]), name
+            table = khovanov_classical(diagrams[name])
+            assert table == cube_khovanov(diagrams[name]), name
+            assert_khovanov_theorems(diagrams[name], table)
 
     def test_scan_equals_cube_on_seeded_closures(self):
         # This seed's sweep includes the 3-strand word [-2, 1, -2, -1, -2],
@@ -126,10 +129,12 @@ class TestClassicalKhovanov:
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_torus_closed_form_and_mirror(self, n):
-        table = khovanov_classical(parse_diagram(braid_closure([1] * n, 2))).as_dict()
-        assert table == torus_khovanov(n)
-        mirror = khovanov_classical(parse_diagram(braid_closure([-1] * n, 2))).as_dict()
-        assert mirror == mirror_khovanov(table)
+        D, D_mirror = parse_diagram(braid_closure([1] * n, 2)), parse_diagram(braid_closure([-1] * n, 2))
+        table, mirror = khovanov_classical(D), khovanov_classical(D_mirror)
+        assert table.as_dict() == torus_khovanov(n)
+        assert mirror.as_dict() == mirror_khovanov(table.as_dict())
+        assert_khovanov_theorems(D, table)
+        assert_khovanov_theorems(D_mirror, mirror)
 
     def test_pinned_4_strand_closures_and_mirrors(self):
         # Too large for the cube: the tables were written by this module's
@@ -138,10 +143,12 @@ class TestClassicalKhovanov:
         assert [case["word"] for case in cases] == PINNED_WORDS
         for case in cases:
             word, strands = case["word"], case["strands"]
-            table = khovanov_classical(parse_diagram(braid_closure(word, strands)))
+            D, D_mirror = (parse_diagram(braid_closure(w, strands)) for w in (word, [-x for x in word]))
+            table, mirror = khovanov_classical(D), khovanov_classical(D_mirror)
             assert table.to_json() == case["khovanov"], word
-            mirror = khovanov_classical(parse_diagram(braid_closure([-x for x in word], strands)))
             assert mirror.as_dict() == mirror_khovanov(table.as_dict()), word
+            assert_khovanov_theorems(D, table)
+            assert_khovanov_theorems(D_mirror, mirror)
 
     def test_free_circles_equal_kinked_circles(self):
         # A free circle is an unknot: a disjoint R1 kink has the same
@@ -481,6 +488,40 @@ class TestChecksAtScale:
                     assert check.theorem and check.euler, (name, word, strands)
                     checked += 1
         assert checked == 570
+
+
+def test_each_call_keeps_its_caches_to_itself(brackets, diagrams, monkeypatch):
+    # The scan's and the checks' caches live for one call: a second call on
+    # the same inputs builds every surface and folds every coset again, so
+    # no run reuses another's results, as the benchmark's fresh inputs assume.
+    from bracketlab import homology, tangle
+
+    built = []
+
+    class Counted(tangle._Surface):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(tangle, "_Surface", Counted)
+    counts = []
+    for _ in range(2):
+        built.clear()
+        tangle.khovanov_complex(diagrams["figure_eight"])
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
+
+    beta, D = brackets["bracket_gf8"], diagrams["hopf"]
+    colorings = enumerate_colorings(beta.biquandle, D)
+    classical = khovanov_classical(D)
+    cosets = {z_invariant(beta, f) for f in colorings}
+    folded = []
+    original = homology.fold_khovanov
+    monkeypatch.setattr(homology, "fold_khovanov", lambda *args: folded.append(args[3]) or original(*args))
+    for _ in range(2):
+        folded.clear()
+        check_colorings(beta, D, colorings, classical)
+        assert len(folded) == len(set(folded)) == len(cosets) == 2 and set(folded) == cosets
 
 
 if __name__ == "__main__":

@@ -69,6 +69,31 @@ def test_no_module_imports_dataclasses(path):
     assert "dataclasses" not in imported
 
 
+def test_functools_caches_are_made_only_inside_function_bodies():
+    # A cache made in a function body lives for one call.  One made at module
+    # or class level, or as a decorator of a module function or a method,
+    # would let one run reuse another's results.
+    caches, outside = 0, []
+    for path in MODULES + [Path(bracketlab.__file__)]:
+        tree = ast.parse(path.read_text())
+        inside = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for statement in function.body
+            for node in ast.walk(statement)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and node.name in ("cache", "lru_cache"):
+                assert node.asname is None, f"{path.name}:{node.lineno} imports {node.name} as {node.asname}"
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name in ("cache", "lru_cache"):
+                caches += 1
+                if id(node) not in inside:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert caches and not outside, f"functools caches outside a function body: {outside}"
+
+
 def test_a_fresh_interpreter_imports_no_dataclasses():
     src = str(Path(bracketlab.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
